@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import linear, metrics, mf, verify
 from .config import ConfigError
-from .data import DatasetFormatError, dataset_stats, load_dataset
+from .data import dataset_stats, load_dataset
 from .sampling import SamplerConfig
 from .synthetic import make_planted_blocks, make_random_dataset
 
@@ -46,32 +46,13 @@ def _load_data(cfg: dict):
 
 
 def _train_config(cfg: dict) -> mf.TrainConfig:
-    t, s, l = cfg["train"], cfg["sampler"], cfg["loss"]
-    sampler = SamplerConfig(
-        kind=s["kind"],
-        n_negatives=s["n_negatives"],
-        m_positives=s["m_positives"],
-        share_batch=s["share_batch"],
-        seed=cfg["seed"],
-    )
+    # the sampler and train tables hold exactly the SamplerConfig/TrainConfig fields
     return mf.TrainConfig(
-        embedding_dim=t["embedding_dim"],
-        loss=l["kind"],
-        loss_params=dict(l["params"]),
-        sampler=sampler,
-        batch_size=t["batch_size"],
-        initial_lr=t["initial_lr"],
-        plateau_factor=t["plateau_factor"],
-        plateau_patience=t["plateau_patience"],
-        plateau_threshold=t["plateau_threshold"],
-        min_lr=t["min_lr"],
-        l2_weight=t["l2_weight"],
-        max_epochs=t["max_epochs"],
+        **cfg["train"],
+        loss=cfg["loss"]["kind"],
+        loss_params=dict(cfg["loss"]["params"]),
+        sampler=SamplerConfig(**cfg["sampler"], seed=cfg["seed"]),
         seed=cfg["seed"],
-        mode=t["mode"],
-        temperature=t["temperature"],
-        init_std=t["init_std"],
-        val_fraction=t["val_fraction"],
         eval_k=cfg["eval"]["k"],
     )
 
@@ -316,6 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand flag -> the config key it sets
+_FLAG_KEYS = {
+    "seed": "seed",
+    "k": "eval.k",
+    "model": "linear.model",
+    "alpha0": "linear.alpha0",
+    "lam": "linear.lambda",
+    "alpha": "linear.alpha",
+    "c_u": "linear.c_u",
+    "sweeps": "linear.sweeps",
+    "d": "linear.d",
+    "item_budget": "linear.item_budget",
+    "bounds": "verify.bound_instances",
+    "theorem_instances": "verify.theorem_instances",
+}
+
+
 def _flag_overrides(args) -> list[str]:
     """Convenience flags become ordinary config overrides."""
     sets = []
@@ -326,30 +324,9 @@ def _flag_overrides(args) -> list[str]:
         sets.append(f"data.train={args.train_path}")
     if args.test_path:
         sets.append(f"data.test={args.test_path}")
-    if args.seed is not None:
-        sets.append(f"seed={args.seed}")
-    if getattr(args, "k", None) is not None:
-        sets.append(f"eval.k={args.k}")
-    if getattr(args, "model", None):
-        sets.append(f"linear.model={args.model}")
-    if getattr(args, "alpha0", None) is not None:
-        sets.append(f"linear.alpha0={args.alpha0}")
-    if getattr(args, "lam", None) is not None:
-        sets.append(f"linear.lambda={args.lam}")
-    if getattr(args, "alpha", None) is not None:
-        sets.append(f"linear.alpha={args.alpha}")
-    if getattr(args, "c_u", None) is not None:
-        sets.append(f"linear.c_u={args.c_u}")
-    if getattr(args, "sweeps", None) is not None:
-        sets.append(f"linear.sweeps={args.sweeps}")
-    if getattr(args, "d", None) is not None:
-        sets.append(f"linear.d={args.d}")
-    if getattr(args, "item_budget", None) is not None:
-        sets.append(f"linear.item_budget={args.item_budget}")
-    if getattr(args, "bounds", None) is not None:
-        sets.append(f"verify.bound_instances={args.bounds}")
-    if getattr(args, "theorem_instances", None) is not None:
-        sets.append(f"verify.theorem_instances={args.theorem_instances}")
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            sets.append(f"{key}={getattr(args, flag)}")
     return sets
 
 
@@ -372,8 +349,9 @@ def main(argv=None) -> int:
             overrides=_flag_overrides(args) + list(args.sets),
         )
         return _HANDLERS[args.command](cfg, args)
-    except (ConfigError, DatasetFormatError, FileNotFoundError,
-            ckpt.CheckpointFormatError, mf.TrainingDivergedError) as exc:
+    except (ValueError, FileNotFoundError, mf.TrainingDivergedError) as exc:
+        # ValueError covers ConfigError, the data and checkpoint format errors
+        # and the settings the config dataclasses reject
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ import copy
 import json
 import os
 
-from .losses import LOSS_KINDS
+from .losses import LOSS_KINDS, LOSS_TABLE
 from .sampling import SAMPLER_KINDS
 
 THREADS_ENV_VAR = "RECLOSS_THREADS"
@@ -74,21 +74,6 @@ DEFAULTS = {
 _SYNTHETIC_KEYS = {
     "kind", "num_users", "num_items", "num_blocks",
     "in_block_p", "noise_p", "test_fraction", "seed", "density",
-}
-
-LOSS_PARAM_KEYS = {
-    "bpr": set(),
-    "softmax": set(),
-    "infonce": set(),
-    "infonce_plus": {"lambda", "epsilon"},
-    "dcl": set(),
-    "mine": set(),
-    "mine_plus": {"lambda"},
-    "ccl": {"negative_weight", "margin"},
-    "mse": {"lambda_neg"},
-    "debiased_infonce": {"lambda_n", "temperature", "tau_mode", "k", "alpha", "clamp_floor"},
-    "debiased_ccl": {"lambda_n", "margin", "tau_mode", "k", "alpha", "floor_at_zero"},
-    "debiased_mse": {"lambda", "tau_mode", "k", "alpha"},
 }
 
 # The repro tables, verbatim.  "regularization: -9" in the debiased-CCL
@@ -163,12 +148,13 @@ def validate_config(cfg: dict) -> None:
     kind = cfg["loss"]["kind"]
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    allowed = LOSS_PARAM_KEYS[kind]
+    allowed = LOSS_TABLE[kind].params
     for key in cfg["loss"]["params"]:
         if key not in allowed:
+            hint = "; the clamp temperature is train.temperature" if key == "temperature" else ""
             raise ConfigError(
                 f"loss parameter {key!r} is not valid for kind {kind!r} "
-                f"(allowed: {sorted(allowed) or 'none'})"
+                f"(allowed: {sorted(allowed) or 'none'}){hint}"
             )
     if cfg["sampler"]["kind"] not in SAMPLER_KINDS:
         raise ConfigError(

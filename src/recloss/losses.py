@@ -14,7 +14,8 @@ not overflow; hinge and clamp subgradients are taken as 0 at the kink.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -113,6 +114,14 @@ class DebiasParams:
             raise ValueError("temperature must be positive")
 
 
+def debias_params(p: dict) -> DebiasParams:
+    """The debiasing settings in a loss params dict; absent keys take the defaults."""
+    kw = {key: p[key] for key in ("tau_mode", "k", "alpha", "lambda_n", "temperature") if key in p}
+    if "clamp_floor" in p:
+        kw["clamp_floor_enabled"] = p["clamp_floor"]
+    return DebiasParams(**kw)
+
+
 _TAU_CEILING = 1.0 - 1e-6
 
 
@@ -157,16 +166,31 @@ def bpr(b: ScoreBundle) -> LossEvaluation:
     )
 
 
+def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
+    """Generalized contrastive loss with noise weight and positive coefficient.
+
+    value = -(y_ui - lambda * log(epsilon * exp(y_ui) + sum_j exp(y_uj))).
+    This is the one softmax-family kernel: lambda = epsilon = 1 is infonce
+    (sampled softmax); epsilon = 0 is the decoupled form (dcl, mine, mine_plus).
+    """
+    lse = logsumexp(b.unlabeled_scores, axis=-1)
+    if p.epsilon > 0:
+        log_pos = math.log(p.epsilon) + b.pos_score
+        log_den = np.logaddexp(lse, log_pos)
+        w_pos = np.exp(log_pos - log_den)
+    else:
+        # the positive leaves the partition; 0 * exp(y_ui) would overflow to NaN
+        log_den, w_pos = lse, np.zeros(np.shape(b.pos_score))
+    return LossEvaluation(
+        value=-b.pos_score + p.lambda_ * log_den,
+        d_pos=-1.0 + p.lambda_ * w_pos,
+        d_unlabeled=p.lambda_ * np.exp(b.unlabeled_scores - log_den[..., None]),
+    )
+
+
 def sampled_softmax(b: ScoreBundle) -> LossEvaluation:
     """-log of the positive's share of exp mass among {positive} + sampled items."""
-    stacked = np.concatenate([b.pos_score[..., None], b.unlabeled_scores], axis=-1)
-    lse = logsumexp(stacked, axis=-1)
-    weights = np.exp(stacked - lse[..., None])
-    return LossEvaluation(
-        value=lse - b.pos_score,
-        d_pos=weights[..., 0] - 1.0,
-        d_unlabeled=weights[..., 1:],
-    )
+    return infonce_plus(b, InfoNCEPlusParams(1.0, 1.0))
 
 
 def infonce(b: ScoreBundle) -> LossEvaluation:
@@ -178,47 +202,23 @@ def infonce(b: ScoreBundle) -> LossEvaluation:
     return sampled_softmax(b)
 
 
-def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
-    """Generalized contrastive loss with noise weight and positive coefficient.
+def dcl(b: ScoreBundle) -> LossEvaluation:
+    """Decoupled contrastive loss: the positive is dropped from the partition.
 
-    value = -(y_ui - lambda * log(epsilon * exp(y_ui) + sum_j exp(y_uj))).
-    lambda = epsilon = 1 recovers infonce; lambda = 1, epsilon = 0 recovers
-    the decoupled form (mine / dcl).
+    value = -(y_ui - log sum_j exp(y_uj)).
     """
-    stacked = np.concatenate([b.pos_score[..., None], b.unlabeled_scores], axis=-1)
-    coeffs = np.ones_like(stacked)
-    coeffs[..., 0] = p.epsilon
-    log_den = logsumexp(stacked, b=coeffs, axis=-1)
-    weights = coeffs * np.exp(stacked - log_den[..., None])
-    return LossEvaluation(
-        value=-b.pos_score + p.lambda_ * log_den,
-        d_pos=-1.0 + p.lambda_ * weights[..., 0],
-        d_unlabeled=p.lambda_ * weights[..., 1:],
-    )
+    return infonce_plus(b, InfoNCEPlusParams(1.0, 0.0))
 
 
 def mine(b: ScoreBundle, normalized: bool = False) -> LossEvaluation:
-    """Decoupled contrastive loss: the positive is dropped from the partition.
+    """:func:`dcl`, optionally minus log N.
 
-    value = -(y_ui - log sum_j exp(y_uj)).  With ``normalized=True`` the
-    reported value subtracts log N (the mean-over-samples convention of the
-    mutual-information estimator); gradients are unchanged since the shift
-    is constant.
+    With ``normalized=True`` the reported value subtracts log N (the
+    mean-over-samples convention of the mutual-information estimator);
+    gradients are unchanged since the shift is constant.
     """
-    lse = logsumexp(b.unlabeled_scores, axis=-1)
-    value = -b.pos_score + lse
-    if normalized:
-        value = value - math.log(b.n)
-    return LossEvaluation(
-        value=value,
-        d_pos=np.full_like(np.asarray(value, dtype=float), -1.0)[()],
-        d_unlabeled=np.exp(b.unlabeled_scores - lse[..., None]),
-    )
-
-
-def dcl(b: ScoreBundle) -> LossEvaluation:
-    """Alias for the log-sum-exp form of :func:`mine`."""
-    return mine(b, normalized=False)
+    ev = dcl(b)
+    return replace(ev, value=ev.value - math.log(b.n)) if normalized else ev
 
 
 def mine_plus(b: ScoreBundle, lambda_: float = 1.0) -> LossEvaluation:
@@ -227,12 +227,7 @@ def mine_plus(b: ScoreBundle, lambda_: float = 1.0) -> LossEvaluation:
     value = -(y_ui - lambda * log sum_j exp(y_uj)).  Intended for cosine
     scores scaled by a temperature.
     """
-    lse = logsumexp(b.unlabeled_scores, axis=-1)
-    return LossEvaluation(
-        value=-b.pos_score + lambda_ * lse,
-        d_pos=np.full(np.shape(b.pos_score), -1.0)[()],
-        d_unlabeled=lambda_ * np.exp(b.unlabeled_scores - lse[..., None]),
-    )
+    return infonce_plus(b, InfoNCEPlusParams(lambda_, 0.0))
 
 
 def ccl(b: ScoreBundle, p: CCLParams) -> LossEvaluation:
@@ -429,66 +424,64 @@ def bound_chain_slacks(b: ScoreBundle) -> dict[str, float | np.ndarray]:
     }
 
 
-LOSS_KINDS = (
-    "bpr",
-    "softmax",
-    "infonce",
-    "infonce_plus",
-    "dcl",
-    "mine",
-    "mine_plus",
-    "ccl",
-    "mse",
-    "debiased_infonce",
-    "debiased_ccl",
-    "debiased_mse",
-)
+# loss.params keys that set the per-user positive prior of a debiased kind
+_PRIOR_KEYS = ("tau_mode", "k", "alpha")
 
-DEBIASED_KINDS = ("debiased_infonce", "debiased_ccl", "debiased_mse")
+
+class LossKind(NamedTuple):
+    """A loss kind: its kernel(bundle, params, tau_plus) and its loss.params keys."""
+
+    kernel: Callable[[ScoreBundle, dict, object], LossEvaluation]
+    params: tuple[str, ...]
+
+
+# The one source of what each loss kind is.  "temperature" is not a
+# loss.params key of debiased_infonce: TrainConfig passes train.temperature.
+LOSS_TABLE = {
+    "bpr": LossKind(lambda b, p, tau: bpr(b), ()),
+    "softmax": LossKind(lambda b, p, tau: sampled_softmax(b), ()),
+    "infonce": LossKind(lambda b, p, tau: infonce(b), ()),
+    "infonce_plus": LossKind(
+        lambda b, p, tau: infonce_plus(b, InfoNCEPlusParams(p.get("lambda", 1.0), p.get("epsilon", 1.0))),
+        ("lambda", "epsilon"),
+    ),
+    "dcl": LossKind(lambda b, p, tau: dcl(b), ()),
+    "mine": LossKind(lambda b, p, tau: mine(b, normalized=True), ()),
+    "mine_plus": LossKind(lambda b, p, tau: mine_plus(b, p.get("lambda", 1.0)), ("lambda",)),
+    "ccl": LossKind(
+        lambda b, p, tau: ccl(b, CCLParams(p.get("negative_weight", 1.0), p.get("margin", 0.0))),
+        ("negative_weight", "margin"),
+    ),
+    "mse": LossKind(lambda b, p, tau: mse_pointwise(b, p.get("lambda_neg", 1.0)), ("lambda_neg",)),
+    "debiased_infonce": LossKind(
+        lambda b, p, tau: debiased_infonce(b, debias_params(p), tau),
+        ("lambda_n", "clamp_floor", *_PRIOR_KEYS),
+    ),
+    "debiased_ccl": LossKind(
+        lambda b, p, tau: debiased_ccl(b, CCLParams(margin=p.get("margin", 0.0)), debias_params(p), tau,
+                                       floor_at_zero=p.get("floor_at_zero", False)),
+        ("lambda_n", "margin", "floor_at_zero", *_PRIOR_KEYS),
+    ),
+    "debiased_mse": LossKind(
+        lambda b, p, tau: debiased_mse(b, debias_params(p), tau, p.get("lambda", 1.0)),
+        ("lambda", *_PRIOR_KEYS),
+    ),
+}
+
+LOSS_KINDS = tuple(LOSS_TABLE)
+
+# the kinds that correct with a per-user positive prior tau+
+DEBIASED_KINDS = tuple(k for k, kind in LOSS_TABLE.items() if set(_PRIOR_KEYS) <= set(kind.params))
 
 
 def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None) -> LossEvaluation:
     """Config-driven dispatch used by the trainer and CLI.
 
-    ``params`` carries the per-kind table (see the config schema);
+    ``params`` carries the per-kind table (see :data:`LOSS_TABLE`);
     ``tau_plus`` is required for the debiased kinds.
     """
-    p = params or {}
-    if kind == "bpr":
-        return bpr(b)
-    if kind == "softmax":
-        return sampled_softmax(b)
-    if kind == "infonce":
-        return infonce(b)
-    if kind == "infonce_plus":
-        return infonce_plus(b, InfoNCEPlusParams(p.get("lambda", 1.0), p.get("epsilon", 1.0)))
-    if kind == "dcl":
-        return dcl(b)
-    if kind == "mine":
-        return mine(b, normalized=True)
-    if kind == "mine_plus":
-        return mine_plus(b, p.get("lambda", 1.0))
-    if kind == "ccl":
-        return ccl(b, CCLParams(p.get("negative_weight", 1.0), p.get("margin", 0.0)))
-    if kind == "mse":
-        return mse_pointwise(b, p.get("lambda_neg", 1.0))
-    if kind in DEBIASED_KINDS:
-        if tau_plus is None:
-            raise ValueError(f"{kind} requires tau_plus")
-        d = DebiasParams(
-            tau_mode=p.get("tau_mode", "topk"),
-            k=p.get("k", 20),
-            alpha=p.get("alpha", 0.0),
-            lambda_n=p.get("lambda_n", 1.0),
-            temperature=p.get("temperature", 1.0),
-            clamp_floor_enabled=p.get("clamp_floor", True),
-        )
-        if kind == "debiased_infonce":
-            return debiased_infonce(b, d, tau_plus)
-        if kind == "debiased_ccl":
-            return debiased_ccl(
-                b, CCLParams(margin=p.get("margin", 0.0)), d, tau_plus,
-                floor_at_zero=p.get("floor_at_zero", False),
-            )
-        return debiased_mse(b, d, tau_plus, p.get("lambda", 1.0))
-    raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if kind not in LOSS_TABLE:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if tau_plus is None and kind in DEBIASED_KINDS:
+        raise ValueError(f"{kind} requires tau_plus")
+    return LOSS_TABLE[kind].kernel(b, params or {}, tau_plus)

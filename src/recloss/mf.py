@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .data import InteractionDataset, make_validation_split
-from .losses import DEBIASED_KINDS, LOSS_KINDS, DebiasParams, ScoreBundle, evaluate_loss, positive_prior
+from .losses import DEBIASED_KINDS, LOSS_KINDS, ScoreBundle, debias_params, evaluate_loss, positive_prior_all
 from .sampling import BatchSampler, SamplerConfig, substream
 
 NORM_FLOOR = 1e-12
@@ -300,24 +300,20 @@ class TrainConfig:
                 raise ValueError(f"{self.loss} needs a sampler with m_positives >= 1")
         if self.mode is None:
             self.mode = "cosine" if self.loss in COSINE_DEFAULT_KINDS else "dot"
+        if self.loss == "debiased_infonce":
+            # the clamp floor exp(-1/t) bounds e^score only at the t the model scores with
+            if self.loss_params.get("temperature", self.temperature) != self.temperature:
+                raise ValueError(
+                    "loss_params['temperature'] disagrees with the model temperature; "
+                    "debiased_infonce takes its clamp temperature from train.temperature"
+                )
+            self.loss_params = {**self.loss_params, "temperature": self.temperature}
 
 
 def _tau_vector(ds: InteractionDataset, cfg: TrainConfig) -> np.ndarray | None:
     if cfg.loss not in DEBIASED_KINDS:
         return None
-    p = cfg.loss_params
-    params = DebiasParams(
-        tau_mode=p.get("tau_mode", "topk"),
-        k=p.get("k", 20),
-        alpha=p.get("alpha", 0.0),
-        lambda_n=p.get("lambda_n", 1.0),
-        temperature=p.get("temperature", cfg.temperature),
-    )
-    out = np.zeros(ds.num_users)
-    for u in range(ds.num_users):
-        if len(ds.train_positives[u]):
-            out[u] = positive_prior(ds, u, params)
-    return out
+    return positive_prior_all(ds, debias_params(cfg.loss_params))
 
 
 def train_epoch(

@@ -41,6 +41,11 @@ class SamplerConfig:
             raise ValueError("n_negatives must be >= 1")
         if self.m_positives < 0:
             raise ValueError("m_positives must be >= 0")
+        if self.share_batch and self.kind == "uniform_excluding_user_positives":
+            raise ValueError(
+                "share_batch cannot exclude each user's positives from one shared row; "
+                "use share_batch=false or another sampler kind"
+            )
 
 
 def sample_unlabeled(ds, u: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -114,25 +119,21 @@ class BatchSampler:
         self._popularity = PopularitySampler(ds) if config.kind == "popularity" else None
 
     def negatives(self, users: np.ndarray) -> np.ndarray:
-        """(batch, n_negatives) unlabeled item draws for a batch of users."""
-        b, n = len(users), self.config.n_negatives
-        if self.config.share_batch:
-            row = self._draw_flat(int(users[0]) if len(users) else 0, n)
-            return np.broadcast_to(row, (b, n)).copy()
-        if self.config.kind == "uniform_all_items":
-            return self.rng.integers(0, self.ds.num_items, size=(b, n))
-        if self.config.kind == "popularity":
-            return self._popularity.sample(b * n, self.rng).reshape(b, n)
-        return np.stack(
-            [sample_unlabeled_excluding(self.ds, int(u), n, self.rng) for u in users]
-        )
+        """(batch, n_negatives) unlabeled item draws for a batch of users.
 
-    def _draw_flat(self, u: int, n: int) -> np.ndarray:
+        With ``share_batch`` one row is drawn and copied to every user.
+        """
+        b, n = len(users), self.config.n_negatives
+        rows = 1 if self.config.share_batch else b
         if self.config.kind == "uniform_all_items":
-            return self.rng.integers(0, self.ds.num_items, size=n)
-        if self.config.kind == "popularity":
-            return self._popularity.sample(n, self.rng)
-        return sample_unlabeled_excluding(self.ds, u, n, self.rng)
+            out = self.rng.integers(0, self.ds.num_items, size=(rows, n))
+        elif self.config.kind == "popularity":
+            out = self._popularity.sample(rows * n, self.rng).reshape(rows, n)
+        else:
+            out = np.stack(
+                [sample_unlabeled_excluding(self.ds, int(u), n, self.rng) for u in users]
+            )
+        return np.broadcast_to(out, (b, n)).copy() if self.config.share_batch else out
 
     def extra_positives(self, users: np.ndarray) -> np.ndarray:
         """(batch, m_positives) draws from each user's own positives."""

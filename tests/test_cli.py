@@ -306,6 +306,21 @@ class TestSweep:
         assert "--values or --log-range" in capsys.readouterr().err
 
 
+class TestSettingErrors:
+    @pytest.mark.parametrize("command", [
+        ["train", "--set", "sampler.n_negatives=0"],
+        ["train", "--set", "train.plateau_factor=2"],
+        ["train", "--set", "sampler.kind=uniform_excluding_user_positives",
+         "--set", "sampler.share_batch=true"],
+        ["solve", "--model", "ials", "--sweeps", "0"],
+    ])
+    def test_rejected_setting_is_an_error_line(self, command, tmp_path, capsys):
+        rc = main([*command[:1], *SYNTH, *FAST, *command[1:], "--output", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestConfigPlumbing:
     def test_preset_reaches_resolved_config(self, tmp_path, capsys):
         out = tmp_path / "preset"

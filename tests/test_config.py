@@ -49,6 +49,10 @@ class TestStrictKeys:
         ok = deep_merge(DEFAULTS, {"loss": {"kind": "ccl", "params": {"margin": 0.5}}})
         validate_config(ok)
 
+    def test_debiased_infonce_temperature_is_not_a_loss_param(self):
+        with pytest.raises(ConfigError, match="train.temperature"):
+            resolve_config(overrides=["loss.kind=debiased_infonce", "loss.params.temperature=0.4"])
+
     def test_unknown_loss_kind(self):
         with pytest.raises(ConfigError, match="unknown loss kind"):
             validate_config(deep_merge(DEFAULTS, {"loss": {"kind": "triplet"}}))

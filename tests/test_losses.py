@@ -173,6 +173,17 @@ class TestInfoNCEPlus:
             assert abs(got.d_pos - ref.d_pos) < 1e-12
             assert np.max(np.abs(got.d_unlabeled - ref.d_unlabeled)) < 1e-12
 
+    @pytest.mark.parametrize("lam", [1.0, 1.2])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_zero_epsilon_finite_when_positive_dominates(self, lam, batched):
+        # y_pos - max y_neg > 710: exp(y_pos) overflows, and 0 * inf must not leak
+        pos, unl = 800.0, [0.0, 0.0]
+        b = bundle([pos, pos], [unl, unl]) if batched else bundle(pos, unl)
+        ev = infonce_plus(b, InfoNCEPlusParams(lam, 0.0))
+        assert np.all(ev.d_pos == -1.0)
+        assert np.allclose(ev.d_unlabeled, lam / 2)
+        assert np.allclose(ev.value, -pos + lam * LOG2)
+
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
             InfoNCEPlusParams(lambda_=-0.1)

@@ -10,6 +10,7 @@ from recloss import (
     OptimizerState,
     PlateauSchedule,
     SamplerConfig,
+    ScoreBundle,
     ScoringModel,
     TrainConfig,
     TrainingDivergedError,
@@ -17,6 +18,7 @@ from recloss import (
     adam_step,
     batch_objective,
     evaluate,
+    evaluate_loss,
     fit,
     init_model,
     make_validation_split,
@@ -360,6 +362,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="m_positives"):
             TrainConfig(embedding_dim=4, loss="debiased_ccl",
                         sampler=SamplerConfig(n_negatives=4))
+
+    def test_debiased_infonce_clamps_at_model_temperature(self):
+        # every score at -1/t = -2.5 lies above the floor exp(-1/t) of t = 0.4
+        # but far below the floor e^-1 of a loss-side default t = 1
+        cfg = TrainConfig(embedding_dim=4, loss="debiased_infonce", mode="cosine",
+                          temperature=0.4, sampler=SamplerConfig(n_negatives=10, m_positives=3))
+        b = ScoreBundle(-2.5, np.full(10, -2.5), np.full(3, -2.5))
+        ev = evaluate_loss(cfg.loss, b, cfg.loss_params, tau_plus=0.05)
+        assert ev.d_unlabeled == pytest.approx(np.full(10, 1.0 / 19.0))
+
+    def test_debiased_infonce_temperature_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="train.temperature"):
+            TrainConfig(embedding_dim=4, loss="debiased_infonce", temperature=0.4,
+                        loss_params={"temperature": 0.5},
+                        sampler=SamplerConfig(n_negatives=4, m_positives=2))
 
     def test_mode_defaults(self):
         assert TrainConfig(embedding_dim=4, loss="bpr").mode == "dot"

@@ -128,6 +128,17 @@ class TestBatchSampler:
         neg = sampler.negatives(np.array([0, 1, 2]))
         assert (neg == neg[0]).all()
 
+    @pytest.mark.parametrize("kind", ["uniform_all_items", "popularity"])
+    def test_shared_row_is_one_draw(self, tiny_ds, kind):
+        users = np.array([0, 1, 2])
+        shared = self.make(tiny_ds, kind=kind, n_negatives=6, share_batch=True).negatives(users)
+        single = self.make(tiny_ds, kind=kind, n_negatives=6).negatives(users[:1])
+        assert np.array_equal(shared, np.repeat(single, 3, axis=0))
+
+    def test_share_batch_cannot_exclude_positives(self):
+        with pytest.raises(ValueError, match="share_batch"):
+            SamplerConfig(kind="uniform_excluding_user_positives", share_batch=True)
+
     def test_excluding_kind_avoids_positives(self, tiny_ds):
         sampler = self.make(
             tiny_ds, kind="uniform_excluding_user_positives", n_negatives=50
