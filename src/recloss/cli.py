@@ -51,7 +51,7 @@ def _train_config(cfg: dict) -> mf.TrainConfig:
         **cfg["train"],
         loss=cfg["loss"]["kind"],
         loss_params=dict(cfg["loss"]["params"]),
-        sampler=SamplerConfig(**cfg["sampler"], seed=cfg["seed"]),
+        sampler=SamplerConfig(**cfg["sampler"]),
         seed=cfg["seed"],
         eval_k=cfg["eval"]["k"],
     )
@@ -143,9 +143,12 @@ def cmd_solve(cfg: dict, args) -> int:
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
     elif model_kind in ("ease", "ease-debiased"):
         if ds.num_items > lin["item_budget"]:
+            # ease_fit holds about three dense n x n float64 matrices at its peak
             raise ConfigError(
                 f"catalog has {ds.num_items} items, above the dense-solve budget "
-                f"of {lin['item_budget']} (linear.item_budget)"
+                f"of {lin['item_budget']}; an EASE fit would need about "
+                f"{24 * ds.num_items**2 / 1e9:.2g} GB. Raise linear.item_budget "
+                "only where that much memory is free"
             )
         X = ds.train_matrix()
         if model_kind == "ease":

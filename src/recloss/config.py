@@ -63,7 +63,7 @@ DEFAULTS = {
         "c_u": 1.0,
         "alpha": 0.0,
         "sweeps": 10,
-        "item_budget": 30_000,
+        "item_budget": 15_000,  # an EASE fit peaks near 24 n^2 bytes: ~5.4 GB here
     },
     "eval": {"k": 20},
     "verify": {"bound_instances": 10_000, "theorem_instances": 50},

@@ -18,9 +18,6 @@ from scipy.optimize import minimize
 
 from .sampling import substream
 
-# Dense |I| x |I| inverses above this many items are refused by the CLI.
-EASE_ITEM_BUDGET = 30_000
-
 
 def _positives_from(source):
     """(user->items, item->users, num_users, num_items) from a dataset or binary matrix."""

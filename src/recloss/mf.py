@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import metrics
 from .data import InteractionDataset, make_validation_split
@@ -26,7 +27,7 @@ COSINE_DEFAULT_KINDS = ("mine_plus", "ccl", "debiased_ccl")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a batch produces a non-finite loss."""
+    """Raised when a batch produces a non-finite loss or gradient."""
 
 
 @dataclass
@@ -65,8 +66,10 @@ class ScoringModel:
 
     def score_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Scores for (B,) users against (B, K) item index rows."""
-        y, _, _ = _score_with_jacobians(self, users, items, need_grads=False)
-        return y
+        U, V = self.user_embeddings[users], self.item_embeddings[items]
+        if self.mode == "dot":
+            return np.einsum("bd,bkd->bk", U, V)
+        return np.einsum("bd,bkd->bk", _unit_rows(U)[0], _unit_rows(V)[0]) / self.temperature
 
     def score_all(self, u: int) -> np.ndarray:
         """Scores of user u against the full catalog."""
@@ -117,31 +120,6 @@ def _unit_rows(x: np.ndarray):
     return x / clamped, clamped, norms <= NORM_FLOOR
 
 
-def _score_with_jacobians(model: ScoringModel, users: np.ndarray, items: np.ndarray, need_grads: bool = True):
-    """Scores y (B,K) plus dy/dU (B,K,d) and dy/dV (B,K,d) for users (B,), items (B,K)."""
-    U = model.user_embeddings[users]
-    V = model.item_embeddings[items]
-    if model.mode == "dot":
-        y = np.einsum("bd,bkd->bk", U, V)
-        if not need_grads:
-            return y, None, None
-        return y, V, np.broadcast_to(U[:, None, :], V.shape)
-    t = model.temperature
-    un, cu, small_u = _unit_rows(U)
-    vn, cv, small_v = _unit_rows(V)
-    cos = np.einsum("bd,bkd->bk", un, vn)
-    y = cos / t
-    if not need_grads:
-        return y, None, None
-    # d y / d u = (v_hat - cos * u_hat) / (t * ||u||); below the norm floor the
-    # normalizer is the constant floor, so the projection term vanishes.
-    du = (vn - cos[..., None] * un[:, None, :]) / (t * cu[:, None, :])
-    du = np.where(small_u[:, None, :], vn / (t * NORM_FLOOR), du)
-    dv = (un[:, None, :] - cos[..., None] * vn) / (t * cv)
-    dv = np.where(small_v, un[:, None, :] / (t * NORM_FLOOR), dv)
-    return y, du, dv
-
-
 @dataclass
 class GradBundle:
     """Batch objective value plus gradients on the touched embedding rows."""
@@ -168,59 +146,62 @@ def batch_objective(
     norm of the touched embedding rows, with exact gradients."""
     users = np.asarray(users)
     b = len(users)
-    y_pos, du_pos, dv_pos = _score_with_jacobians(model, users, pos_items[:, None])
-    if neg_items is not None and neg_items.shape[1] > 0:
-        y_neg, du_neg, dv_neg = _score_with_jacobians(model, users, neg_items)
-    else:
-        neg_items = np.empty((b, 0), dtype=int)
-        y_neg = np.empty((b, 0))
-        du_neg = dv_neg = np.empty((b, 0, model.d))
-    if extra_items is not None and extra_items.shape[1] > 0:
-        y_ext, du_ext, dv_ext = _score_with_jacobians(model, users, extra_items)
-    else:
-        extra_items = np.empty((b, 0), dtype=int)
-        y_ext = np.empty((b, 0))
-        du_ext = dv_ext = np.empty((b, 0, model.d))
-
-    bundle = ScoreBundle(y_pos[:, 0], y_neg, y_ext)
-    ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus)
-    data_loss = float(np.mean(ev.value))
-
-    # Chain per-score partials into per-row gradients, averaged over the batch.
-    d_pos = np.asarray(ev.d_pos).reshape(b, 1)
-    d_unl = np.asarray(ev.d_unlabeled).reshape(b, -1)
-    d_ext = np.asarray(ev.d_extra_pos).reshape(b, -1)
-    user_contrib = (
-        np.einsum("bk,bkd->bd", d_pos, du_pos)
-        + np.einsum("bk,bkd->bd", d_unl, du_neg)
-        + np.einsum("bk,bkd->bd", d_ext, du_ext)
-    ) / b
-    uniq_u, inv_u = np.unique(users, return_inverse=True)
-    gu = np.zeros((len(uniq_u), model.d))
-    np.add.at(gu, inv_u, user_contrib)
-
-    flat_items = np.concatenate(
-        [pos_items, neg_items.ravel(), extra_items.ravel()]
+    # one (B, K) item matrix: column 0 the positive, then negatives, then extra positives
+    items = np.concatenate(
+        [np.reshape(pos_items, (b, 1))] + [a for a in (neg_items, extra_items) if a is not None],
+        axis=1,
     )
-    flat_grads = np.concatenate(
-        [
-            (d_pos[..., None] * dv_pos).reshape(-1, model.d),
-            (d_unl[..., None] * dv_neg).reshape(-1, model.d),
-            (d_ext[..., None] * dv_ext).reshape(-1, model.d),
-        ]
-    ) / b
-    uniq_i, inv_i = np.unique(flat_items, return_inverse=True)
-    gi = np.zeros((len(uniq_i), model.d))
-    np.add.at(gi, inv_i, flat_grads)
+    neg_end = 1 if neg_items is None else 1 + neg_items.shape[1]
+    uniq_u, inv_u = np.unique(users, return_inverse=True)
+    uniq_i, inv_i = np.unique(items, return_inverse=True)
+    inv_i = inv_i.reshape(items.shape)
+    U = model.user_embeddings[uniq_u]
+    V = model.item_embeddings[uniq_i]
+    cosine = model.mode == "cosine"
+    if cosine:
+        Un, cu, small_u = _unit_rows(U)
+        Vn, cv, small_v = _unit_rows(V)
+    else:
+        Un, Vn = U, V
+    cos = np.einsum("bd,bkd->bk", Un[inv_u], Vn[inv_i])
+    y = cos / model.temperature if cosine else cos
 
-    value = data_loss
+    bundle = ScoreBundle(y[:, 0], y[:, 1:neg_end], y[:, neg_end:])
+    ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus)
+
+    # Per-score partials of the batch mean as a sparse (unique users x unique
+    # items) matrix: each batch row's K entries sit in its user's row, and the
+    # sparse products sum repeated (user, item) entries.
+    D = np.concatenate(
+        [np.reshape(ev.d_pos, (b, 1)), np.reshape(ev.d_unlabeled, (b, -1)),
+         np.reshape(ev.d_extra_pos, (b, -1))],
+        axis=1,
+    ) / b
+    by_user = np.argsort(inv_u, kind="stable")
+    A = sparse.csr_array(
+        (D[by_user].ravel(), inv_i[by_user].ravel(),
+         np.concatenate([[0], np.cumsum(np.bincount(inv_u) * items.shape[1])])),
+        shape=(len(uniq_u), len(uniq_i)),
+    )
+    # dot: dy/du = v and dy/dv = u, so the chain rule is one sparse product each way
+    gu = A @ Vn
+    gi = A.T @ Un
+    if cosine:
+        # dy/du = (v_hat - cos u_hat) / (t ||u||) and symmetrically for v: the
+        # projection term needs only the per-row sums of D * cos.  Below the
+        # norm floor the normalizer is the constant floor, so it vanishes.
+        Dc = D * cos
+        su = np.bincount(inv_u, Dc.sum(axis=1), minlength=len(uniq_u))[:, None]
+        si = np.bincount(inv_i.ravel(), Dc.ravel(), minlength=len(uniq_i))[:, None]
+        gu = (gu - np.where(small_u, 0.0, su * Un)) / (model.temperature * cu)
+        gi = (gi - np.where(small_v, 0.0, si * Vn)) / (model.temperature * cv)
+
+    value = float(np.mean(ev.value))
     if l2_weight > 0:
         n_rows = len(uniq_u) + len(uniq_i)
-        u_rows = model.user_embeddings[uniq_u]
-        i_rows = model.item_embeddings[uniq_i]
-        value += l2_weight * (np.sum(u_rows**2) + np.sum(i_rows**2)) / n_rows
-        gu += (2.0 * l2_weight / n_rows) * u_rows
-        gi += (2.0 * l2_weight / n_rows) * i_rows
+        value += l2_weight * (np.sum(U**2) + np.sum(V**2)) / n_rows
+        gu += (2.0 * l2_weight / n_rows) * U
+        gi += (2.0 * l2_weight / n_rows) * V
     return GradBundle(value, uniq_u, gu, uniq_i, gi)
 
 
@@ -350,10 +331,11 @@ def train_epoch(
             model, users, pos, negs, extras,
             cfg.loss, cfg.loss_params, tau, cfg.l2_weight,
         )
-        if not math.isfinite(grads.value):
+        if not (math.isfinite(grads.value) and np.isfinite(grads.user_grads).all()
+                and np.isfinite(grads.item_grads).all()):
             raise TrainingDivergedError(
-                f"non-finite loss ({grads.value}) for {cfg.loss} at batch {n_batches}; "
-                "reduce the learning rate or check the loss parameters"
+                f"non-finite loss or gradient (loss {grads.value}) for {cfg.loss} at batch "
+                f"{n_batches} with lr {lr:g}; reduce the learning rate or check the loss parameters"
             )
         adam_step(model, state, grads, lr)
         total += grads.value

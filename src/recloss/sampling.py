@@ -32,7 +32,6 @@ class SamplerConfig:
     n_negatives: int = 1
     m_positives: int = 0
     share_batch: bool = False  # one negative set per batch instead of per pair
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:

@@ -283,7 +283,7 @@ class TestAcceptance:
         for name, kw in cases.items():
             sampler = SamplerConfig(kind="uniform_excluding_user_positives",
                                     n_negatives=kw.pop("n_negatives"),
-                                    m_positives=kw.pop("m_positives", 0), seed=0)
+                                    m_positives=kw.pop("m_positives", 0))
             cfg = TrainConfig(sampler=sampler, embedding_dim=16, batch_size=256,
                               initial_lr=0.05, max_epochs=30, seed=0, **kw)
             start = time.perf_counter()

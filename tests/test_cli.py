@@ -1,6 +1,7 @@
 """End-to-end command-line runs on tiny datasets."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,7 +224,10 @@ class TestSolve:
         rc = main(["solve", "--data-dir", str(data_dir), "--model", "ease",
                    "--item-budget", "3", "--output", str(tmp_path / "x")])
         assert rc == 1
-        assert "budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "budget" in err
+        assert "linear.item_budget" in err
+        assert re.search(r"about [0-9.e+-]+ GB", err)
 
     def test_unknown_model(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir),

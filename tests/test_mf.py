@@ -1,6 +1,7 @@
 """Embedding model, chain-rule gradients, Adam, plateau schedule, fit loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from recloss import (
     make_validation_split,
     train_epoch,
 )
-from recloss.mf import ADAM_EPS, EpochRecord, GradBundle, _tau_vector
+from recloss.mf import ADAM_EPS, NORM_FLOOR, EpochRecord, GradBundle, _tau_vector
 from recloss import make_random_dataset
 from conftest import build_dataset
 
@@ -177,6 +178,146 @@ class TestBatchObjectiveGradients:
         assert reg.value - plain.value == pytest.approx(expected, abs=1e-12)
 
 
+def _reference_scores(model, users, items):
+    """Scores y (B,K) plus dense dy/dU and dy/dV (B,K,d), one Jacobian per score."""
+    U = model.user_embeddings[users]
+    V = model.item_embeddings[items]
+    if model.mode == "dot":
+        return np.einsum("bd,bkd->bk", U, V), V, np.broadcast_to(U[:, None, :], V.shape)
+
+    def unit(x):
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        clamped = np.maximum(norms, NORM_FLOOR)
+        return x / clamped, clamped, norms <= NORM_FLOOR
+
+    t = model.temperature
+    un, cu, small_u = unit(U)
+    vn, cv, small_v = unit(V)
+    cos = np.einsum("bd,bkd->bk", un, vn)
+    du = (vn - cos[..., None] * un[:, None, :]) / (t * cu[:, None, :])
+    du = np.where(small_u[:, None, :], vn / (t * NORM_FLOOR), du)
+    dv = (un[:, None, :] - cos[..., None] * vn) / (t * cv)
+    dv = np.where(small_v, un[:, None, :] / (t * NORM_FLOOR), dv)
+    return cos / t, du, dv
+
+
+def reference_batch_objective(model, users, pos_items, neg_items, extra_items,
+                              kind, loss_params=None, tau_plus=None, l2_weight=0.0):
+    """The per-score-Jacobian chain rule with an np.add.at scatter: slow, plain."""
+    b, d = len(users), model.d
+    parts = []
+    for items in (pos_items[:, None], neg_items, extra_items):
+        if items is None:
+            items = np.empty((b, 0), dtype=int)
+        parts.append((items, *_reference_scores(model, users, items)))
+    (pos, y_pos, du_pos, dv_pos), (neg, y_neg, du_neg, dv_neg), (ext, y_ext, du_ext, dv_ext) = parts
+    ev = evaluate_loss(kind, ScoreBundle(y_pos[:, 0], y_neg, y_ext), loss_params, tau_plus=tau_plus)
+    d_pos = np.asarray(ev.d_pos).reshape(b, 1)
+    d_unl = np.asarray(ev.d_unlabeled).reshape(b, -1)
+    d_ext = np.asarray(ev.d_extra_pos).reshape(b, -1)
+
+    user_contrib = (
+        np.einsum("bk,bkd->bd", d_pos, du_pos)
+        + np.einsum("bk,bkd->bd", d_unl, du_neg)
+        + np.einsum("bk,bkd->bd", d_ext, du_ext)
+    ) / b
+    uniq_u, inv_u = np.unique(users, return_inverse=True)
+    gu = np.zeros((len(uniq_u), d))
+    np.add.at(gu, inv_u, user_contrib)
+
+    flat_items = np.concatenate([pos.ravel(), neg.ravel(), ext.ravel()])
+    flat_grads = np.concatenate([
+        (d_pos[..., None] * dv_pos).reshape(-1, d),
+        (d_unl[..., None] * dv_neg).reshape(-1, d),
+        (d_ext[..., None] * dv_ext).reshape(-1, d),
+    ]) / b
+    uniq_i, inv_i = np.unique(flat_items, return_inverse=True)
+    gi = np.zeros((len(uniq_i), d))
+    np.add.at(gi, inv_i, flat_grads)
+
+    value = float(np.mean(ev.value))
+    if l2_weight > 0:
+        n_rows = len(uniq_u) + len(uniq_i)
+        u_rows = model.user_embeddings[uniq_u]
+        i_rows = model.item_embeddings[uniq_i]
+        value += l2_weight * (np.sum(u_rows**2) + np.sum(i_rows**2)) / n_rows
+        gu += (2.0 * l2_weight / n_rows) * u_rows
+        gi += (2.0 * l2_weight / n_rows) * i_rows
+    return GradBundle(value, uniq_u, gu, uniq_i, gi)
+
+
+ORACLE_CASES = [
+    # kind, params, mode, n_neg, m_pos, shared negatives
+    ("bpr", {}, "dot", 4, 0, False),
+    ("infonce", {}, "dot", 5, 0, True),
+    ("mse", {"lambda_neg": 0.5}, "dot", 0, 0, False),
+    ("mse", {"lambda_neg": 0.5}, "cosine", 0, 0, False),
+    ("mine_plus", {"lambda": 1.1}, "cosine", 6, 0, False),
+    ("mine_plus", {"lambda": 1.2}, "cosine", 6, 0, True),
+    ("ccl", {"negative_weight": 0.8, "margin": 0.1}, "cosine", 5, 0, False),
+    ("debiased_infonce", {"lambda_n": 1.2, "temperature": 0.5}, "cosine", 5, 3, False),
+    ("debiased_infonce", {"lambda_n": 1.2}, "dot", 5, 3, True),
+    ("debiased_ccl", {"lambda_n": 0.9, "margin": 0.05}, "cosine", 6, 3, False),
+    ("debiased_mse", {"lambda": 0.7}, "dot", 4, 2, False),
+]
+
+
+class TestBatchObjectiveMatchesReference:
+    """The factored chain rule against the per-score Jacobians it replaced."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("kind,params,mode,n_neg,m_pos,shared", ORACLE_CASES)
+    def test_agrees_with_jacobian_chain_rule(self, kind, params, mode, n_neg, m_pos, shared, l2):
+        rng = np.random.default_rng(11)
+        model = ScoringModel(
+            rng.normal(0, 0.5, size=(7, 5)), rng.normal(0, 0.5, size=(9, 5)),
+            mode=mode, temperature=0.5,
+        )
+        # rows below the norm floor: zero, and nonzero but shorter than NORM_FLOOR
+        model.user_embeddings[2] = 0.0
+        model.user_embeddings[4] *= 1e-14
+        model.item_embeddings[3] = 0.0
+        model.item_embeddings[5] *= 1e-14
+        users = np.array([0, 1, 1, 2, 4, 0, 6, 1])
+        b = len(users)
+        pos = np.array([3, 0, 5, 1, 3, 3, 8, 2])
+        negs = None
+        if n_neg:
+            negs = rng.integers(0, 9, size=(1 if shared else b, n_neg))
+            negs[0, 0] = negs[0, 1] = 3  # repeated within a row and shared with pos
+            negs = np.repeat(negs, b, axis=0) if shared else negs
+        extras = np.column_stack([pos, rng.integers(0, 9, size=(b, m_pos - 1))]) if m_pos else None
+        tau = np.full(b, 0.2) if kind.startswith("debiased") else None
+
+        got = batch_objective(model, users, pos, negs, extras, kind, params, tau, l2)
+        ref = reference_batch_objective(model, users, pos, negs, extras, kind, params, tau, l2)
+
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(got.user_rows, ref.user_rows)
+        np.testing.assert_array_equal(got.item_rows, ref.item_rows)
+        for g, r in ((got.user_grads, ref.user_grads), (got.item_grads, ref.item_grads)):
+            assert np.all(np.isfinite(r))
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+    def test_peak_memory_has_no_per_score_jacobians(self):
+        # the dense Jacobians alone are 2 * B*K*d floats; one gathered (B, K, d)
+        # item tensor for scoring is all the factored pass may hold
+        rng = np.random.default_rng(5)
+        b, n, d = 256, 100, 64
+        model = ScoringModel(rng.normal(size=(300, d)), rng.normal(size=(1000, d)),
+                             mode="cosine", temperature=0.4)
+        users = rng.integers(0, 300, size=b)
+        pos = rng.integers(0, 1000, size=b)
+        negs = rng.integers(0, 1000, size=(b, n))
+        tracemalloc.start()
+        try:
+            batch_objective(model, users, pos, negs, None, "mine_plus", {"lambda": 1.2})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * b * (1 + n) * d * 8
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         model = ScoringModel(np.ones((2, 3)), np.ones((4, 3)))
@@ -296,6 +437,26 @@ class TestTrainEpoch:
         model = init_model(5, 8, 8)
         with pytest.raises(TrainingDivergedError, match="non-finite"):
             train_epoch(model, OptimizerState.for_model(model), ds, cfg, np.random.default_rng(0))
+
+    def test_non_finite_gradient_aborts_before_the_step(self, monkeypatch):
+        def nan_partials(kind, b, params=None, tau_plus=None):
+            n = np.shape(b.pos_score)[0]
+            return LossEvaluation(
+                value=np.ones(n),
+                d_pos=np.full(n, np.nan),
+                d_unlabeled=np.zeros_like(b.unlabeled_scores),
+                d_extra_pos=np.zeros_like(b.extra_pos_scores),
+            )
+
+        monkeypatch.setattr("recloss.mf.evaluate_loss", nan_partials)
+        ds = make_random_dataset(5, 8, density=0.3, seed=0)
+        cfg = self.make_cfg()
+        model = init_model(5, 8, 8)
+        before = model.copy()
+        with pytest.raises(TrainingDivergedError, match=r"gradient.*batch 0 with lr 0\.01"):
+            train_epoch(model, OptimizerState.for_model(model), ds, cfg, np.random.default_rng(0))
+        assert np.array_equal(model.user_embeddings, before.user_embeddings)
+        assert np.array_equal(model.item_embeddings, before.item_embeddings)
 
     def test_mse_runs_without_sampler(self):
         ds = make_random_dataset(6, 9, density=0.3, seed=2)

@@ -107,8 +107,7 @@ class TestPopularity:
 
 class TestBatchSampler:
     def make(self, ds, **kw):
-        cfg = SamplerConfig(**kw)
-        return BatchSampler(ds, cfg, substream(cfg.seed, "sampling"))
+        return BatchSampler(ds, SamplerConfig(**kw), substream(0, "sampling"))
 
     def test_negative_shape(self, tiny_ds):
         sampler = self.make(tiny_ds, kind="uniform_all_items", n_negatives=4)
