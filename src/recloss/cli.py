@@ -143,7 +143,9 @@ def cmd_solve(cfg: dict, args) -> int:
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
     elif model_kind in ("ease", "ease-debiased"):
         if ds.num_items > lin["item_budget"]:
-            # ease_fit holds about three dense n x n float64 matrices at its peak
+            # ease_fit peaks below three dense n x n float64 matrices: 2.68 * 8n^2
+            # bytes measured at n = 1,000 with a dense Gram (the sparse Gram
+            # and its dense copy coexist), so 24 n^2 bytes keeps a margin
             raise ConfigError(
                 f"catalog has {ds.num_items} items, above the dense-solve budget "
                 f"of {lin['item_budget']}; an EASE fit would need about "

@@ -282,6 +282,11 @@ def debiased_infonce(b: ScoreBundle, d: DebiasParams, tau_plus) -> LossEvaluatio
 
     Gradients through g are zero while the clamp is active.  ``tau_plus``
     may be a scalar or a per-row array for batched bundles.
+
+    The floor is a bound only under cosine scoring.  With dot scoring, the
+    default for this kind, scores are unbounded, e^y can fall below
+    exp(-1/t), and the floor is a heuristic guard that keeps the log's
+    argument positive.
     """
     _require_extra(b, "debiased_infonce")
     if b.n < 1:

@@ -1,7 +1,11 @@
 """iALS and EASE closed forms, debiased variants, and the theorem checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 from recloss import (
     EASEConfig,
@@ -14,12 +18,88 @@ from recloss import (
     ials_fit,
     ials_objective,
 )
+from recloss.linear import _positives_from
 from recloss.sampling import substream
 from conftest import build_dataset
 
 
 def random_binary(rng, shape, p=0.35):
     return (rng.random(shape) < p).astype(float)
+
+
+def rel_dev(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def reference_positives(X):
+    """The per-user and per-item index lists, built with plain loops."""
+    user_items = [np.flatnonzero(row) for row in X]
+    item_users = [[] for _ in range(X.shape[1])]
+    for u, items in enumerate(user_items):
+        for i in items:
+            item_users[i].append(u)
+    return user_items, [np.array(us, dtype=int) for us in item_users]
+
+
+def reference_ials_fit(X, cfg, debiased=False):
+    """iALS with one cho_factor/cho_solve per row and the three-term system
+    built from fresh temporaries, as the solver first did."""
+    user_items, item_users = reference_positives(X)
+    num_users, num_items = X.shape
+    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (num_users,))
+    rng = substream(cfg.seed, "init")
+    d = cfg.d
+    W = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_users, d))
+    H = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_items, d))
+    lam_u = cfg.lam * (np.array([len(p) for p in user_items]) + cfg.alpha0 * num_items) ** cfg.nu
+    lam_i = cfg.lam * (np.array([len(p) for p in item_users]) + cfg.alpha0 * num_users) ** cfg.nu
+    trace = [ials_objective(W, H, X, cfg, debiased)]
+    eye = np.eye(d)
+    for _ in range(cfg.num_sweeps):
+        gram_h = H.T @ H
+        for u, items in enumerate(user_items):
+            H_s = H[items]
+            pos_weight = c[u] * (1.0 - cfg.alpha0) if debiased else 1.0
+            rhs_weight = c[u] if debiased else 1.0
+            A = pos_weight * (H_s.T @ H_s) + cfg.alpha0 * gram_h + lam_u[u] * eye
+            W[u] = cho_solve(cho_factor(A, lower=True), rhs_weight * H_s.sum(axis=0))
+        gram_w = W.T @ W
+        for i, users in enumerate(item_users):
+            W_s = W[users]
+            cu = c[users]
+            if debiased:
+                A = (1.0 - cfg.alpha0) * (W_s.T @ (cu[:, None] * W_s))
+                b = W_s.T @ cu
+            else:
+                A = W_s.T @ W_s
+                b = W_s.sum(axis=0)
+            A = A + cfg.alpha0 * gram_w + lam_i[i] * eye
+            H[i] = cho_solve(cho_factor(A, lower=True), b)
+        trace.append(ials_objective(W, H, X, cfg, debiased))
+    return W, H, trace
+
+
+def reference_ease_fit(X, lam, alpha=0.0):
+    """EASE through a dense LU inverse, as the solver first did."""
+    n = X.shape[1]
+    P = np.linalg.inv(X.T @ X + (lam / (1.0 - alpha)) * np.eye(n))
+    W = (np.eye(n) - P / np.diag(P)[None, :]) / (1.0 - alpha)
+    np.fill_diagonal(W, 0.0)
+    return W, P
+
+
+def test_positives_match_the_loop_oracle(rng):
+    X = random_binary(rng, (9, 12))
+    X[:, 4] = 0.0  # an item nobody has
+    X[3] = 0.0  # a user with no items
+    ds = build_dataset([np.flatnonzero(r) for r in X], [[] for _ in X], 12)
+    want_u, want_i = reference_positives(X)
+    for source in (X, ds):
+        user_items, item_users, num_users, num_items = _positives_from(source)
+        assert (num_users, num_items) == X.shape
+        assert len(user_items) == 9 and len(item_users) == 12
+        for got, want in zip(user_items + item_users, want_u + want_i):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestIALSConfig:
@@ -108,6 +188,36 @@ class TestIALSFit:
         state = ials_fit(X, cfg)
         assert np.isfinite(ials_objective(state.W, state.H, X, cfg))
 
+    @pytest.mark.parametrize("debiased", [False, True])
+    @pytest.mark.parametrize("per_user_c", [False, True])
+    def test_matches_cho_solve_oracle(self, debiased, per_user_c, rng):
+        for shape, d in (((12, 15), 4), ((30, 20), 7), ((5, 40), 3)):
+            X = random_binary(rng, shape, p=0.3)
+            c_u = rng.uniform(0.5, 2.5, size=shape[0]) if per_user_c else 1.7
+            cfg = IALSConfig(d=d, alpha0=0.15, lam=0.05, nu=0.7, c_u=c_u, num_sweeps=4, seed=4)
+            state = ials_fit(X, cfg, debiased=debiased)
+            W, H, trace = reference_ials_fit(X, cfg, debiased)
+            assert rel_dev(state.W, W) <= 1e-12
+            assert rel_dev(state.H, H) <= 1e-12
+            assert len(state.objective_trace) == len(trace)
+            for got, want in zip(state.objective_trace, trace):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_overflowing_solve_raises(self, rng):
+        # c_u * H_S 1 is huge and the system tiny: the solved row overflows
+        X = random_binary(rng, (6, 5))
+        X[0, :2] = 1.0
+        cfg = IALSConfig(d=2, alpha0=0.1, lam=1e-300, c_u=1e300, init_scale=1e-200, num_sweeps=1)
+        with pytest.raises(FloatingPointError, match="user"):
+            ials_fit(X, cfg, debiased=True)
+
+    def test_nan_does_not_reach_the_factors(self, rng):
+        X = random_binary(rng, (6, 5))
+        X[0, :2] = 1.0
+        cfg = IALSConfig(d=2, alpha0=0.1, lam=0.1, init_scale=np.nan, num_sweeps=1)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ials_fit(X, cfg)
+
 
 def lagrangian_column_oracle(X, lam):
     """Per-column constrained ridge: eliminate the diagonal unknown."""
@@ -155,6 +265,55 @@ class TestEASE:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             ease_fit(np.eye(2), lam=0.0)
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.35])
+    def test_matches_lu_inverse_oracle(self, alpha, rng):
+        for shape, p, lam in (((20, 12), 0.3, 0.7), ((60, 40), 0.1, 2.0), ((8, 30), 0.5, 0.05)):
+            X = random_binary(rng, shape, p)
+            X[:, 1] = 0.0  # an item nobody has
+            sol = ease_fit(X, lam) if alpha is None else ease_debiased_fit(X, lam, alpha)
+            W, P = reference_ease_fit(X, lam, alpha or 0.0)
+            assert rel_dev(sol.W, W) <= 1e-12
+            assert rel_dev(sol.P, P) <= 1e-12
+            assert np.array_equal(sol.P, sol.P.T)
+
+    def test_sparse_input_equals_dense(self, rng):
+        X = random_binary(rng, (25, 18), p=0.2)
+        for fit in (lambda Y: ease_fit(Y, 0.8), lambda Y: ease_debiased_fit(Y, 0.8, 0.3)):
+            dense, sparse = fit(X), fit(sp.csr_matrix(X))
+            np.testing.assert_array_equal(sparse.W, dense.W)
+            np.testing.assert_array_equal(sparse.P, dense.P)
+
+    def test_outputs_are_c_contiguous(self, rng):
+        sol = ease_fit(random_binary(rng, (10, 9)), lam=0.5)
+        assert sol.W.flags.c_contiguous and sol.P.flags.c_contiguous
+
+    @pytest.mark.parametrize("fit", [ease_fit, lambda X, lam: ease_debiased_fit(X, lam, 0.4)])
+    def test_rejected_factorization_raises(self, fit):
+        # two identical one-user columns: 1 + lam rounds to 1, so the
+        # second Cholesky pivot is exactly zero
+        with pytest.raises(FloatingPointError, match="positive definite"):
+            fit(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1e-300)
+
+    def test_non_finite_input_raises(self, rng):
+        X = random_binary(rng, (6, 5))
+        X[2, 3] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            ease_fit(X, 1.0)
+
+    def test_peak_memory_within_the_budget_estimate(self, rng):
+        # the CLI refuses catalogs above linear.item_budget on an estimate of
+        # 24 n^2 bytes (three n x n float64 matrices); a dense Gram is the
+        # worst case for the sparse product
+        n = 1000
+        X = random_binary(rng, (300, n), p=0.3)
+        tracemalloc.start()
+        try:
+            ease_fit(X, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.05 * 8 * n * n
 
 
 class TestEASEDebiased:
@@ -216,6 +375,13 @@ class TestTheorem1:
             check_theorem1(np.eye(3), d=2, alpha0=0.0, c_u=1.5)
         with pytest.raises(ValueError, match="c_u"):
             check_theorem1(np.eye(3), d=2, alpha0=0.2, c_u=0.0)
+
+    def test_indefinite_system_names_the_row(self, rng):
+        X = random_binary(rng, (5, 6))
+        lam_i = np.full(6, 0.1)
+        lam_i[4] = -50.0
+        with pytest.raises(np.linalg.LinAlgError, match="item 4 is not positive definite"):
+            check_theorem1(X, d=3, alpha0=0.2, c_u=1.3, lambda_items=lam_i)
 
 
 class TestTheorem2:
