@@ -11,6 +11,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +27,7 @@ from .sampling import SamplerConfig
 from .synthetic import make_planted_blocks, make_random_dataset
 
 EVAL_HEADER = "dataset,model,loss,k,recall,ndcg,users_evaluated"
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _load_data(cfg: dict):
@@ -145,14 +147,16 @@ def cmd_solve(cfg: dict, args) -> int:
         if ds.num_items > lin["item_budget"]:
             # ease_fit peaks below three dense n x n float64 matrices: 2.68 * 8n^2
             # bytes measured at n = 1,000 with a dense Gram (the sparse Gram
-            # and its dense copy coexist), so 24 n^2 bytes keeps a margin
+            # and its dense copy coexist), so 24 n^2 bytes keeps a margin; the
+            # sparse X adds 12 bytes per interaction (a float and an index)
+            need = 24 * ds.num_items**2 + 12 * ds.train_interactions
             raise ConfigError(
                 f"catalog has {ds.num_items} items, above the dense-solve budget "
                 f"of {lin['item_budget']}; an EASE fit would need about "
-                f"{24 * ds.num_items**2 / 1e9:.2g} GB. Raise linear.item_budget "
+                f"{need / 1e9:.2g} GB. Raise linear.item_budget "
                 "only where that much memory is free"
             )
-        X = ds.train_matrix()
+        X = ds.train_csr()
         if model_kind == "ease":
             sol = linear.ease_fit(X, lin["lambda"])
         else:
@@ -207,13 +211,16 @@ def cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError("sweep needs an axis (--axis key.path)")
     if args.values:
         values = [cfgmod._parse_override_value(v) for v in args.values.split(",")]
-    elif args.log_range:
-        lo, hi, count = args.log_range
-        values = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
-    elif cfg["sweep"]["values"]:
+    elif not args.log_range and cfg["sweep"]["values"]:
         values = cfg["sweep"]["values"]
     else:
-        raise ConfigError("sweep needs --values or --log-range")
+        log_range = args.log_range or cfg["sweep"]["log_range"]
+        if not log_range:
+            raise ConfigError("sweep needs --values or --log-range")
+        if not isinstance(log_range, (list, tuple)) or len(log_range) != 3:
+            raise ConfigError(f"sweep.log_range must be [lo, hi, count], got {log_range!r}")
+        lo, hi, count = log_range
+        values = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
     cfg = copy.deepcopy(cfg)
     cfg["sweep"]["axis"], cfg["sweep"]["values"] = axis, values
     workers = max(1, min(int(args.workers or cfg["sweep"]["workers"]), cfg["threads"]))
@@ -224,8 +231,17 @@ def cmd_sweep(cfg: dict, args) -> int:
         cfgmod.apply_override(point, axis, value)
         points.append(json.dumps(point))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, points))
+        # spawned workers load BLAS afresh and read these thread counts,
+        # which split cfg["threads"] between them
+        saved = dict(os.environ)
+        os.environ.update(dict.fromkeys(BLAS_ENV_VARS, str(max(1, cfg["threads"] // workers))))
+        try:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                results = list(pool.map(_sweep_point, points))
+        finally:
+            os.environ.clear()
+            os.environ.update(saved)
     else:
         results = [_sweep_point(p) for p in points]
 

@@ -4,16 +4,20 @@ The on-disk format is the usual benchmark text layout: one line per user,
 whitespace-separated 0-indexed integers, first token the user id and the
 rest the items that user interacted with.  A data directory holds
 ``train.txt`` and ``test.txt``.
+
+In memory each partition is one pair of CSR arrays (:class:`CSRRows`):
+user u's items are ``indices[indptr[u]:indptr[u + 1]]``, sorted and
+duplicate-free.  Every consumer reads those two arrays.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -22,36 +26,114 @@ class DatasetFormatError(ValueError):
     """Raised when an interaction file cannot be parsed or fails validation."""
 
 
+def sorted_member(sorted_keys: np.ndarray, queries) -> np.ndarray:
+    """Whether each query occurs in the ascending array ``sorted_keys``."""
+    queries = np.asarray(queries)
+    if len(sorted_keys) == 0:
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, queries), len(sorted_keys) - 1)
+    return sorted_keys[pos] == queries
+
+
+class CSRRows:
+    """Rows of column indices in CSR form: row r is ``indices[indptr[r]:indptr[r + 1]]``.
+
+    Both arrays are int64 and read-only, so ``rows[r]`` is a read-only view.
+    """
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr, indices):
+        # read-only copies: the caller's arrays stay writeable
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.indices = np.array(indices, dtype=np.int64)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
+    @classmethod
+    def from_pairs(cls, rows, cols, num_rows: int, width: int) -> "CSRRows":
+        """Rows holding the given (row, col) pairs, sorted and de-duplicated."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows
+                          or cols.min() < 0 or cols.max() >= width):
+            raise DatasetFormatError(
+                f"pair index out of range for {num_rows} users x {width} items"
+            )
+        keys = np.sort(rows * width + cols)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return cls(_offsets(np.bincount(keys // width, minlength=num_rows)), keys % width)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, r) -> np.ndarray:
+        r = range(len(self))[r]  # negative rows count from the end; IndexError past it
+        return self.indices[self.indptr[r]:self.indptr[r + 1]]
+
+    def __iter__(self):
+        for start, stop in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
+            yield self.indices[start:stop]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self)), self.lengths)
+
+    def keys(self, width: int) -> np.ndarray:
+        """``row * width + col`` per entry; ascending when rows are sorted."""
+        return self.row_ids() * width + self.indices
+
+
 @dataclass(frozen=True)
 class InteractionDataset:
     """Sparse user-item implicit-feedback store with train/test partitions.
 
-    ``train_positives[u]`` and ``test_positives[u]`` are sorted, duplicate-free
-    int64 arrays of item indices.  Instances are immutable and safe to share
-    across threads.
+    ``train_positives`` and ``test_positives`` are :class:`CSRRows` over the
+    users; ``train_positives[u]`` is a read-only view of user u's sorted,
+    duplicate-free item indices.  Instances are immutable and safe to share
+    across threads.  Build one from (user, item) pairs with :meth:`from_pairs`.
     """
 
     num_users: int
     num_items: int
-    train_positives: list[np.ndarray]
-    test_positives: list[np.ndarray]
-    item_popularity: np.ndarray = field(repr=False)
+    train_positives: CSRRows
+    test_positives: CSRRows
+
+    @classmethod
+    def from_pairs(cls, num_users: int, num_items: int, train, test) -> "InteractionDataset":
+        """The validated dataset of ``train`` and ``test``, each a
+        ``(users, items)`` pair of index arrays; repeated pairs are dropped."""
+        rows = [CSRRows.from_pairs(*pairs, num_users, num_items) for pairs in (train, test)]
+        ds = cls(num_users, num_items, *rows)
+        ds.validate()
+        return ds
 
     @property
     def train_interactions(self) -> int:
-        return sum(len(a) for a in self.train_positives)
+        return len(self.train_positives.indices)
 
     @property
     def test_interactions(self) -> int:
-        return sum(len(a) for a in self.test_positives)
+        return len(self.test_positives.indices)
+
+    @property
+    def item_popularity(self) -> np.ndarray:
+        """Train interaction count per item."""
+        return np.bincount(self.train_positives.indices, minlength=self.num_items)
 
     def train_pairs(self) -> np.ndarray:
         """All (user, item) training interactions as an (n, 2) int64 array."""
-        users = np.repeat(
-            np.arange(self.num_users), [len(a) for a in self.train_positives]
+        return np.column_stack([self.train_positives.row_ids(), self.train_positives.indices])
+
+    def train_csr(self) -> sp.csr_matrix:
+        """Binary interaction matrix (num_users x num_items) in scipy CSR form."""
+        rows = self.train_positives
+        return sp.csr_matrix(
+            (np.ones(len(rows.indices)), rows.indices, rows.indptr),
+            shape=(self.num_users, self.num_items),
         )
-        items = np.concatenate(self.train_positives) if self.train_interactions else np.empty(0, dtype=np.int64)
-        return np.column_stack([users, items]).astype(np.int64)
 
     def train_matrix(self, max_items: int | None = None) -> np.ndarray:
         """Dense binary interaction matrix (num_users x num_items).
@@ -63,28 +145,32 @@ class InteractionDataset:
             raise ValueError(
                 f"dense matrix refused: {self.num_items} items exceeds budget {max_items}"
             )
-        X = np.zeros((self.num_users, self.num_items))
-        for u, items in enumerate(self.train_positives):
-            X[u, items] = 1.0
-        return X
+        return self.train_csr().toarray()
 
     def validate(self) -> None:
-        """Check all structural invariants; raise DatasetFormatError on violation."""
-        if len(self.train_positives) != self.num_users or len(self.test_positives) != self.num_users:
-            raise DatasetFormatError("per-user list count does not match num_users")
-        for u in range(self.num_users):
-            for name, items in (("train", self.train_positives[u]), ("test", self.test_positives[u])):
-                if len(items) and (items.min() < 0 or items.max() >= self.num_items):
-                    raise DatasetFormatError(f"user {u}: {name} item index out of range")
-                if np.any(np.diff(items) <= 0):
-                    raise DatasetFormatError(f"user {u}: {name} list not strictly sorted")
-            if len(np.intersect1d(self.train_positives[u], self.test_positives[u])):
-                raise DatasetFormatError(f"user {u}: train and test lists overlap")
-        pop = np.zeros(self.num_items, dtype=np.int64)
-        for items in self.train_positives:
-            pop[items] += 1
-        if not np.array_equal(pop, self.item_popularity):
-            raise DatasetFormatError("item_popularity inconsistent with train lists")
+        """Check the CSR invariants of both partitions and that they are
+        disjoint; raise DatasetFormatError on violation."""
+        keys = {}
+        for name, rows in (("train", self.train_positives), ("test", self.test_positives)):
+            indptr, indices = rows.indptr, rows.indices
+            if (len(indptr) != self.num_users + 1 or indptr[0] != 0
+                    or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0)):
+                raise DatasetFormatError(
+                    f"{name} indptr is not an offset table of {self.num_users} rows "
+                    f"over {len(indices)} items"
+                )
+            owner = rows.row_ids()
+            bad = (indices < 0) | (indices >= self.num_items)
+            if bad.any():
+                raise DatasetFormatError(f"user {owner[bad.argmax()]}: {name} item index out of range")
+            # the keys rise strictly exactly when every row does
+            keys[name] = owner * self.num_items + indices
+            bad = np.diff(keys[name]) <= 0
+            if bad.any():
+                raise DatasetFormatError(f"user {owner[bad.argmax() + 1]}: {name} list not strictly sorted")
+        shared = keys["test"][sorted_member(keys["train"], keys["test"])]
+        if shared.size:
+            raise DatasetFormatError(f"user {shared[0] // self.num_items}: train and test lists overlap")
 
 
 @dataclass(frozen=True)
@@ -105,29 +191,33 @@ class DatasetStats:
     min_items_per_user: int
 
 
-def _parse_interaction_file(path: Path) -> tuple[dict[int, list[int]], int]:
-    """Parse one file into {user: raw item list}; returns (mapping, dup count)."""
-    per_user: dict[int, list[int]] = {}
-    duplicates = 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
+def _parse_interaction_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse one file into (the user id of every line, the user of every item
+    token, every item token); repeated pairs are kept."""
+    raw = path.read_bytes()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # the whitespace of bytes.split(): space and \t \n \v \f \r
+    space = (buf == 32) | ((buf >= 9) & (buf <= 13))
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    # \n and \r both end a line; \r\n only skips a line id
+    line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), starts)
+    try:
+        values = np.array(raw.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        for lineno, text in enumerate(raw.splitlines(), start=1):
             try:
-                values = [int(t) for t in tokens]
-            except ValueError as exc:
+                np.array(text.split(), dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
-            u, items = values[0], values[1:]
-            if u < 0 or any(i < 0 for i in items):
-                raise DatasetFormatError(f"{path}:{lineno}: negative index")
-            bucket = per_user.setdefault(u, [])
-            bucket.extend(items)
-    for u, items in per_user.items():
-        unique = sorted(set(items))
-        duplicates += len(items) - len(unique)
-        per_user[u] = unique
-    return per_user, duplicates
+        raise
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        # the token's 1-based line, counted as text mode counts lines
+        lineno = len((raw[:starts[negative[0]]] + b"x").splitlines())
+        raise DatasetFormatError(f"{path}:{lineno}: negative index")
+    first = np.diff(line, prepend=-1) != 0
+    owner = np.flatnonzero(first)[np.cumsum(first) - 1]
+    return values[first], values[owner[~first]], values[~first]
 
 
 def load_dataset(train_path: str | Path, test_path: str | Path) -> InteractionDataset:
@@ -142,42 +232,33 @@ def load_dataset(train_path: str | Path, test_path: str | Path) -> InteractionDa
     for p in (train_path, test_path):
         if not p.exists():
             raise FileNotFoundError(f"interaction file not found: {p}")
-    train_raw, train_dups = _parse_interaction_file(train_path)
-    test_raw, test_dups = _parse_interaction_file(test_path)
-    if not any(train_raw.values()):
+    train_lines, train_users, train_items = _parse_interaction_file(train_path)
+    test_lines, test_users, test_items = _parse_interaction_file(test_path)
+    if train_items.size == 0:
         raise DatasetFormatError(f"{train_path}: no training interactions")
+    num_users = int(max(train_lines.max(), test_lines.max(initial=-1))) + 1
+    num_items = int(max(train_items.max(), test_items.max(initial=-1))) + 1
+    ds = InteractionDataset.from_pairs(
+        num_users, num_items, (train_users, train_items), (test_users, test_items)
+    )
+    train_dups = train_items.size - ds.train_interactions
+    test_dups = test_items.size - ds.test_interactions
     if train_dups or test_dups:
         log.warning("removed %d duplicate train and %d duplicate test pairs", train_dups, test_dups)
-
-    num_users = max(max(train_raw, default=-1), max(test_raw, default=-1)) + 1
-    max_item = -1
-    for raw in (train_raw, test_raw):
-        for items in raw.values():
-            if items:
-                max_item = max(max_item, items[-1])
-    num_items = max_item + 1
-
-    train = [np.asarray(train_raw.get(u, []), dtype=np.int64) for u in range(num_users)]
-    test = [np.asarray(test_raw.get(u, []), dtype=np.int64) for u in range(num_users)]
-    pop = np.zeros(num_items, dtype=np.int64)
-    for items in train:
-        pop[items] += 1
-    ds = InteractionDataset(num_users, num_items, train, test, pop)
-    ds.validate()
     return ds
 
 
 def save_dataset(ds: InteractionDataset, train_path: str | Path, test_path: str | Path) -> None:
     """Write a dataset back to the text format (inverse of load_dataset)."""
-    for path, lists in ((train_path, ds.train_positives), (test_path, ds.test_positives)):
+    for path, rows in ((train_path, ds.train_positives), (test_path, ds.test_positives)):
         with open(path, "w") as f:
-            for u in range(ds.num_users):
-                f.write(" ".join([str(u), *map(str, lists[u].tolist())]).rstrip() + "\n")
+            for u, items in enumerate(rows):
+                f.write(" ".join([str(u), *map(str, items.tolist())]).rstrip() + "\n")
 
 
 def dataset_stats(ds: InteractionDataset) -> DatasetStats:
     train_n, test_n = ds.train_interactions, ds.test_interactions
-    lengths = [len(a) for a in ds.train_positives]
+    lengths = ds.train_positives.lengths
     return DatasetStats(
         user_count=ds.num_users,
         item_count=ds.num_items,
@@ -185,39 +266,49 @@ def dataset_stats(ds: InteractionDataset) -> DatasetStats:
         test_interactions=test_n,
         interaction_count=train_n + test_n,
         density=(train_n + test_n) / (ds.num_users * ds.num_items),
-        max_items_per_user=max(lengths) if lengths else 0,
-        min_items_per_user=min(lengths) if lengths else 0,
+        max_items_per_user=int(lengths.max()) if len(lengths) else 0,
+        min_items_per_user=int(lengths.min()) if len(lengths) else 0,
     )
+
+
+def hold_out(row_ids: np.ndarray, n_hold: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Mask of the entries each row holds out.
+
+    ``row_ids`` gives the row of every entry, ascending.  Each entry draws one
+    uniform key, and row r holds out its ``n_hold[r]`` entries with the
+    lowest keys: a uniform subset of that size.
+    """
+    # one sort orders the entries by row, then by a uniform random key
+    span = np.iinfo(np.int64).max // max(len(n_hold), 1)
+    order = np.argsort(row_ids * span + rng.integers(0, span, size=len(row_ids)))
+    # the order keeps each row's entries inside the row's own span of positions
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order)) - np.searchsorted(row_ids, row_ids)
+    return rank < n_hold[row_ids]
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def make_validation_split(
     ds: InteractionDataset, fraction: float = 0.1, seed: int = 0
-) -> tuple[InteractionDataset, list[np.ndarray]]:
+) -> tuple[InteractionDataset, CSRRows]:
     """Hold out ceil(fraction * |train_u|) items per user as a validation list.
 
     A user with at least two train items always retains at least one; users
-    with a single item keep it.  Deterministic for a fixed seed.  Returns the
-    reduced dataset and the per-user held-out lists.
+    with a single item keep it.  The held-out items are a uniform subset
+    drawn by :func:`hold_out`; deterministic for a fixed seed.  Returns the
+    reduced dataset and the held-out rows.
     """
     if not 0 < fraction < 1:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    reduced: list[np.ndarray] = []
-    held_out: list[np.ndarray] = []
-    for items in ds.train_positives:
-        n = len(items)
-        n_hold = min(math.ceil(fraction * n), n - 1) if n >= 1 else 0
-        if n_hold <= 0:
-            reduced.append(items)
-            held_out.append(np.empty(0, dtype=np.int64))
-            continue
-        chosen = rng.choice(n, size=n_hold, replace=False)
-        mask = np.zeros(n, dtype=bool)
-        mask[chosen] = True
-        reduced.append(items[~mask])
-        held_out.append(items[mask])
-    pop = np.zeros(ds.num_items, dtype=np.int64)
-    for items in reduced:
-        pop[items] += 1
-    out = InteractionDataset(ds.num_users, ds.num_items, reduced, ds.test_positives, pop)
-    return out, held_out
+    rows = ds.train_positives
+    n = rows.lengths
+    n_hold = np.minimum(np.ceil(fraction * n).astype(np.int64), np.maximum(n - 1, 0))
+    held = hold_out(rows.row_ids(), n_hold, np.random.default_rng(seed))
+    reduced = InteractionDataset(
+        ds.num_users, ds.num_items, CSRRows(_offsets(n - n_hold), rows.indices[~held]),
+        ds.test_positives,
+    )
+    return reduced, CSRRows(_offsets(n_hold), rows.indices[held])

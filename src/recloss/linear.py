@@ -17,31 +17,24 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dposv, dpotrf, dpotri
 from scipy.optimize import minimize
 
+from .data import CSRRows, InteractionDataset
 from .sampling import substream
 
 
 def _positives_from(source):
-    """(user->items, item->users, num_users, num_items) from a dataset, a
-    binary matrix, or a tuple this function built before (returned as is)."""
+    """(user rows, item rows, num_users, num_items): the CSR of a dataset's
+    train pairs or of a 2-d matrix's nonzeros, and its CSC transpose, both as
+    CSRRows; a tuple this function built before is returned as is."""
     if isinstance(source, tuple):
         return source
-    if isinstance(source, np.ndarray):
-        if source.ndim != 2:
-            raise ValueError("interaction matrix must be 2-d")
-        num_users, num_items = source.shape
-        users, items = np.nonzero(source)
-        counts = np.bincount(users, minlength=num_users)
+    if isinstance(source, InteractionDataset):
+        X = source.train_csr()
+    elif np.ndim(source) != 2:
+        raise ValueError("interaction matrix must be 2-d")
     else:
-        num_users, num_items = source.num_users, source.num_items
-        rows = [np.asarray(p, dtype=int) for p in source.train_positives]
-        counts = np.array([len(p) for p in rows], dtype=int)
-        items = np.concatenate([np.empty(0, dtype=int), *rows])
-        users = np.repeat(np.arange(num_users), counts)
-    # a stable sort keeps each item's users in ascending order
-    by_item = users[np.argsort(items, kind="stable")]
-    user_items = np.split(items, np.cumsum(counts))[:-1]
-    item_users = np.split(by_item, np.cumsum(np.bincount(items, minlength=num_items)))[:-1]
-    return user_items, item_users, num_users, num_items
+        X = sp.csr_matrix(source)
+    by_item = X.tocsc()
+    return CSRRows(X.indptr, X.indices), CSRRows(by_item.indptr, by_item.indices), *X.shape
 
 
 @dataclass
@@ -95,13 +88,11 @@ def ials_objective(W, H, source, cfg: IALSConfig, debiased: bool = False) -> flo
             total -= c[u] * cfg.alpha0 * float(np.sum(yhat**2))
         else:
             total += float(np.sum((yhat - 1.0) ** 2))
-    n_pos_u = np.array([len(p) for p in user_items], dtype=float)
-    n_pos_i = np.array([len(p) for p in item_users], dtype=float)
     total += cfg.lam * float(
-        np.sum((n_pos_u + cfg.alpha0 * num_items) ** cfg.nu * np.sum(W**2, axis=1))
+        np.sum((user_items.lengths + cfg.alpha0 * num_items) ** cfg.nu * np.sum(W**2, axis=1))
     )
     total += cfg.lam * float(
-        np.sum((n_pos_i + cfg.alpha0 * num_users) ** cfg.nu * np.sum(H**2, axis=1))
+        np.sum((item_users.lengths + cfg.alpha0 * num_users) ** cfg.nu * np.sum(H**2, axis=1))
     )
     return total
 
@@ -146,8 +137,8 @@ def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
     d = cfg.d
     W = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_users, d))
     H = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_items, d))
-    lam_u = cfg.lam * (np.array([len(p) for p in user_items]) + cfg.alpha0 * num_items) ** cfg.nu
-    lam_i = cfg.lam * (np.array([len(p) for p in item_users]) + cfg.alpha0 * num_users) ** cfg.nu
+    lam_u = cfg.lam * (user_items.lengths + cfg.alpha0 * num_items) ** cfg.nu
+    lam_i = cfg.lam * (item_users.lengths + cfg.alpha0 * num_users) ** cfg.nu
 
     state = IALSState(W, H)
     state.objective_trace.append(ials_objective(W, H, positives, cfg, debiased))
@@ -246,19 +237,19 @@ def ease_debiased_fit(X, lam: float, alpha: float) -> EASESolution:
 
 
 class EASEScorer:
-    """Scores user u as x_u . W, with x_u rebuilt from the train positives."""
+    """Scores users as X[users] @ W, with X the dataset's sparse train matrix."""
 
     def __init__(self, ds, W: np.ndarray):
         if W.shape[0] != ds.num_items:
             raise ValueError("weight matrix does not match the catalog size")
-        self.ds = ds
+        self.X = ds.train_csr()
         self.W = W
 
     def score_all(self, u: int) -> np.ndarray:
-        return self.W[self.ds.train_positives[u]].sum(axis=0)
+        return self.score_block(np.array([u]))[0]
 
     def score_block(self, users: np.ndarray) -> np.ndarray:
-        return np.stack([self.score_all(u) for u in users])
+        return self.X[users] @ self.W
 
 
 def _rel_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -295,9 +286,9 @@ def check_theorem1(
     H = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_items, d))
     W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_users, d))
     if lambda_users is None:
-        lambda_users = lam * (np.array([len(p) for p in user_items]) + alpha0 * num_items) ** nu
+        lambda_users = lam * (user_items.lengths + alpha0 * num_items) ** nu
     if lambda_items is None:
-        lambda_items = lam * (np.array([len(p) for p in item_users]) + alpha0 * num_users) ** nu
+        lambda_items = lam * (item_users.lengths + alpha0 * num_users) ** nu
 
     scale = 1.0 / ((1.0 - alpha0) * c_u)
     factor = 1.0 / (np.sqrt(c_u) * (1.0 - alpha0))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import CSRRows, sorted_member
+
 
 @dataclass
 class MetricsReport:
@@ -80,17 +82,27 @@ def ndcg_at_k(topk, test_items) -> float:
     return dcg / idcg
 
 
-def evaluate(scorer, ds, test_positives: list | None = None, k: int = 20,
+def evaluate(scorer, ds, test_positives=None, k: int = 20,
              block_size: int = 1024) -> MetricsReport:
     """Mean Recall@k / NDCG@k over users with non-empty test lists.
 
     ``test_positives`` overrides ``ds.test_positives`` (used for validation
-    splits); train positives are always masked out of the ranking.
+    splits); it may be CSRRows or one item sequence per user, each read as a
+    set.  Train positives are always masked out of the ranking.
     """
     tests = ds.test_positives if test_positives is None else test_positives
-    users = np.array([u for u in range(ds.num_users) if len(tests[u])], dtype=int)
+    if not isinstance(tests, CSRRows):
+        lengths = [len(t) for t in tests]
+        tests = CSRRows.from_pairs(
+            np.repeat(np.arange(len(tests)), lengths),
+            np.concatenate([np.empty(0, dtype=np.int64), *tests]), len(tests), ds.num_items,
+        )
+    test_counts = tests.lengths
+    users = np.flatnonzero(test_counts)
     if len(users) == 0:
         raise ValueError("no user has a non-empty test list")
+    test_keys = tests.keys(ds.num_items)
+    train = ds.train_csr()
     k_eff = min(k, ds.num_items)
     discounts = 1.0 / np.log2(np.arange(k_eff) + 2.0)
     ideal_cum = np.cumsum(discounts)
@@ -103,15 +115,12 @@ def evaluate(scorer, ds, test_positives: list | None = None, k: int = 20,
             scores = np.array(score_block(us), dtype=float)
         else:
             scores = np.stack([np.asarray(scorer.score_all(u), dtype=float) for u in us])
-        for row, u in enumerate(us):
-            scores[row, ds.train_positives[u]] = -np.inf
+        scores[train[us].nonzero()] = -np.inf
         topk = np.argsort(-scores, axis=1, kind="stable")[:, :k_eff]
-        for row, u in enumerate(us):
-            test_mask = np.zeros(ds.num_items, dtype=bool)
-            test_mask[tests[u]] = True
-            hits = test_mask[topk[row]]
-            recall_sum += hits.sum() / len(tests[u])
-            idcg = ideal_cum[min(k_eff, len(tests[u])) - 1]
-            ndcg_sum += (discounts * hits).sum() / idcg
+        hits = sorted_member(test_keys, us[:, None] * ds.num_items + topk)
+        counts = test_counts[us]
+        recall_sum += float((hits.sum(axis=1) / counts).sum())
+        idcg = ideal_cum[np.minimum(k_eff, counts) - 1]
+        ndcg_sum += float(((hits * discounts).sum(axis=1) / idcg).sum())
     n = len(users)
     return MetricsReport(k=k, recall=recall_sum / n, ndcg=ndcg_sum / n, users_evaluated=n)

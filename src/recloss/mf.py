@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from . import metrics
-from .data import InteractionDataset, make_validation_split
+from .data import CSRRows, InteractionDataset, make_validation_split
 from .losses import DEBIASED_KINDS, LOSS_KINDS, ScoreBundle, debias_params, evaluate_loss, positive_prior_all
 from .sampling import BatchSampler, SamplerConfig, substream
 
@@ -404,7 +404,7 @@ class TrainingHistory:
 def fit(
     ds: InteractionDataset,
     cfg: TrainConfig,
-    val_positives: list[np.ndarray] | None = None,
+    val_positives: CSRRows | list[np.ndarray] | None = None,
 ) -> tuple[ScoringModel, TrainingHistory]:
     """Train with plateau scheduling; returns the best-validation snapshot.
 

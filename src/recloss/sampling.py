@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sorted_member
+
 SAMPLER_KINDS = ("uniform_all_items", "uniform_excluding_user_positives", "popularity")
 
 
@@ -47,39 +49,6 @@ class SamplerConfig:
             )
 
 
-def sample_unlabeled(ds, u: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform draws over the full catalog (may include u's positives)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rng.integers(0, ds.num_items, size=n)
-
-
-def sample_unlabeled_excluding(ds, u: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform draws over items outside u's train positives (rejection)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    positives = set(ds.train_positives[u].tolist())
-    if len(positives) >= ds.num_items:
-        raise ValueError(f"user {u} has interacted with every item; nothing to sample")
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        draws = rng.integers(0, ds.num_items, size=2 * (n - filled))
-        keep = [d for d in draws.tolist() if d not in positives]
-        take = min(len(keep), n - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
-
-
-def sample_user_positives(ds, u: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m uniform draws with replacement from u's train positives."""
-    positives = ds.train_positives[u]
-    if len(positives) == 0:
-        raise ValueError(f"user {u} has no train positives; skip this user")
-    return positives[rng.integers(0, len(positives), size=m)]
-
-
 class PopularitySampler:
     """Draws proportional to item_popularity + 1.
 
@@ -99,11 +68,6 @@ class PopularitySampler:
         return np.searchsorted(self._cdf, rng.random(n), side="right").astype(np.int64)
 
 
-def sample_popularity(ds, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n popularity-proportional draws (convenience one-shot form)."""
-    return PopularitySampler(ds).sample(n, rng)
-
-
 class BatchSampler:
     """Vectorized negative / extra-positive sampling for a training batch.
 
@@ -116,6 +80,9 @@ class BatchSampler:
         self.config = config
         self.rng = rng
         self._popularity = PopularitySampler(ds) if config.kind == "popularity" else None
+        # sorted user * num_items + item keys of the train pairs, for rejection
+        self._keys = (ds.train_positives.keys(ds.num_items)
+                      if config.kind == "uniform_excluding_user_positives" else None)
 
     def negatives(self, users: np.ndarray) -> np.ndarray:
         """(batch, n_negatives) unlabeled item draws for a batch of users.
@@ -129,12 +96,31 @@ class BatchSampler:
         elif self.config.kind == "popularity":
             out = self._popularity.sample(rows * n, self.rng).reshape(rows, n)
         else:
-            out = np.stack(
-                [sample_unlabeled_excluding(self.ds, int(u), n, self.rng) for u in users]
-            )
+            out = self._excluding(np.asarray(users), n)
         return np.broadcast_to(out, (b, n)).copy() if self.config.share_batch else out
 
+    def _excluding(self, users: np.ndarray, n: int) -> np.ndarray:
+        """Uniform draws outside each user's train positives: every draw that
+        hits one is redrawn until none does."""
+        width = self.ds.num_items
+        full = users[self.ds.train_positives.lengths[users] >= width]
+        if full.size:
+            raise ValueError(f"user {full[0]} has interacted with every item; nothing to sample")
+        owners = np.repeat(users * width, n)
+        out = self.rng.integers(0, width, size=len(owners))
+        todo = np.flatnonzero(sorted_member(self._keys, owners + out))
+        while todo.size:
+            out[todo] = self.rng.integers(0, width, size=todo.size)
+            todo = todo[sorted_member(self._keys, owners[todo] + out[todo])]
+        return out.reshape(len(users), n)
+
     def extra_positives(self, users: np.ndarray) -> np.ndarray:
-        """(batch, m_positives) draws from each user's own positives."""
-        m = self.config.m_positives
-        return np.stack([sample_user_positives(self.ds, int(u), m, self.rng) for u in users])
+        """(batch, m_positives) uniform draws with replacement from each
+        user's own train positives."""
+        rows = self.ds.train_positives
+        starts, counts = rows.indptr[users], rows.lengths[users]
+        if np.any(counts == 0):
+            u = users[np.argmax(counts == 0)]
+            raise ValueError(f"user {u} has no train positives; skip this user")
+        picks = self.rng.integers(0, counts[:, None], size=(len(users), self.config.m_positives))
+        return rows.indices[starts[:, None] + picks]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import InteractionDataset, hold_out
 from .sampling import substream
 
 
@@ -52,27 +52,18 @@ def make_planted_blocks(
     rng = substream(seed, "splits")
     user_blocks = np.repeat(np.arange(num_blocks), num_users // num_blocks)
     item_blocks = np.repeat(np.arange(num_blocks), num_items // num_blocks)
-
-    train, test = [], []
-    for u in range(num_users):
-        in_block = item_blocks == user_blocks[u]
-        p = np.where(in_block, in_block_p, noise_p)
-        liked = np.flatnonzero(rng.random(num_items) < p)
-        if len(liked) < 2:
-            # guarantee at least one train and one test item per user
-            liked = np.sort(rng.choice(np.flatnonzero(in_block), size=2, replace=False))
-        n_test = max(1, int(round(test_fraction * len(liked))))
-        n_test = min(n_test, len(liked) - 1)
-        test_items = np.sort(rng.choice(liked, size=n_test, replace=False))
-        train_items = np.setdiff1d(liked, test_items)
-        train.append(train_items.astype(np.int64))
-        test.append(test_items.astype(np.int64))
-
-    popularity = np.zeros(num_items, dtype=np.int64)
-    for items in train:
-        popularity[items] += 1
-    ds = InteractionDataset(num_users, num_items, train, test, popularity)
-    ds.validate()
+    in_block = item_blocks == user_blocks[:, None]
+    liked = rng.random((num_users, num_items)) < np.where(in_block, in_block_p, noise_p)
+    # guarantee at least one train and one test item per user: a user with
+    # fewer than two likes gets two random in-block items instead
+    few = np.flatnonzero(liked.sum(axis=1) < 2)
+    block_size = num_items // num_blocks
+    picks = np.argsort(rng.random((len(few), block_size)), axis=1)[:, :2]
+    liked[few] = False
+    liked[few[:, None], user_blocks[few, None] * block_size + picks] = True
+    n = liked.sum(axis=1)
+    n_test = np.minimum(np.maximum(1, np.round(test_fraction * n)), n - 1).astype(np.int64)
+    ds = _split_test(liked, n_test, rng)
     return PlantedBlocks(dataset=ds, user_blocks=user_blocks, item_blocks=item_blocks)
 
 
@@ -85,23 +76,19 @@ def make_random_dataset(
 ) -> InteractionDataset:
     """Unstructured uniform interactions; useful for smoke tests only."""
     rng = substream(seed, "splits")
-    train, test = [], []
-    for _ in range(num_users):
-        liked = np.flatnonzero(rng.random(num_items) < density)
-        if len(liked) == 0:
-            liked = rng.integers(0, num_items, size=1)
-        n_test = int(round(test_fraction * len(liked)))
-        n_test = min(n_test, len(liked) - 1)
-        test_items = (
-            np.sort(rng.choice(liked, size=n_test, replace=False))
-            if n_test > 0
-            else np.empty(0, dtype=np.int64)
-        )
-        train.append(np.setdiff1d(liked, test_items).astype(np.int64))
-        test.append(test_items.astype(np.int64))
-    popularity = np.zeros(num_items, dtype=np.int64)
-    for items in train:
-        popularity[items] += 1
-    ds = InteractionDataset(num_users, num_items, train, test, popularity)
-    ds.validate()
-    return ds
+    liked = rng.random((num_users, num_items)) < density
+    empty = np.flatnonzero(~liked.any(axis=1))
+    liked[empty, rng.integers(0, num_items, size=len(empty))] = True
+    n = liked.sum(axis=1)
+    n_test = np.minimum(np.round(test_fraction * n), n - 1).astype(np.int64)
+    return _split_test(liked, n_test, rng)
+
+
+def _split_test(liked: np.ndarray, n_test: np.ndarray, rng: np.random.Generator) -> InteractionDataset:
+    """The dataset of a (users x items) like matrix with a uniform subset of
+    n_test[u] of user u's likes moved to the test partition."""
+    users, items = np.nonzero(liked)
+    test = hold_out(users, n_test, rng)
+    return InteractionDataset.from_pairs(
+        *liked.shape, (users[~test], items[~test]), (users[test], items[test])
+    )

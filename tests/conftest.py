@@ -6,16 +6,18 @@ import pytest
 from recloss import InteractionDataset, ScoreBundle
 
 
+def list_pairs(lists):
+    """(users, items) index arrays of plain per-user item lists."""
+    users = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+    items = np.concatenate([np.empty(0, dtype=np.int64), *map(np.asarray, lists)])
+    return users, items
+
+
 def build_dataset(train_lists, test_lists, num_items):
     """Construct a validated dataset from plain per-user item lists."""
-    train = [np.asarray(sorted(x), dtype=np.int64) for x in train_lists]
-    test = [np.asarray(sorted(x), dtype=np.int64) for x in test_lists]
-    pop = np.zeros(num_items, dtype=np.int64)
-    for items in train:
-        pop[items] += 1
-    ds = InteractionDataset(len(train), num_items, train, test, pop)
-    ds.validate()
-    return ds
+    return InteractionDataset.from_pairs(
+        len(train_lists), num_items, list_pairs(train_lists), list_pairs(test_lists)
+    )
 
 
 def random_bundle(rng, n=None, m=0, low=-4.0, high=4.0):

@@ -1,16 +1,18 @@
 """End-to-end command-line runs on tiny datasets."""
 
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+import recloss.cli
 import recloss.verify
 from recloss.checkpoint import load_checkpoint
-from recloss.cli import EVAL_HEADER, main
-from recloss.data import load_dataset
-from recloss.linear import EASEScorer
+from recloss.cli import BLAS_ENV_VARS, EVAL_HEADER, main
+from recloss.data import InteractionDataset, load_dataset
+from recloss.linear import EASEScorer, ease_debiased_fit, ease_fit
 from recloss.metrics import evaluate
 
 TRAIN_TEXT = "0 1 2 3\n1 0 2\n2 3 4\n3 0 4\n"
@@ -220,6 +222,24 @@ class TestSolve:
         assert rc == 0
         assert read_eval(out / "eval.csv")[1] == "ials-debiased"
 
+    def test_ease_solves_on_the_sparse_matrix(self, data_dir, tmp_path, monkeypatch):
+        ds = load_dataset(data_dir / "train.txt", data_dir / "test.txt")
+        X = ds.train_matrix()
+        dense = {"ease": ease_fit(X, 0.5), "ease-debiased": ease_debiased_fit(X, 0.5, 0.3)}
+
+        def refuse(self, max_items=None):
+            raise AssertionError("solve built the dense train matrix")
+
+        monkeypatch.setattr(InteractionDataset, "train_matrix", refuse)
+        for model, sol in dense.items():
+            out = tmp_path / model
+            assert main(["solve", "--data-dir", str(data_dir), "--model", model,
+                         "--lambda", "0.5", "--alpha", "0.3", "--output", str(out)]) == 0
+            report = evaluate(EASEScorer(ds, sol.W), ds, k=20)
+            row = read_eval(out / "eval.csv")
+            assert row[4:] == [f"{report.recall:.6f}", f"{report.ndcg:.6f}",
+                               str(report.users_evaluated)]
+
     def test_item_budget_guard(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir), "--model", "ease",
                    "--item-budget", "3", "--output", str(tmp_path / "x")])
@@ -298,6 +318,51 @@ class TestSweep:
         assert main([*base, "--output", str(serial)]) == 0
         assert main([*base, "--workers", "2", "--output", str(parallel)]) == 0
         assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
+
+    def test_log_range_from_config(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *SYNTH, *FAST, "--set", "sweep.axis=train.l2_weight",
+                   "--set", "sweep.log_range=[0.001,0.1,3]", "--output", str(out)])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert len(lines) == 3
+        values = [float(line.split(",")[1]) for line in lines]
+        assert values == pytest.approx(list(np.geomspace(1e-3, 1e-1, 3)))
+
+    def test_malformed_log_range_from_config(self, tmp_path, capsys):
+        rc = main(["sweep", *SYNTH, "--set", "sweep.axis=train.l2_weight",
+                   "--set", "sweep.log_range=[0.001,0.1]", "--output", str(tmp_path / "x")])
+        assert rc == 1
+        assert "sweep.log_range must be [lo, hi, count]" in capsys.readouterr().err
+
+    def test_workers_spawn_with_blas_threads_split(self, tmp_path, monkeypatch):
+        seen = {}
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                seen["workers"] = max_workers
+                seen["start"] = mp_context.get_start_method()
+                seen["env"] = [os.environ.get(name) for name in BLAS_ENV_VARS]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(recloss.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("RECLOSS_THREADS", raising=False)
+        assert main(["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr",
+                     "--values", "0.05,0.1", "--set", "threads=5", "--workers", "2",
+                     "--output", str(tmp_path / "p")]) == 0
+        assert seen == {"workers": 2, "start": "spawn", "env": ["2", "2", "2"]}
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_needs_axis(self, tmp_path, capsys):
         rc = main(["sweep", *SYNTH, "--output", str(tmp_path / "x")])

@@ -98,7 +98,7 @@ def test_positives_match_the_loop_oracle(rng):
         user_items, item_users, num_users, num_items = _positives_from(source)
         assert (num_users, num_items) == X.shape
         assert len(user_items) == 9 and len(item_users) == 12
-        for got, want in zip(user_items + item_users, want_u + want_i):
+        for got, want in zip([*user_items, *item_users], want_u + want_i):
             np.testing.assert_array_equal(got, want)
 
 

@@ -591,12 +591,7 @@ class TestFit:
         for items in ds.train_positives:
             val.append(items[:1])
         stripped = [items[1:] for items in ds.train_positives]
-        pop = np.zeros(ds.num_items, dtype=np.int64)
-        for items in stripped:
-            pop[items] += 1
-        from recloss import InteractionDataset
-
-        train_ds = InteractionDataset(ds.num_users, ds.num_items, stripped, ds.test_positives, pop)
+        train_ds = build_dataset(stripped, list(ds.test_positives), ds.num_items)
         model, history = fit(train_ds, self.cfg(max_epochs=3), val_positives=val)
         assert len(history.records) == 3
         assert model.num_users == ds.num_users

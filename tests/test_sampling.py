@@ -8,13 +8,49 @@ from recloss import (
     BatchSampler,
     PopularitySampler,
     SamplerConfig,
-    sample_popularity,
-    sample_unlabeled,
-    sample_unlabeled_excluding,
-    sample_user_positives,
     substream,
 )
 from conftest import build_dataset
+
+
+# The per-user samplers the vectorised BatchSampler replaced, kept as oracles.
+
+def sample_unlabeled(ds, u: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform draws over the full catalog (may include u's positives)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return rng.integers(0, ds.num_items, size=n)
+
+
+def sample_unlabeled_excluding(ds, u: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform draws over items outside u's train positives (rejection)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    positives = set(ds.train_positives[u].tolist())
+    if len(positives) >= ds.num_items:
+        raise ValueError(f"user {u} has interacted with every item; nothing to sample")
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        draws = rng.integers(0, ds.num_items, size=2 * (n - filled))
+        keep = [d for d in draws.tolist() if d not in positives]
+        take = min(len(keep), n - filled)
+        out[filled : filled + take] = keep[:take]
+        filled += take
+    return out
+
+
+def sample_user_positives(ds, u: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m uniform draws with replacement from u's train positives."""
+    positives = ds.train_positives[u]
+    if len(positives) == 0:
+        raise ValueError(f"user {u} has no train positives; skip this user")
+    return positives[rng.integers(0, len(positives), size=m)]
+
+
+def sample_popularity(ds, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n popularity-proportional draws (convenience one-shot form)."""
+    return PopularitySampler(ds).sample(n, rng)
 
 
 class TestSubstream:
@@ -145,6 +181,51 @@ class TestBatchSampler:
         neg = sampler.negatives(np.array([0, 1]))
         for row, u in zip(neg, [0, 1]):
             assert not np.intersect1d(row, tiny_ds.train_positives[u]).size
+
+    def excluding(self, ds, n, seed=0):
+        cfg = SamplerConfig(kind="uniform_excluding_user_positives", n_negatives=n)
+        return BatchSampler(ds, cfg, np.random.default_rng(seed))
+
+    def test_excluding_one_free_item_is_always_drawn(self):
+        ds = build_dataset([[0, 1, 2, 4, 5], [3]], [[], []], 6)
+        neg = self.excluding(ds, 40).negatives(np.array([0, 1, 0]))
+        assert (neg[[0, 2]] == 3).all()
+        assert not (neg[1] == 3).any()
+
+    def test_excluding_saturated_user_named(self):
+        ds = build_dataset([[0], [0, 1, 2]], [[], []], 3)
+        with pytest.raises(ValueError, match="user 1 has interacted with every item"):
+            self.excluding(ds, 2).negatives(np.array([0, 1]))
+
+    def test_excluding_duplicate_users_in_batch(self):
+        ds = build_dataset([[0, 1, 2], [3, 4, 5], [0, 5]], [[], [], []], 8)
+        users = np.array([1, 1, 0, 1, 2, 0, 2])
+        neg = self.excluding(ds, 30).negatives(users)
+        assert neg.shape == (7, 30)
+        for row, u in zip(neg, users):
+            assert not np.intersect1d(row, ds.train_positives[u]).size
+
+    def test_excluding_is_uniform_over_the_complement(self):
+        ds = build_dataset([[1, 4, 6], [0]], [[], []], 8)
+        batched = self.excluding(ds, 9000).negatives(np.array([0]))[0]
+        oracle = sample_unlabeled_excluding(ds, 0, 9000, np.random.default_rng(1))
+        want = np.array([1, 0, 1, 1, 0, 1, 0, 1]) / 5
+        for draws in (batched, oracle):
+            freq = np.bincount(draws, minlength=8) / 9000
+            assert freq == pytest.approx(want, abs=0.02)
+
+    def test_extra_positives_uniform_over_own_positives(self, tiny_ds):
+        sampler = self.make(tiny_ds, m_positives=6000)
+        batched = sampler.extra_positives(np.array([0]))[0]
+        oracle = sample_user_positives(tiny_ds, 0, 6000, np.random.default_rng(1))
+        for draws in (batched, oracle):
+            freq = np.bincount(draws, minlength=5) / 6000
+            assert freq == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0, 0], abs=0.03)
+
+    def test_extra_positives_names_user_without_positives(self):
+        ds = build_dataset([[0], [], [1]], [[], [0], []], 2)
+        with pytest.raises(ValueError, match="user 1 has no train positives"):
+            self.make(ds, m_positives=2).extra_positives(np.array([0, 2, 1]))
 
     def test_popularity_kind_runs(self, tiny_ds):
         sampler = self.make(tiny_ds, kind="popularity", n_negatives=3)
