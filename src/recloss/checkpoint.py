@@ -31,13 +31,12 @@ class CheckpointFormatError(ValueError):
     pass
 
 
-def save_checkpoint(path, obj, mode: str | None = None) -> None:
+def save_checkpoint(path, obj) -> None:
     """Write a ScoringModel, or an (num_items, num_items) EASE weight matrix."""
     if isinstance(obj, ScoringModel):
-        mode = obj.mode if mode is None else mode
         header = _HEADER.pack(
             MAGIC, VERSION, obj.num_users, obj.num_items, obj.d,
-            _MODE_CODES[mode], obj.temperature,
+            _MODE_CODES[obj.mode], obj.temperature,
         )
         body = (
             obj.user_embeddings.astype("<f4").tobytes()

@@ -8,8 +8,8 @@ to them as `config.resolved` so the run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -24,7 +24,7 @@ from . import linear, metrics, mf, verify
 from .config import ConfigError
 from .data import dataset_stats, load_dataset
 from .sampling import SamplerConfig
-from .synthetic import make_planted_blocks, make_random_dataset
+from .synthetic import synthetic_dataset
 
 EVAL_HEADER = "dataset,model,loss,k,recall,ndcg,users_evaluated"
 BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -33,14 +33,7 @@ BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _load_data(cfg: dict):
     synth = cfg["data"]["synthetic"]
     if synth is not None:
-        params = dict(synth)
-        kind = params.pop("kind", "planted")
-        params.setdefault("seed", cfg["seed"])
-        if kind == "planted":
-            return make_planted_blocks(**params).dataset
-        if kind == "random":
-            return make_random_dataset(**params)
-        raise ConfigError(f"unknown synthetic data kind {kind!r}")
+        return synthetic_dataset(**{"seed": cfg["seed"], **synth})
     train, test = cfg["data"]["train"], cfg["data"]["test"]
     if train is None:
         raise ConfigError("no dataset: set data.train/data.test or data.synthetic")
@@ -66,35 +59,36 @@ def _eval_row(cfg: dict, model_label: str, loss_label: str, report) -> str:
     )
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _write_artifact(cfg: dict, out_dir: str, name: str, lines) -> None:
+    """Write one CSV artifact, and the resolved config beside it."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    cfgmod.write_resolved(cfg, out_dir)
 
 
 def cmd_stats(cfg: dict, args) -> int:
+    """Print the dataset summary."""
     ds = _load_data(cfg)
     stats = dataset_stats(ds)
     lines = [f"{f.name},{getattr(stats, f.name)}" for f in dataclasses.fields(stats)]
     for line in lines:
         print(line)
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        _write_lines(os.path.join(args.output, "stats.csv"), lines)
-        cfgmod.write_resolved(cfg, args.output)
+        _write_artifact(cfg, args.output, "stats.csv", lines)
     return 0
 
 
 def train_and_evaluate(cfg: dict):
     """Shared by `train` and each sweep grid point."""
     ds = _load_data(cfg)
-    train_cfg = _train_config(cfg)
-    model, history = mf.fit(ds, train_cfg)
+    model, history = mf.fit(ds, _train_config(cfg))
     report = metrics.evaluate(model, ds, k=cfg["eval"]["k"])
     return model, history, report
 
 
 def cmd_train(cfg: dict, args) -> int:
+    """Train an embedding model."""
     if not args.output:
         raise ConfigError("train requires --output for its artifacts")
     model, history, report = train_and_evaluate(cfg)
@@ -102,13 +96,13 @@ def cmd_train(cfg: dict, args) -> int:
     ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), model)
     history.to_csv(os.path.join(args.output, "history.csv"))
     row = _eval_row(cfg, model.mode, cfg["loss"]["kind"], report)
-    _write_lines(os.path.join(args.output, "eval.csv"), [EVAL_HEADER, row])
-    cfgmod.write_resolved(cfg, args.output)
+    _write_artifact(cfg, args.output, "eval.csv", [EVAL_HEADER, row])
     print(row)
     return 0
 
 
 def cmd_eval(cfg: dict, args) -> int:
+    """Evaluate a checkpoint."""
     ds = _load_data(cfg)
     mode, payload = ckpt.load_checkpoint(args.checkpoint)
     scorer = linear.EASEScorer(ds, payload) if mode == "ease" else payload
@@ -117,20 +111,21 @@ def cmd_eval(cfg: dict, args) -> int:
     print(EVAL_HEADER)
     print(row)
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        _write_lines(os.path.join(args.output, "eval.csv"), [EVAL_HEADER, row])
-        cfgmod.write_resolved(cfg, args.output)
+        _write_artifact(cfg, args.output, "eval.csv", [EVAL_HEADER, row])
     return 0
 
 
 def cmd_solve(cfg: dict, args) -> int:
+    """Fit a closed-form linear model."""
     if not args.output:
         raise ConfigError("solve requires --output for its artifacts")
     ds = _load_data(cfg)
     lin = cfg["linear"]
     model_kind = lin["model"]
+    if model_kind not in linear.LINEAR_MODELS:
+        raise ConfigError(f"unknown linear model {model_kind!r}; expected one of {linear.LINEAR_MODELS}")
     os.makedirs(args.output, exist_ok=True)
-    if model_kind in ("ials", "ials-debiased"):
+    if model_kind.startswith("ials"):
         ials_cfg = linear.IALSConfig(
             d=lin["d"], alpha0=lin["alpha0"], lam=lin["lambda"], nu=lin["nu"],
             c_u=lin["c_u"], num_sweeps=lin["sweeps"], seed=cfg["seed"],
@@ -143,7 +138,7 @@ def cmd_solve(cfg: dict, args) -> int:
         )
         trace = state.objective_trace
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
-    elif model_kind in ("ease", "ease-debiased"):
+    else:
         if ds.num_items > lin["item_budget"]:
             # ease_fit peaks below three dense n x n float64 matrices: 2.68 * 8n^2
             # bytes measured at n = 1,000 with a dense Gram (the sparse Gram
@@ -163,24 +158,16 @@ def cmd_solve(cfg: dict, args) -> int:
             sol = linear.ease_debiased_fit(X, lin["lambda"], lin["alpha"])
         scorer = linear.EASEScorer(ds, sol.W)
         ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), sol.W)
-    else:
-        raise ConfigError(
-            f"unknown linear model {model_kind!r}; expected ials, ials-debiased, ease, ease-debiased"
-        )
     report = metrics.evaluate(scorer, ds, k=cfg["eval"]["k"])
     row = _eval_row(cfg, model_kind, "mse-closed-form", report)
-    _write_lines(os.path.join(args.output, "eval.csv"), [EVAL_HEADER, row])
-    cfgmod.write_resolved(cfg, args.output)
+    _write_artifact(cfg, args.output, "eval.csv", [EVAL_HEADER, row])
     print(row)
     return 0
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    report = verify.run_verification(
-        bound_instances=cfg["verify"]["bound_instances"],
-        theorem_instances=cfg["verify"]["theorem_instances"],
-        seed=cfg["seed"],
-    )
+    """Run the bound and theorem checks."""
+    report = verify.run_verification(**cfg["verify"], seed=cfg["seed"])
     for prop in report["properties"]:
         flag = "PASS" if prop["passed"] else "FAIL"
         print(f"{flag} {prop['name']}: worst={prop['worst']:.3e} "
@@ -196,6 +183,7 @@ def _sweep_point(cfg_json: str) -> dict:
     """One grid point; takes serialized config so it can cross process bounds."""
     cfg = json.loads(cfg_json)
     try:
+        cfgmod.validate_config(cfg)
         _, _, report = train_and_evaluate(cfg)
         return {"recall": report.recall, "ndcg": report.ndcg, "status": "ok"}
     except Exception as exc:  # record and continue: a bad point must not kill the sweep
@@ -204,9 +192,10 @@ def _sweep_point(cfg_json: str) -> dict:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    """Train and evaluate across a hyperparameter grid."""
     if not args.output:
         raise ConfigError("sweep requires --output for its artifacts")
-    axis = args.axis or cfg["sweep"]["axis"]
+    axis = cfg["sweep"]["axis"]
     if not axis:
         raise ConfigError("sweep needs an axis (--axis key.path)")
     if args.values:
@@ -221,15 +210,9 @@ def cmd_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.log_range must be [lo, hi, count], got {log_range!r}")
         lo, hi, count = log_range
         values = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
-    cfg = copy.deepcopy(cfg)
-    cfg["sweep"]["axis"], cfg["sweep"]["values"] = axis, values
-    workers = max(1, min(int(args.workers or cfg["sweep"]["workers"]), cfg["threads"]))
-
-    points = []
-    for value in values:
-        point = copy.deepcopy(cfg)
-        cfgmod.apply_override(point, axis, value)
-        points.append(json.dumps(point))
+    cfg = cfgmod.apply_override(cfg, "sweep.values", values)
+    workers = max(1, min(cfg["sweep"]["workers"], cfg["threads"]))
+    points = [json.dumps(cfgmod.apply_override(cfg, axis, value)) for value in values]
     if workers > 1:
         # spawned workers load BLAS afresh and read these thread counts,
         # which split cfg["threads"] between them
@@ -245,7 +228,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     else:
         results = [_sweep_point(p) for p in points]
 
-    os.makedirs(args.output, exist_ok=True)
     lines = ["axis,value,recall,ndcg,status"]
     for value, res in zip(values, results):
         if res["status"] != "ok":
@@ -253,102 +235,10 @@ def cmd_sweep(cfg: dict, args) -> int:
         lines.append(
             f"{axis},{value},{res['recall']:.6f},{res['ndcg']:.6f},{res['status']}"
         )
-    _write_lines(os.path.join(args.output, "sweep.csv"), lines)
-    cfgmod.write_resolved(cfg, args.output)
+    _write_artifact(cfg, args.output, "sweep.csv", lines)
     print("\n".join(lines))
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="recloss",
-        description="Contrastive and classical recommendation losses, linear solvers, and property checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="named hyperparameter bundle, e.g. mine+/gowalla")
-        p.add_argument("--set", dest="sets", action="append", default=[],
-                       metavar="KEY.PATH=VALUE", help="override one config value")
-        p.add_argument("--data-dir", dest="data_dir",
-                       help="directory holding train.txt and test.txt")
-        p.add_argument("--train", dest="train_path", help="train interactions file")
-        p.add_argument("--test", dest="test_path", help="test interactions file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", help="artifact directory")
-
-    p = sub.add_parser("stats", help="dataset summary")
-    add_common(p)
-
-    p = sub.add_parser("train", help="train an embedding model")
-    add_common(p)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--model-label")
-    p.add_argument("--loss-label", default="-")
-
-    p = sub.add_parser("solve", help="fit a closed-form linear model")
-    add_common(p)
-    p.add_argument("--model", choices=["ials", "ials-debiased", "ease", "ease-debiased"])
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c-u", dest="c_u", type=float)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--item-budget", dest="item_budget", type=int)
-
-    p = sub.add_parser("verify", help="run bound and theorem checks")
-    add_common(p)
-    p.add_argument("--bounds", type=int, help="bound-chain instance count")
-    p.add_argument("--theorem-instances", type=int)
-
-    p = sub.add_parser("sweep", help="train/eval across a hyperparameter grid")
-    add_common(p)
-    p.add_argument("--axis", help="dotted config path, e.g. loss.params.lambda")
-    p.add_argument("--values", help="comma-separated grid values")
-    p.add_argument("--log-range", nargs=3, metavar=("LO", "HI", "COUNT"),
-                   help="geometric grid from LO to HI with COUNT points")
-    p.add_argument("--workers", type=int)
-
-    return parser
-
-
-# subcommand flag -> the config key it sets
-_FLAG_KEYS = {
-    "seed": "seed",
-    "k": "eval.k",
-    "model": "linear.model",
-    "alpha0": "linear.alpha0",
-    "lam": "linear.lambda",
-    "alpha": "linear.alpha",
-    "c_u": "linear.c_u",
-    "sweeps": "linear.sweeps",
-    "d": "linear.d",
-    "item_budget": "linear.item_budget",
-    "bounds": "verify.bound_instances",
-    "theorem_instances": "verify.theorem_instances",
-}
-
-
-def _flag_overrides(args) -> list[str]:
-    """Convenience flags become ordinary config overrides."""
-    sets = []
-    if args.data_dir:
-        sets.append(f"data.train={os.path.join(args.data_dir, 'train.txt')}")
-        sets.append(f"data.test={os.path.join(args.data_dir, 'test.txt')}")
-    if args.train_path:
-        sets.append(f"data.train={args.train_path}")
-    if args.test_path:
-        sets.append(f"data.test={args.test_path}")
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            sets.append(f"{key}={getattr(args, flag)}")
-    return sets
+    # a sweep with no usable point (say, an axis that names no key) failed
+    return 0 if any(res["status"] == "ok" for res in results) else 1
 
 
 _HANDLERS = {
@@ -359,6 +249,74 @@ _HANDLERS = {
     "verify": cmd_verify,
     "sweep": cmd_sweep,
 }
+
+
+# (command, flag, config key): each convenience flag sets one config key and
+# takes its type from that key's default; "*" marks the flags of every command
+FLAGS = (
+    ("*", "--train", "data.train"),
+    ("*", "--test", "data.test"),
+    ("*", "--seed", "seed"),
+    ("eval", "--k", "eval.k"),
+    ("solve", "--model", "linear.model"),
+    ("solve", "--alpha0", "linear.alpha0"),
+    ("solve", "--lambda", "linear.lambda"),
+    ("solve", "--alpha", "linear.alpha"),
+    ("solve", "--c-u", "linear.c_u"),
+    ("solve", "--sweeps", "linear.sweeps"),
+    ("solve", "--d", "linear.d"),
+    ("solve", "--item-budget", "linear.item_budget"),
+    ("verify", "--bounds", "verify.bound_instances"),
+    ("verify", "--theorem-instances", "verify.theorem_instances"),
+    ("sweep", "--axis", "sweep.axis"),
+    ("sweep", "--workers", "sweep.workers"),
+)
+_FLAG_CHOICES = {"linear.model": linear.LINEAR_MODELS}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="recloss",
+        description="Contrastive and classical recommendation losses, linear solvers, and property checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--preset", help="named hyperparameter bundle, e.g. mine+/gowalla")
+        p.add_argument("--set", dest="sets", action="append", default=[],
+                       metavar="KEY.PATH=VALUE", help="override one config value")
+        p.add_argument("--data-dir", dest="data_dir",
+                       help="directory holding train.txt and test.txt")
+        p.add_argument("--output", help="artifact directory")
+        for flag_command, flag, key in FLAGS:
+            if flag_command in ("*", command):
+                default = functools.reduce(dict.__getitem__, key.split("."), cfgmod.DEFAULTS)
+                p.add_argument(flag, dest=key, type=str if default is None else type(default),
+                               choices=_FLAG_CHOICES.get(key), help=f"sets {key}")
+
+    p = sub.choices["eval"]
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--model-label")
+    p.add_argument("--loss-label", default="-")
+    p = sub.choices["sweep"]
+    p.add_argument("--values", help="comma-separated grid values")
+    p.add_argument("--log-range", nargs=3, metavar=("LO", "HI", "COUNT"),
+                   help="geometric grid from LO to HI with COUNT points")
+    return parser
+
+
+def _flag_overrides(args) -> list[str]:
+    """Convenience flags become ordinary config overrides; each value is
+    JSON-quoted, so a path such as "123" stays a string."""
+    sets = []
+    if args.data_dir:
+        sets.append(f"data.train={json.dumps(os.path.join(args.data_dir, 'train.txt'))}")
+        sets.append(f"data.test={json.dumps(os.path.join(args.data_dir, 'test.txt'))}")
+    for _, _, key in FLAGS:
+        if getattr(args, key, None) is not None:
+            sets.append(f"{key}={json.dumps(getattr(args, key))}")
+    return sets
 
 
 def main(argv=None) -> int:

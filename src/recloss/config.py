@@ -10,11 +10,16 @@ document back out as `config.resolved`.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import os
 
+from .linear import EASEConfig, IALSConfig
 from .losses import LOSS_KINDS, LOSS_TABLE
-from .sampling import SAMPLER_KINDS
+from .mf import TrainConfig
+from .sampling import SAMPLER_KINDS, SamplerConfig
+from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
+from .verify import run_verification
 
 THREADS_ENV_VAR = "RECLOSS_THREADS"
 
@@ -23,57 +28,42 @@ class ConfigError(ValueError):
     pass
 
 
+def _keyword_defaults(fn) -> dict:
+    """Each keyword of a function or dataclass with its default, None for a required one."""
+    return {name: None if p.default is p.empty else p.default
+            for name, p in inspect.signature(fn).parameters.items()}
+
+
+# A default that a dataclass or function signature holds is read from it;
+# the literals below have no other home.  TrainConfig's loss, loss_params,
+# sampler, seed and eval_k are set from the loss, sampler, top-level and
+# eval tables.
+_TRAIN = _keyword_defaults(TrainConfig)
+_IALS = _keyword_defaults(IALSConfig)
+
 DEFAULTS = {
-    "seed": 0,
+    "seed": _TRAIN["seed"],
     "threads": 1,
     "dataset_name": "dataset",
-    "data": {
-        "train": None,
-        "test": None,
-        "synthetic": None,
-    },
-    "loss": {"kind": "bpr", "params": {}},
-    "sampler": {
-        "kind": "uniform_all_items",
-        "n_negatives": 1,
-        "m_positives": 0,
-        "share_batch": False,
-    },
-    "train": {
-        "embedding_dim": 64,
-        "batch_size": 512,
-        "initial_lr": 1e-4,
-        "plateau_factor": 0.5,
-        "plateau_patience": 3,
-        "plateau_threshold": 1e-4,
-        "min_lr": 1e-6,
-        "l2_weight": 0.0,
-        "max_epochs": 100,
-        "mode": None,
-        "temperature": 1.0,
-        "init_std": 0.01,
-        "val_fraction": 0.1,
-    },
+    "data": {"train": None, "test": None, "synthetic": None},
+    "loss": {"kind": _TRAIN["loss"], "params": {}},
+    "sampler": _keyword_defaults(SamplerConfig),
+    "train": {k: v for k, v in _TRAIN.items()
+              if k not in ("loss", "loss_params", "sampler", "seed", "eval_k")},
     "linear": {
         "model": "ease",
         "d": 64,
         "alpha0": 0.1,
         "lambda": 100.0,
-        "nu": 1.0,
-        "c_u": 1.0,
-        "alpha": 0.0,
-        "sweeps": 10,
+        "nu": _IALS["nu"],
+        "c_u": _IALS["c_u"],
+        "alpha": _keyword_defaults(EASEConfig)["alpha"],
+        "sweeps": _IALS["num_sweeps"],
         "item_budget": 15_000,  # an EASE fit peaks near 24 n^2 bytes: ~5.4 GB here
     },
-    "eval": {"k": 20},
-    "verify": {"bound_instances": 10_000, "theorem_instances": 50},
+    "eval": {"k": _TRAIN["eval_k"]},
+    "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},
     "sweep": {"axis": None, "values": None, "log_range": None, "workers": 1},
-}
-
-# keys whose default is None but which accept a nested dict / list
-_SYNTHETIC_KEYS = {
-    "kind", "num_users", "num_items", "num_blocks",
-    "in_block_p", "noise_p", "test_fraction", "seed", "density",
 }
 
 # The repro tables, verbatim.  "regularization: -9" in the debiased-CCL
@@ -129,18 +119,48 @@ def deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _type_ok(value, default) -> bool:
+    """A value fits the type of its key's default: an int passes for a
+    float, a bool only for a bool, and a None default takes anything."""
+    if default is None:
+        return True
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
     for key, value in cfg.items():
         here = f"{path}{key}"
         if key not in template:
-            raise ConfigError(f"unknown config key {here!r}")
-        tmpl = template[key]
-        if here == "loss.params" or here == "data.synthetic" or here.startswith("sweep."):
-            continue  # validated separately / free-form lists
-        if isinstance(tmpl, dict):
+            raise ConfigError(f"unknown config key {here!r}; expected one of {', '.join(template)}")
+        default = template[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {here!r} must be a table")
-            _check_keys(value, tmpl, here + ".")
+            if here != "loss.params":  # checked against the loss kind
+                _check_keys(value, default, here + ".")
+        elif not _type_ok(value, default):
+            raise ConfigError(
+                f"config key {here!r} must be {type(default).__name__}, got {value!r}"
+            )
+
+
+def _check_synthetic(synth) -> None:
+    if not isinstance(synth, dict):
+        raise ConfigError("data.synthetic must be a table")
+    kind = synth.get("kind", DEFAULT_SYNTHETIC_KIND)
+    if not isinstance(kind, str) or kind not in SYNTHETIC_KINDS:
+        raise ConfigError(
+            f"unknown synthetic data kind {kind!r}; expected one of {tuple(SYNTHETIC_KINDS)}"
+        )
+    keywords = _keyword_defaults(SYNTHETIC_KINDS[kind])
+    _check_keys(synth, {"kind": kind, **keywords}, "data.synthetic.")
+    for key, default in keywords.items():
+        if default is None and key not in synth:
+            raise ConfigError(f"synthetic data kind {kind!r} requires data.synthetic.{key}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -160,13 +180,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"unknown sampler kind {cfg['sampler']['kind']!r}; expected one of {SAMPLER_KINDS}"
         )
-    synth = cfg["data"]["synthetic"]
-    if synth is not None:
-        if not isinstance(synth, dict):
-            raise ConfigError("data.synthetic must be a table")
-        for key in synth:
-            if key not in _SYNTHETIC_KEYS:
-                raise ConfigError(f"unknown config key 'data.synthetic.{key}'")
+    if cfg["data"]["synthetic"] is not None:
+        _check_synthetic(cfg["data"]["synthetic"])
 
 
 def _parse_override_value(raw: str):
@@ -176,21 +191,12 @@ def _parse_override_value(raw: str):
         return raw
 
 
-def apply_override(cfg: dict, dotted: str, value) -> None:
-    """Set `a.b.c` to value, creating loss-param keys but nothing else new."""
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if node[part] is None:
-            node[part] = {}
-        node = node[part]
-    leaf = parts[-1]
-    free_form = dotted.startswith(("loss.params.", "data.synthetic.", "sweep."))
-    if not free_form and (not isinstance(node, dict) or leaf not in node):
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[leaf] = value
+def apply_override(cfg: dict, dotted: str, value) -> dict:
+    """A copy of cfg with the key `a.b.c` set to value; keys are checked
+    when the result is validated."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return deep_merge(cfg, value)
 
 
 def resolve_config(
@@ -215,13 +221,12 @@ def resolve_config(
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        _check_keys(loaded, DEFAULTS)
         cfg = deep_merge(cfg, loaded)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         dotted, _, raw = item.partition("=")
-        apply_override(cfg, dotted.strip(), _parse_override_value(raw.strip()))
+        cfg = apply_override(cfg, dotted.strip(), _parse_override_value(raw.strip()))
     validate_config(cfg)
     env_cap = os.environ.get(THREADS_ENV_VAR)
     if env_cap is not None:

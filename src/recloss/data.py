@@ -135,16 +135,9 @@ class InteractionDataset:
             shape=(self.num_users, self.num_items),
         )
 
-    def train_matrix(self, max_items: int | None = None) -> np.ndarray:
-        """Dense binary interaction matrix (num_users x num_items).
-
-        Refuses catalogs above ``max_items`` when given; the dense form is
-        meant for the closed-form linear solvers, not large-scale data.
-        """
-        if max_items is not None and self.num_items > max_items:
-            raise ValueError(
-                f"dense matrix refused: {self.num_items} items exceeds budget {max_items}"
-            )
+    def train_matrix(self) -> np.ndarray:
+        """Dense binary interaction matrix (num_users x num_items), for small
+        catalogs; large-scale consumers read ``train_csr``."""
         return self.train_csr().toarray()
 
     def validate(self) -> None:

@@ -20,6 +20,9 @@ from scipy.optimize import minimize
 from .data import CSRRows, InteractionDataset
 from .sampling import substream
 
+# the models `recloss solve` fits, as linear.model names them
+LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
+
 
 def _positives_from(source):
     """(user rows, item rows, num_users, num_items): the CSR of a dataset's

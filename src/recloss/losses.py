@@ -114,15 +114,35 @@ class DebiasParams:
             raise ValueError("temperature must be positive")
 
 
+# loss.params keys whose kernel keyword differs; every other key is its own keyword
+_KEYWORDS = {"lambda": "lambda_", "clamp_floor": "clamp_floor_enabled"}
+
+
+def _kw(p: dict, *keys: str) -> dict:
+    """The loss.params entries among ``keys`` that are present, under their
+    kernel keyword names; absent keys take the kernel's own defaults."""
+    return {_KEYWORDS.get(key, key): p[key] for key in keys if key in p}
+
+
 def debias_params(p: dict) -> DebiasParams:
     """The debiasing settings in a loss params dict; absent keys take the defaults."""
-    kw = {key: p[key] for key in ("tau_mode", "k", "alpha", "lambda_n", "temperature") if key in p}
-    if "clamp_floor" in p:
-        kw["clamp_floor_enabled"] = p["clamp_floor"]
-    return DebiasParams(**kw)
+    return DebiasParams(**_kw(p, "tau_mode", "k", "alpha", "lambda_n", "temperature", "clamp_floor"))
 
 
 _TAU_CEILING = 1.0 - 1e-6
+
+
+def _prior(n_pos: np.ndarray, num_items: int, params: DebiasParams, users: np.ndarray) -> np.ndarray:
+    """tau+ for users with ``n_pos`` known positives; NaN where ``n_pos`` is 0."""
+    if params.tau_mode == "topk":
+        raw = (n_pos + params.k) / num_items
+    else:
+        raw = (1.0 + params.alpha) * n_pos / num_items
+    raw = np.where(n_pos >= 1, raw, np.nan)
+    bad = np.flatnonzero(raw >= 1.0)
+    if len(bad):
+        raise ValueError(f"positive prior {raw[bad[0]]:.3f} >= 1 for user {users[bad[0]]}; lower k/alpha")
+    return np.minimum(raw, _TAU_CEILING)
 
 
 def positive_prior(ds, u: int, params: DebiasParams) -> float:
@@ -130,22 +150,12 @@ def positive_prior(ds, u: int, params: DebiasParams) -> float:
     n_pos = len(ds.train_positives[u])
     if n_pos < 1:
         raise ValueError(f"user {u} has no train positives")
-    if params.tau_mode == "topk":
-        raw = (n_pos + params.k) / ds.num_items
-    else:
-        raw = (1.0 + params.alpha) * n_pos / ds.num_items
-    if raw >= 1.0:
-        raise ValueError(f"positive prior {raw:.3f} >= 1 for user {u}; lower k/alpha")
-    return min(raw, _TAU_CEILING)
+    return float(_prior(np.array([n_pos]), ds.num_items, params, np.array([u]))[0])
 
 
 def positive_prior_all(ds, params: DebiasParams) -> np.ndarray:
     """Vector of tau+ over all users (users without positives get NaN)."""
-    out = np.full(ds.num_users, np.nan)
-    for u in range(ds.num_users):
-        if len(ds.train_positives[u]):
-            out[u] = positive_prior(ds, u, params)
-    return out
+    return _prior(ds.train_positives.lengths, ds.num_items, params, np.arange(ds.num_users))
 
 
 def _softplus(x):
@@ -447,28 +457,28 @@ LOSS_TABLE = {
     "softmax": LossKind(lambda b, p, tau: sampled_softmax(b), ()),
     "infonce": LossKind(lambda b, p, tau: infonce(b), ()),
     "infonce_plus": LossKind(
-        lambda b, p, tau: infonce_plus(b, InfoNCEPlusParams(p.get("lambda", 1.0), p.get("epsilon", 1.0))),
+        lambda b, p, tau: infonce_plus(b, InfoNCEPlusParams(**_kw(p, "lambda", "epsilon"))),
         ("lambda", "epsilon"),
     ),
     "dcl": LossKind(lambda b, p, tau: dcl(b), ()),
     "mine": LossKind(lambda b, p, tau: mine(b, normalized=True), ()),
-    "mine_plus": LossKind(lambda b, p, tau: mine_plus(b, p.get("lambda", 1.0)), ("lambda",)),
+    "mine_plus": LossKind(lambda b, p, tau: mine_plus(b, **_kw(p, "lambda")), ("lambda",)),
     "ccl": LossKind(
-        lambda b, p, tau: ccl(b, CCLParams(p.get("negative_weight", 1.0), p.get("margin", 0.0))),
+        lambda b, p, tau: ccl(b, CCLParams(**_kw(p, "negative_weight", "margin"))),
         ("negative_weight", "margin"),
     ),
-    "mse": LossKind(lambda b, p, tau: mse_pointwise(b, p.get("lambda_neg", 1.0)), ("lambda_neg",)),
+    "mse": LossKind(lambda b, p, tau: mse_pointwise(b, **_kw(p, "lambda_neg")), ("lambda_neg",)),
     "debiased_infonce": LossKind(
         lambda b, p, tau: debiased_infonce(b, debias_params(p), tau),
         ("lambda_n", "clamp_floor", *_PRIOR_KEYS),
     ),
     "debiased_ccl": LossKind(
-        lambda b, p, tau: debiased_ccl(b, CCLParams(margin=p.get("margin", 0.0)), debias_params(p), tau,
-                                       floor_at_zero=p.get("floor_at_zero", False)),
+        lambda b, p, tau: debiased_ccl(b, CCLParams(**_kw(p, "margin")), debias_params(p), tau,
+                                       **_kw(p, "floor_at_zero")),
         ("lambda_n", "margin", "floor_at_zero", *_PRIOR_KEYS),
     ),
     "debiased_mse": LossKind(
-        lambda b, p, tau: debiased_mse(b, debias_params(p), tau, p.get("lambda", 1.0)),
+        lambda b, p, tau: debiased_mse(b, debias_params(p), tau, **_kw(p, "lambda")),
         ("lambda", *_PRIOR_KEYS),
     ),
 }

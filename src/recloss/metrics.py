@@ -14,6 +14,9 @@ import numpy as np
 
 from .data import CSRRows, sorted_member
 
+# users scored per block by evaluate: a (1024, num_items) float64 score block
+_BLOCK_USERS = 1024
+
 
 @dataclass
 class MetricsReport:
@@ -82,14 +85,15 @@ def ndcg_at_k(topk, test_items) -> float:
     return dcg / idcg
 
 
-def evaluate(scorer, ds, test_positives=None, k: int = 20,
-             block_size: int = 1024) -> MetricsReport:
+def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     """Mean Recall@k / NDCG@k over users with non-empty test lists.
 
     ``test_positives`` overrides ``ds.test_positives`` (used for validation
     splits); it may be CSRRows or one item sequence per user, each read as a
     set.  Train positives are always masked out of the ranking.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     tests = ds.test_positives if test_positives is None else test_positives
     if not isinstance(tests, CSRRows):
         lengths = [len(t) for t in tests]
@@ -109,8 +113,8 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20,
 
     score_block = getattr(scorer, "score_block", None)
     recall_sum = ndcg_sum = 0.0
-    for start in range(0, len(users), block_size):
-        us = users[start:start + block_size]
+    for start in range(0, len(users), _BLOCK_USERS):
+        us = users[start:start + _BLOCK_USERS]
         if score_block is not None:
             scores = np.array(score_block(us), dtype=float)
         else:

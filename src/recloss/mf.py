@@ -246,7 +246,7 @@ def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr:
 
 @dataclass
 class TrainConfig:
-    embedding_dim: int
+    embedding_dim: int = 64
     loss: str = "bpr"
     loss_params: dict = field(default_factory=dict)
     sampler: SamplerConfig | None = None
@@ -268,6 +268,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_KINDS}")
+        for name in ("embedding_dim", "batch_size", "max_epochs", "eval_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ValueError("plateau_factor must lie in (0, 1)")
         if self.min_lr >= self.initial_lr:

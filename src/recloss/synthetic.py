@@ -92,3 +92,14 @@ def _split_test(liked: np.ndarray, n_test: np.ndarray, rng: np.random.Generator)
     return InteractionDataset.from_pairs(
         *liked.shape, (users[~test], items[~test]), (users[test], items[test])
     )
+
+
+# data.synthetic.kind -> its generator; a kind takes exactly its generator's keywords
+SYNTHETIC_KINDS = {"planted": make_planted_blocks, "random": make_random_dataset}
+DEFAULT_SYNTHETIC_KIND = "planted"
+
+
+def synthetic_dataset(kind: str = DEFAULT_SYNTHETIC_KIND, **params) -> InteractionDataset:
+    """The dataset that a data.synthetic table describes."""
+    built = SYNTHETIC_KINDS[kind](**params)
+    return built.dataset if isinstance(built, PlantedBlocks) else built

@@ -76,6 +76,13 @@ class TestStats:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_numeric_file_names_stay_paths(self, data_dir, monkeypatch, capsys):
+        (data_dir / "123").write_text(TRAIN_TEXT)
+        (data_dir / "456").write_text(TEST_TEXT)
+        monkeypatch.chdir(data_dir)
+        assert main(["stats", "--train", "123", "--test", "456"]) == 0
+        assert "train_interactions,9" in capsys.readouterr().out
+
     def test_no_dataset_configured(self, capsys):
         assert main(["stats"]) == 1
         assert "no dataset" in capsys.readouterr().err
@@ -227,7 +234,7 @@ class TestSolve:
         X = ds.train_matrix()
         dense = {"ease": ease_fit(X, 0.5), "ease-debiased": ease_debiased_fit(X, 0.5, 0.3)}
 
-        def refuse(self, max_items=None):
+        def refuse(self):
             raise AssertionError("solve built the dense train matrix")
 
         monkeypatch.setattr(InteractionDataset, "train_matrix", refuse)
@@ -311,6 +318,21 @@ class TestSweep:
         assert lines[2].startswith("loss.kind,nope,") and lines[2].endswith(",error")
         assert "failed" in capsys.readouterr().err
 
+    def test_mistyped_point_recorded_and_sweep_continues(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *SYNTH, *FAST, "--axis", "train.batch_size",
+                   "--values", "32,abc", "--output", str(out)])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        assert lines[1].endswith(",ok") and lines[2].endswith(",error")
+        assert "'train.batch_size' must be int" in capsys.readouterr().err
+
+    def test_unknown_axis_fails_every_point(self, tmp_path, capsys):
+        rc = main(["sweep", *SYNTH, *FAST, "--axis", "train.lr",
+                   "--values", "0.1,0.2", "--output", str(tmp_path / "x")])
+        assert rc == 1
+        assert "unknown config key 'train.lr'" in capsys.readouterr().err
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         base = ["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr",
@@ -390,6 +412,26 @@ class TestSettingErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command, named", [
+        (["train", "--set", "train.batch_size=abc"], "'train.batch_size' must be int"),
+        (["train", "--set", "sampler.n_negatives=2.5"], "'sampler.n_negatives' must be int"),
+        (["solve", "--model", "ease", "--set", "linear.sweeps=abc"], "'linear.sweeps' must be int"),
+        (["stats", "--set", "data.synthetic.density=0.1"], "data.synthetic.density"),
+        (["train", "--set", "train.batch_size=0"], "batch_size must be >= 1"),
+        (["train", "--set", "train.max_epochs=0"], "max_epochs must be >= 1"),
+        (["train", "--set", "train.embedding_dim=0"], "embedding_dim must be >= 1"),
+        (["train", "--set", "eval.k=0"], "eval_k must be >= 1"),
+        (["solve", "--model", "ease", "--set", "eval.k=0"], "k must be >= 1"),
+    ])
+    def test_error_names_the_setting(self, command, named, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main([*command[:1], *SYNTH, *FAST, *command[1:], "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not (out / "eval.csv").exists()
+
+
 class TestConfigPlumbing:
     def test_preset_reaches_resolved_config(self, tmp_path, capsys):
         out = tmp_path / "preset"
@@ -405,6 +447,20 @@ class TestConfigPlumbing:
         assert resolved["train"]["temperature"] == 0.5
         assert resolved["train"]["mode"] == "cosine"
         assert resolved["sampler"]["n_negatives"] == 5
+
+    def test_flags_take_the_type_of_their_key(self, data_dir, tmp_path):
+        out = tmp_path / "ials"
+        assert main(["solve", "--data-dir", str(data_dir), "--model", "ials", "--d", "2",
+                     "--sweeps", "1", "--lambda", "1", "--c-u", "2", "--output", str(out)]) == 0
+        linear = json.loads((out / "config.resolved").read_text())["linear"]
+        assert linear["lambda"] == 1.0 and isinstance(linear["lambda"], float)
+        assert linear["c_u"] == 2.0 and isinstance(linear["c_u"], float)
+        assert linear["sweeps"] == 1 and linear["d"] == 2
+
+    def test_model_choices_are_the_linear_models(self, data_dir, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--data-dir", str(data_dir), "--model", "svd"])
+        assert "ials-debiased" in capsys.readouterr().err
 
     def test_unknown_set_key(self, capsys):
         assert main(["stats", "--set", "nope=1"]) == 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from recloss.cli import _train_config
 from recloss.config import (
     DEFAULTS,
     PRESETS,
@@ -15,6 +16,35 @@ from recloss.config import (
     validate_config,
     write_resolved,
 )
+from recloss.mf import TrainConfig
+from recloss.sampling import SamplerConfig
+
+# The default document as written out before the tables were derived from
+# the dataclasses that read them; derivation must not change a byte of it.
+DEFAULT_DOCUMENT = {
+    "seed": 0,
+    "threads": 1,
+    "dataset_name": "dataset",
+    "data": {"train": None, "test": None, "synthetic": None},
+    "loss": {"kind": "bpr", "params": {}},
+    "sampler": {"kind": "uniform_all_items", "n_negatives": 1, "m_positives": 0,
+                "share_batch": False},
+    "train": {
+        "embedding_dim": 64, "batch_size": 512, "initial_lr": 1e-4, "plateau_factor": 0.5,
+        "plateau_patience": 3, "plateau_threshold": 1e-4, "min_lr": 1e-6, "l2_weight": 0.0,
+        "max_epochs": 100, "mode": None, "temperature": 1.0, "init_std": 0.01,
+        "val_fraction": 0.1,
+    },
+    "linear": {"model": "ease", "d": 64, "alpha0": 0.1, "lambda": 100.0, "nu": 1.0,
+               "c_u": 1.0, "alpha": 0.0, "sweeps": 10, "item_budget": 15_000},
+    "eval": {"k": 20},
+    "verify": {"bound_instances": 10_000, "theorem_instances": 50},
+    "sweep": {"axis": None, "values": None, "log_range": None, "workers": 1},
+}
+
+
+def as_written(cfg: dict) -> str:
+    return json.dumps(cfg, indent=2, sort_keys=True)
 
 
 class TestDefaults:
@@ -31,6 +61,83 @@ class TestDefaults:
         cfg = resolve_config()
         cfg["train"]["embedding_dim"] = 1
         assert DEFAULTS["train"]["embedding_dim"] == 64
+
+
+class TestDerivedDefaults:
+    def test_default_document_unchanged(self):
+        assert as_written(resolve_config()) == as_written(DEFAULT_DOCUMENT)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_documents_unchanged(self, name):
+        expected = deep_merge(DEFAULT_DOCUMENT, PRESETS[name])
+        assert as_written(resolve_config(preset=name)) == as_written(expected)
+
+    def test_benchmark_keys_keep_their_values(self):
+        assert DEFAULTS["train"]["embedding_dim"] == 64
+        assert DEFAULTS["train"]["batch_size"] == 512
+        assert DEFAULTS["train"]["val_fraction"] == 0.1
+        assert DEFAULTS["eval"]["k"] == 20
+        lin = DEFAULTS["linear"]
+        assert (lin["d"], lin["alpha0"], lin["nu"], lin["lambda"]) == (64, 0.1, 1.0, 100.0)
+
+    def test_cli_configs_equal_library_defaults(self):
+        cfg = _train_config(resolve_config())
+        assert cfg == TrainConfig()
+        assert cfg.sampler == SamplerConfig()
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("override, key", [
+        ("train.batch_size=abc", "train.batch_size"),
+        ("train.batch_size=2.5", "train.batch_size"),
+        ("train.batch_size=true", "train.batch_size"),
+        ("sampler.n_negatives=2.5", "sampler.n_negatives"),
+        ("sampler.share_batch=1", "sampler.share_batch"),
+        ("train.initial_lr=fast", "train.initial_lr"),
+        ("linear.sweeps=abc", "linear.sweeps"),
+        ("linear.model=3", "linear.model"),
+        ("sweep.workers=2.0", "sweep.workers"),
+        ("data.synthetic.num_blocks=2.5", "data.synthetic.num_blocks"),
+    ])
+    def test_mistyped_value_names_its_key(self, override, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be"):
+            resolve_config(overrides=["data.synthetic.kind=planted", override])
+
+    def test_int_accepted_for_float(self):
+        cfg = resolve_config(overrides=["train.initial_lr=1", "linear.c_u=2"])
+        assert cfg["train"]["initial_lr"] == 1 and cfg["linear"]["c_u"] == 2
+
+    def test_none_default_is_free(self):
+        cfg = resolve_config(overrides=["train.mode=cosine", "sweep.values=[1, 2]"])
+        assert cfg["train"]["mode"] == "cosine" and cfg["sweep"]["values"] == [1, 2]
+
+    def test_table_replaced_by_value_rejected(self):
+        with pytest.raises(ConfigError, match="'loss.params' must be a table"):
+            resolve_config(overrides=["loss.params=3"])
+
+
+class TestSyntheticKinds:
+    @pytest.mark.parametrize("kind, other_key", [("planted", "density"), ("random", "num_blocks")])
+    def test_kind_rejects_the_other_kinds_keys(self, kind, other_key):
+        with pytest.raises(ConfigError, match=f"data.synthetic.{other_key}"):
+            resolve_config(overrides=[f"data.synthetic.kind={kind}", "data.synthetic.num_users=4",
+                                      "data.synthetic.num_items=4", f"data.synthetic.{other_key}=1"])
+
+    def test_kind_defaults_to_planted(self):
+        with pytest.raises(ConfigError, match="data.synthetic.density"):
+            resolve_config(overrides=["data.synthetic.density=0.1"])
+
+    def test_missing_required_key_reported(self):
+        with pytest.raises(ConfigError, match="requires data.synthetic.num_users"):
+            resolve_config(overrides=["data.synthetic.kind=random", "data.synthetic.num_items=4"])
+
+    def test_unknown_kind_reported(self):
+        with pytest.raises(ConfigError, match="unknown synthetic data kind 'blobs'"):
+            resolve_config(overrides=["data.synthetic.kind=blobs"])
+
+    def test_random_kind_accepts_its_keys(self):
+        resolve_config(overrides=["data.synthetic.kind=random", "data.synthetic.num_users=4",
+                                  "data.synthetic.num_items=4", "data.synthetic.density=0.5"])
 
 
 class TestStrictKeys:
@@ -90,8 +197,15 @@ class TestPrecedence:
         assert cfg["dataset_name"] == "abc"
 
     def test_override_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ConfigError, match="unknown config key 'train.alpha'"):
             resolve_config(overrides=["train.alpha=3"])
+
+    def test_apply_override_copies_and_leaves_checks_to_validation(self):
+        cfg = resolve_config()
+        out = apply_override(cfg, "train.alpha", 3)
+        assert out["train"]["alpha"] == 3 and "alpha" not in cfg["train"]
+        with pytest.raises(ConfigError, match="unknown config key 'train.alpha'"):
+            validate_config(out)
 
     def test_override_free_form_loss_params(self):
         cfg = resolve_config(overrides=[

@@ -181,10 +181,6 @@ class TestStructure:
         assert X.sum() == 6
         assert X[0, :3].tolist() == [1, 1, 1]
 
-    def test_train_matrix_budget(self, tiny_ds):
-        with pytest.raises(ValueError, match="budget"):
-            tiny_ds.train_matrix(max_items=4)
-
     def test_popularity_sums_to_train_count(self, tiny_ds):
         assert tiny_ds.item_popularity.sum() == tiny_ds.train_interactions
 

@@ -94,6 +94,36 @@ class TestPositivePrior:
         with pytest.raises(ValueError, match="no train positives"):
             positive_prior(ds, 1, DebiasParams())
 
+    @pytest.mark.parametrize("params, num_items", [
+        (DebiasParams(tau_mode="topk", k=3), 40),
+        (DebiasParams(tau_mode="proportional", alpha=0.7), 40),
+        (DebiasParams(tau_mode="topk", k=1_999_990), 2_000_000),  # 9 positives hit the ceiling
+    ])
+    def test_prior_all_matches_per_user_loop(self, params, num_items, rng):
+        lists = [sorted(rng.choice(40, size=rng.integers(0, 10), replace=False).tolist())
+                 for _ in range(30)]
+        lists[0], lists[1] = [], list(range(9))
+        ds = build_dataset(lists, [[] for _ in lists], num_items)
+        expected = np.full(ds.num_users, np.nan)
+        for u, items in enumerate(lists):
+            if items:
+                n = len(items)
+                if params.tau_mode == "topk":
+                    raw = (n + params.k) / num_items
+                else:
+                    raw = (1.0 + params.alpha) * n / num_items
+                expected[u] = min(raw, 1.0 - 1e-6)
+        np.testing.assert_array_equal(positive_prior_all(ds, params), expected)
+        for u in np.flatnonzero(ds.train_positives.lengths):
+            assert positive_prior(ds, u, params) == expected[u]
+
+    def test_prior_all_names_first_user_at_one(self):
+        ds = build_dataset([[0], [0, 1, 2], [0, 1, 2, 3]], [[], [], []], 10)
+        with pytest.raises(ValueError, match="for user 1;"):
+            positive_prior_all(ds, DebiasParams(tau_mode="topk", k=7))
+        with pytest.raises(ValueError, match="for user 2;"):
+            positive_prior(ds, 2, DebiasParams(tau_mode="topk", k=7))
+
     def test_prior_all_nan_for_empty(self):
         ds = build_dataset([[0], []], [[], [0]], 2)
         taus = positive_prior_all(ds, DebiasParams(k=0))
@@ -442,6 +472,20 @@ class TestDispatch:
         via_table = evaluate_loss("infonce_plus", b, {"lambda": 1.3, "epsilon": 0.2})
         direct = infonce_plus(b, InfoNCEPlusParams(1.3, 0.2))
         assert via_table.value == direct.value
+
+    @pytest.mark.parametrize("kind, explicit", [
+        ("infonce_plus", {"lambda": 1.0, "epsilon": 1.0}),
+        ("mine_plus", {"lambda": 1.0}),
+        ("ccl", {"negative_weight": 1.0, "margin": 0.0}),
+        ("mse", {"lambda_neg": 1.0}),
+        ("debiased_infonce", {"lambda_n": 1.0, "clamp_floor": True, "tau_mode": "topk"}),
+        ("debiased_ccl", {"lambda_n": 1.0, "margin": 0.0, "floor_at_zero": False}),
+        ("debiased_mse", {"lambda": 1.0, "k": 20, "alpha": 0.0}),
+    ])
+    def test_absent_params_take_kernel_defaults(self, kind, explicit, rng):
+        b = random_bundle(rng, n=5, m=2, low=-0.9, high=0.9)
+        tau = self.taus(kind)
+        assert evaluate_loss(kind, b, {}, tau).value == evaluate_loss(kind, b, explicit, tau).value
 
     def test_clamp_flag_reaches_function(self):
         b = bundle(0.0, [math.log(0.2)], [math.log(0.35)])

@@ -130,6 +130,11 @@ class TestEvaluate:
         report = evaluate(PopularityScorer(ds), ds, k=5)
         assert report.users_evaluated == 2
 
+    def test_k_below_one_rejected(self):
+        ds = build_dataset([[0], [1]], [[2], [3]], 4)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(PopularityScorer(ds), ds, k=0)
+
     def test_no_evaluable_user_rejected(self):
         ds = build_dataset([[0], [1]], [[], []], 3)
         with pytest.raises(ValueError, match="non-empty"):

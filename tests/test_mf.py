@@ -539,6 +539,15 @@ class TestTrainConfig:
                         loss_params={"temperature": 0.5},
                         sampler=SamplerConfig(n_negatives=4, m_positives=2))
 
+    def test_every_field_has_a_default(self):
+        cfg = TrainConfig()
+        assert cfg.embedding_dim == 64 and cfg.sampler == SamplerConfig()
+
+    @pytest.mark.parametrize("name", ["embedding_dim", "batch_size", "max_epochs", "eval_k"])
+    def test_counts_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            TrainConfig(**{name: 0})
+
     def test_mode_defaults(self):
         assert TrainConfig(embedding_dim=4, loss="bpr").mode == "dot"
         assert TrainConfig(embedding_dim=4, loss="mine_plus").mode == "cosine"
