@@ -15,7 +15,7 @@ import json
 import os
 
 from .linear import EASEConfig, IALSConfig
-from .losses import LOSS_KINDS, LOSS_TABLE
+from .losses import LOSS_KINDS, LOSS_TABLE, PARAM_DEFAULTS
 from .mf import TrainConfig
 from .sampling import SAMPLER_KINDS, SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
@@ -131,6 +131,11 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _check_type(key: str, value, default) -> None:
+    if not _type_ok(value, default):
+        raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
+
+
 def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
     for key, value in cfg.items():
         here = f"{path}{key}"
@@ -142,10 +147,8 @@ def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
                 raise ConfigError(f"config key {here!r} must be a table")
             if here != "loss.params":  # checked against the loss kind
                 _check_keys(value, default, here + ".")
-        elif not _type_ok(value, default):
-            raise ConfigError(
-                f"config key {here!r} must be {type(default).__name__}, got {value!r}"
-            )
+        else:
+            _check_type(here, value, default)
 
 
 def _check_synthetic(synth) -> None:
@@ -169,13 +172,18 @@ def validate_config(cfg: dict) -> None:
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     allowed = LOSS_TABLE[kind].params
-    for key in cfg["loss"]["params"]:
+    for key, value in cfg["loss"]["params"].items():
         if key not in allowed:
             hint = "; the clamp temperature is train.temperature" if key == "temperature" else ""
             raise ConfigError(
                 f"loss parameter {key!r} is not valid for kind {kind!r} "
                 f"(allowed: {sorted(allowed) or 'none'}){hint}"
             )
+        _check_type(f"loss.params.{key}", value, PARAM_DEFAULTS[key])
+    for key in ("train", "test"):
+        path = cfg["data"][key]
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"config key 'data.{key}' must be a path string or null, got {path!r}")
     if cfg["sampler"]["kind"] not in SAMPLER_KINDS:
         raise ConfigError(
             f"unknown sampler kind {cfg['sampler']['kind']!r}; expected one of {SAMPLER_KINDS}"

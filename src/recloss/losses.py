@@ -13,6 +13,7 @@ not overflow; hinge and clamp subgradients are taken as 0 at the kink.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -487,6 +488,21 @@ LOSS_KINDS = tuple(LOSS_TABLE)
 
 # the kinds that correct with a per-user positive prior tau+
 DEBIASED_KINDS = tuple(k for k, kind in LOSS_TABLE.items() if set(_PRIOR_KEYS) <= set(kind.params))
+
+
+def _param_defaults() -> dict:
+    """Each loss.params key with the default of the dataclass field or kernel
+    keyword that it sets through ``_kw``'s renames."""
+    declared = {}
+    for source in (InfoNCEPlusParams, CCLParams, DebiasParams, mine_plus, mse_pointwise,
+                   debiased_ccl, debiased_mse):
+        declared.update((name, p.default) for name, p in inspect.signature(source).parameters.items()
+                        if p.default is not p.empty)
+    return {key: declared[_KEYWORDS.get(key, key)] for kind in LOSS_TABLE.values() for key in kind.params}
+
+
+# the default of every loss.params key, whose type a configured value must have
+PARAM_DEFAULTS = _param_defaults()
 
 
 def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None) -> LossEvaluation:

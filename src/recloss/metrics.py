@@ -43,12 +43,41 @@ class PopularityScorer:
         return np.broadcast_to(self.scores, (len(users), len(self.scores)))
 
 
-def _masked_topk(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
-    scores = np.array(scores, dtype=float)
-    if len(train_items):
-        scores[train_items] = -np.inf
-    # stable sort of the negated scores = descending score, ascending index on ties
-    return np.argsort(-scores, kind="stable")[:k]
+def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``neg`` (negated scores, masked items at +inf), the indices
+    of its k smallest entries, exactly as ``np.argsort(neg, axis=1,
+    kind="stable")[:, :k]`` orders them: descending score, ties by lowest
+    index, then -inf and masked items, then NaN scores, each in index order.
+    """
+    n = neg.shape[1]
+    if k < n:
+        cand = np.argpartition(neg, k - 1, axis=1)[:, :k].copy()
+        vals = np.take_along_axis(neg, cand, axis=1)
+        bound = vals[:, k - 1:]
+        nan_bound = np.isnan(bound[:, 0])
+        # argpartition takes any of the items tied at the boundary value (NaN
+        # ones included): fix the rows with tied items left out of the candidates
+        tied = neg == bound
+        fix = np.flatnonzero(nan_bound | (np.count_nonzero(tied, axis=1)
+                                          > np.count_nonzero(vals == bound, axis=1)))
+        tied, nan_fix = tied[fix], nan_bound[fix]
+        tied[nan_fix] = np.isnan(neg[fix[nan_fix]])
+        t, v = bound[fix], vals[fix]
+        above = (v < t) | (np.isnan(t) & ~np.isnan(v))
+        # keep the candidates above the boundary; the lowest-index tied items,
+        # found by partitioning their indices, fill the remaining slots
+        key = np.where(tied, np.arange(n, dtype=np.int32), n)
+        key.partition(k - 1, axis=1)
+        lowest = np.sort(key[:, :k], axis=1)
+        fixed = cand[fix]
+        fixed[~above] = lowest[np.arange(k) < k - np.count_nonzero(above, axis=1)[:, None]]
+        cand[fix] = fixed
+        cand.sort(axis=1)
+    else:
+        cand = np.broadcast_to(np.arange(n), neg.shape)
+    # candidates in index order, so a stable sort of their values breaks ties by index
+    order = np.argsort(np.take_along_axis(neg, cand, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1)
 
 
 def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarray:
@@ -59,9 +88,10 @@ def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarra
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = np.asarray(scorer.score_all(u), dtype=float)
-    train = ds.train_positives[u] if mask_train else np.empty(0, dtype=int)
-    return _masked_topk(scores, train, min(k, ds.num_items))
+    neg = -np.asarray(scorer.score_all(u), dtype=float)
+    if mask_train:
+        neg[ds.train_positives[u]] = np.inf
+    return _top_k(neg[None], min(k, ds.num_items))[0]
 
 
 def recall_at_k(topk, test_items) -> float:
@@ -116,11 +146,12 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     for start in range(0, len(users), _BLOCK_USERS):
         us = users[start:start + _BLOCK_USERS]
         if score_block is not None:
-            scores = np.array(score_block(us), dtype=float)
+            neg = np.array(score_block(us), dtype=float)
         else:
-            scores = np.stack([np.asarray(scorer.score_all(u), dtype=float) for u in us])
-        scores[train[us].nonzero()] = -np.inf
-        topk = np.argsort(-scores, axis=1, kind="stable")[:, :k_eff]
+            neg = np.stack([np.asarray(scorer.score_all(u), dtype=float) for u in us])
+        np.negative(neg, out=neg)
+        neg[train[us].nonzero()] = np.inf
+        topk = _top_k(neg, k_eff)
         hits = sorted_member(test_keys, us[:, None] * ds.num_items + topk)
         counts = test_counts[us]
         recall_sum += float((hits.sum(axis=1) / counts).sum())

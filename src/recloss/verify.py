@@ -28,6 +28,12 @@ class PropertyReport:
     instances: int
 
 
+def _require_instances(count: int, key: str) -> None:
+    """A check over zero instances checks nothing, so it must not report a pass."""
+    if count < 1:
+        raise ValueError(f"{key} must be >= 1, got {count}")
+
+
 def verify_bound_chain(
     num_instances: int = 10_000,
     seed: int = 0,
@@ -38,6 +44,7 @@ def verify_bound_chain(
 ) -> list[PropertyReport]:
     """Slack of every loss inequality over random score bundles; all slacks
     must stay above `tolerance` (zero up to float noise)."""
+    _require_instances(num_instances, "verify.bound_instances")
     rng = substream(seed, "verify-bounds")
     worst = {name: np.inf for name in BOUND_NAMES}
     for _ in range(num_instances):
@@ -75,6 +82,7 @@ def verify_theorem1(
     tolerance: float = 1e-8,
 ) -> PropertyReport:
     """Debiased-iALS closed form equals the rescaled original closed form."""
+    _require_instances(num_instances, "verify.theorem_instances")
     rng = substream(seed, "verify-thm1")
     worst = 0.0
     for k in range(num_instances):
@@ -105,6 +113,7 @@ def verify_theorem2(
 ) -> list[PropertyReport]:
     """Debiased EASE vs rescaled EASE (all instances) and vs an L-BFGS
     minimizer of the debiased objective (every `oracle_every`-th instance)."""
+    _require_instances(num_instances, "verify.theorem_instances")
     rng = substream(seed, "verify-thm2")
     worst_scale, worst_oracle, oracle_runs = 0.0, 0.0, 0
     for k in range(num_instances):
@@ -142,6 +151,8 @@ def run_verification(
     theorem_instances: int = 50,
     seed: int = 0,
 ) -> dict:
+    _require_instances(bound_instances, "verify.bound_instances")
+    _require_instances(theorem_instances, "verify.theorem_instances")
     reports = (
         verify_bound_chain(bound_instances, seed=seed)
         + [verify_theorem1(theorem_instances, seed=seed)]

@@ -276,6 +276,16 @@ class TestVerify:
         assert report["passed"] is True
         assert len(report["properties"]) == 9
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--bounds", "0", "--theorem-instances", "0"], "verify.bound_instances"),
+        (["--theorem-instances", "0"], "verify.theorem_instances"),
+    ])
+    def test_zero_instances_is_an_error(self, flags, key, capsys):
+        assert main(["verify", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err.startswith(f"error: {key} must be >= 1")
+
     def test_failure_exit_code(self, monkeypatch, capsys):
         fake = {"seed": 0, "passed": False,
                 "properties": [{"name": "bound/x", "passed": False,
@@ -422,6 +432,12 @@ class TestSettingErrors:
         (["train", "--set", "train.embedding_dim=0"], "embedding_dim must be >= 1"),
         (["train", "--set", "eval.k=0"], "eval_k must be >= 1"),
         (["solve", "--model", "ease", "--set", "eval.k=0"], "k must be >= 1"),
+        (["train", "--set", "loss.kind=mine_plus", "--set", "loss.params.lambda=abc"],
+         "config key 'loss.params.lambda' must be float"),
+        (["train", "--set", "loss.kind=debiased_ccl", "--set", "loss.params.k=2.5"],
+         "config key 'loss.params.k' must be int"),
+        (["stats", "--set", "data.train=123", "--set", "data.test=456"],
+         "config key 'data.train' must be a path string"),
     ])
     def test_error_names_the_setting(self, command, named, tmp_path, capsys):
         out = tmp_path / "x"

@@ -160,6 +160,31 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match="train.temperature"):
             resolve_config(overrides=["loss.kind=debiased_infonce", "loss.params.temperature=0.4"])
 
+    @pytest.mark.parametrize("kind, key, value, expected", [
+        ("mine_plus", "lambda", "abc", "float"),
+        ("infonce_plus", "epsilon", True, "float"),
+        ("mse", "lambda_neg", [1], "float"),
+        ("debiased_ccl", "k", 2.5, "int"),
+        ("debiased_ccl", "floor_at_zero", 1, "bool"),
+        ("debiased_infonce", "clamp_floor", "no", "bool"),
+        ("debiased_mse", "tau_mode", 3, "str"),
+    ])
+    def test_loss_param_type_checked(self, kind, key, value, expected):
+        bad = deep_merge(DEFAULTS, {"loss": {"kind": kind, "params": {key: value}}})
+        with pytest.raises(ConfigError, match=f"'loss.params.{key}' must be {expected}"):
+            validate_config(bad)
+
+    def test_loss_param_int_accepted_for_float(self):
+        cfg = resolve_config(overrides=["loss.kind=debiased_ccl", "loss.params.lambda_n=1",
+                                        "loss.params.margin=0", "loss.params.k=5"])
+        assert cfg["loss"]["params"] == {"lambda_n": 1, "margin": 0, "k": 5}
+
+    @pytest.mark.parametrize("key", ["train", "test"])
+    @pytest.mark.parametrize("value", [123, 1.5, True, ["a"], {"path": "a"}])
+    def test_data_path_must_be_a_string(self, key, value):
+        with pytest.raises(ConfigError, match=f"'data.{key}' must be a path string or null"):
+            validate_config(deep_merge(DEFAULTS, {"data": {key: value}}))
+
     def test_unknown_loss_kind(self):
         with pytest.raises(ConfigError, match="unknown loss kind"):
             validate_config(deep_merge(DEFAULTS, {"loss": {"kind": "triplet"}}))

@@ -1,10 +1,12 @@
 """Top-k ranking and recall/NDCG against brute-force references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from recloss import metrics
 from recloss import (
     MetricsReport,
     PopularityScorer,
@@ -29,6 +31,44 @@ class FixedScorer:
 
     def _score_block(self, users):
         return self.table[np.asarray(users)]
+
+
+def reference_top_k(scores, k):
+    """The full stable sort the kernel replaced: descending score, ties by
+    lowest index, -inf then NaN last, each in index order."""
+    return np.argsort(-np.asarray(scores, dtype=float), axis=1, kind="stable")[:, :k]
+
+
+def tie_cases(rng, b=6, n=300):
+    """Score blocks whose rankings hinge on the tie rule, by name."""
+    mostly_masked = rng.normal(size=(b, n))
+    mostly_masked[rng.random((b, n)) < 0.995] = -np.inf
+    with_nan = np.round(rng.normal(size=(b, n)), 1)
+    with_nan[rng.random((b, n)) < 0.3] = np.nan
+    with_nan[rng.random((b, n)) < 0.2] = -np.inf
+    mostly_nan = rng.normal(size=(b, n))
+    mostly_nan[rng.random((b, n)) < 0.97] = np.nan
+    nan_and_masked = np.full((b, n), np.nan)
+    nan_and_masked[:, ::7] = -np.inf
+    signed_zeros = np.round(rng.normal(size=(b, n)))
+    signed_zeros[signed_zeros == 0] = -0.0
+    signed_zeros[:, ::3] = 0.0
+    signed_zeros[:, ::5] = np.inf
+    return {
+        "gaussian": rng.normal(size=(b, n)),
+        "heavy_ties": np.round(rng.normal(size=(b, n)), 1),
+        "popularity": np.broadcast_to(rng.zipf(1.5, size=n).astype(float), (b, n)).copy(),
+        "binary": (rng.random((b, n)) < 0.3).astype(float),
+        "mostly_masked": mostly_masked,
+        "all_masked": np.full((b, n), -np.inf),
+        "with_nan": with_nan,
+        "mostly_nan": mostly_nan,
+        "nan_and_masked": nan_and_masked,
+        "signed_zeros": signed_zeros,
+    }
+
+
+CASE_NAMES = tuple(tie_cases(np.random.default_rng(0)))
 
 
 def brute_force_metrics(scores, train, test, k):
@@ -65,6 +105,68 @@ class TestRankTopK:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             rank_top_k(FixedScorer([[0.0] * 3] * 2), self.ds, 0, 0)
+
+
+class TestTopKKernel:
+    """The exact top-k kernel against the full stable sort it replaced."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    @pytest.mark.parametrize("k", [1, 2, 20, 299, 300])
+    def test_kernel_matches_stable_sort(self, name, k):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            scores = tie_cases(rng)[name]
+            got = metrics._top_k(-scores, k)
+            np.testing.assert_array_equal(got, reference_top_k(scores, k))
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_rank_top_k_matches_stable_sort(self, name):
+        # k = 12 exceeds the unmasked items of user 1, so masked ones pad its tail
+        rng = np.random.default_rng(23)
+        scores = tie_cases(rng, b=3, n=15)[name]
+        train = [[0, 5], list(range(4, 15)), []]
+        ds = build_dataset(train, [[1], [1], [0]], 15)
+        for k in (1, 4, 12, 15):
+            for u in range(3):
+                masked = scores[u].copy()
+                masked[train[u]] = -np.inf
+                got = rank_top_k(FixedScorer(scores), ds, u, k)
+                assert got.tolist() == reference_top_k(masked[None], k)[0].tolist()
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_evaluate_matches_stable_sort(self, name):
+        rng = np.random.default_rng(29)
+        n, k = 40, 20
+        scores = tie_cases(rng, b=8, n=n)[name]
+        train = [rng.choice(n, size=int(rng.integers(0, 25)), replace=False).tolist()
+                 for _ in range(8)]
+        test = [rng.choice(np.setdiff1d(np.arange(n), t), size=3, replace=False).tolist()
+                for t in train]
+        ds = build_dataset(train, test, n)
+        masked = scores.copy()
+        for u, items in enumerate(train):
+            masked[u, items] = -np.inf
+        order = reference_top_k(masked, k)
+        recall = np.mean([recall_at_k(order[u], test[u]) for u in range(8)])
+        ndcg = np.mean([ndcg_at_k(order[u], test[u]) for u in range(8)])
+        report = evaluate(FixedScorer(scores), ds, k=k)
+        assert report.recall == pytest.approx(recall, abs=1e-12)
+        assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
+
+    def test_evaluate_peak_memory(self):
+        # the block's score copy plus argpartition's (B, n) result; the full
+        # stable sort held a negated copy and a (B, n) int64 order on top
+        b, n = 256, 20_000
+        rng = np.random.default_rng(31)
+        ds = build_dataset([[u] for u in range(b)], [[b + u] for u in range(b)], n)
+        scorer = FixedScorer(rng.normal(size=(b, n)))
+        tracemalloc.start()
+        try:
+            evaluate(scorer, ds, k=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * b * n * 8
 
 
 class TestRecall:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from recloss import (
     BOUND_NAMES,
@@ -62,6 +63,16 @@ class TestTheoremDrivers:
         assert oracle.instances == 2
 
 
+@pytest.mark.parametrize("check, key", [
+    (verify_bound_chain, "verify.bound_instances"),
+    (verify_theorem1, "verify.theorem_instances"),
+    (verify_theorem2, "verify.theorem_instances"),
+])
+def test_property_check_rejects_zero_instances(check, key):
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        check(num_instances=0)
+
+
 class TestRunVerification:
     def test_report_shape_and_json(self, tmp_path):
         report = run_verification(bound_instances=100, theorem_instances=4, seed=2)
@@ -71,3 +82,11 @@ class TestRunVerification:
         write_report(report, path)
         loaded = json.loads(path.read_text())
         assert loaded == report
+
+    @pytest.mark.parametrize("counts, key", [
+        ({"bound_instances": 0}, "verify.bound_instances"),
+        ({"theorem_instances": -1}, "verify.theorem_instances"),
+    ])
+    def test_counts_below_one_rejected(self, counts, key):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            run_verification(**counts)
