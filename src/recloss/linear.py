@@ -6,6 +6,10 @@ checks at the bottom verify numerically that each debiased solution equals
 a rescaled original solution with mapped hyperparameters — one comparison
 runs the two closed forms side by side, the other pits the closed form
 against a general-purpose constrained optimizer.
+
+iALS reads one binary scipy CSR (its transpose is the item side).  One row
+solver serves both half-sweeps and both sides of Theorem 1, and the
+objective sums its observed terms over the CSR entries in fixed-size chunks.
 """
 
 from __future__ import annotations
@@ -14,30 +18,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dposv, dpotrf, dpotri
 from scipy.optimize import minimize
 
-from .data import CSRRows, InteractionDataset
+from .data import InteractionDataset
 from .sampling import substream
 
 # the models `recloss solve` fits, as linear.model names them
 LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 
+# gathered factor entries per ials_objective chunk: two 8 MB float64 blocks
+_CHUNK_FLOATS = 1 << 20
 
-def _positives_from(source):
-    """(user rows, item rows, num_users, num_items): the CSR of a dataset's
-    train pairs or of a 2-d matrix's nonzeros, and its CSC transpose, both as
-    CSRRows; a tuple this function built before is returned as is."""
-    if isinstance(source, tuple):
-        return source
+
+def _interactions(source) -> sp.csr_matrix:
+    """Binary user x item CSR of a dataset's train pairs, or a copy of a 2-d
+    matrix's nonzeros with duplicates summed and stored zeros dropped."""
     if isinstance(source, InteractionDataset):
-        X = source.train_csr()
-    elif np.ndim(source) != 2:
+        return source.train_csr()
+    if np.ndim(source) != 2:
         raise ValueError("interaction matrix must be 2-d")
-    else:
-        X = sp.csr_matrix(source)
-    by_item = X.tocsc()
-    return CSRRows(X.indptr, X.indices), CSRRows(by_item.indptr, by_item.indices), *X.shape
+    X = sp.csr_matrix(source, dtype=float, copy=True)
+    X.sum_duplicates()
+    X.eliminate_zeros()
+    X.data[:] = 1.0
+    return X
+
+
+def _ridge_weights(X: sp.csr_matrix, lam: float, alpha0: float, nu: float):
+    """lam (|S| + alpha0 * other side's size)^nu per user and per item."""
+    num_users, num_items = X.shape
+    per_user = np.diff(X.indptr) + alpha0 * num_items
+    per_item = np.bincount(X.indices, minlength=num_items) + alpha0 * num_users
+    return lam * per_user**nu, lam * per_item**nu
 
 
 @dataclass
@@ -75,29 +89,23 @@ class IALSState:
 
 def ials_objective(W, H, source, cfg: IALSConfig, debiased: bool = False) -> float:
     """The alternating-least-squares objective (debiased variant reweights
-    observed terms by c_u and subtracts c_u * alpha0 * yhat^2 on them).
-    ``source`` may also be the positives tuple ials_fit builds once."""
-    user_items, item_users, num_users, num_items = _positives_from(source)
-    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (num_users,))
+    observed terms by c_u and subtracts c_u * alpha0 * yhat^2 on them)."""
+    X = _interactions(source)
+    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), X.shape[:1])
     # alpha0 * ||W H^T||_F^2 without materializing the full prediction grid
-    gram_h = H.T @ H
-    total = cfg.alpha0 * float(np.sum((W @ gram_h) * W))
-    for u, items in enumerate(user_items):
-        if len(items) == 0:
-            continue
-        yhat = H[items] @ W[u]
+    total = cfg.alpha0 * float(np.sum((W @ (H.T @ H)) * W))
+    users = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    step = max(1, _CHUNK_FLOATS // W.shape[1])
+    for lo in range(0, X.nnz, step):
+        u, i = users[lo:lo + step], X.indices[lo:lo + step]
+        yhat = np.einsum("ij,ij->i", W[u], H[i])
+        terms = (yhat - 1.0) ** 2
         if debiased:
-            total += c[u] * float(np.sum((yhat - 1.0) ** 2))
-            total -= c[u] * cfg.alpha0 * float(np.sum(yhat**2))
-        else:
-            total += float(np.sum((yhat - 1.0) ** 2))
-    total += cfg.lam * float(
-        np.sum((user_items.lengths + cfg.alpha0 * num_items) ** cfg.nu * np.sum(W**2, axis=1))
-    )
-    total += cfg.lam * float(
-        np.sum((item_users.lengths + cfg.alpha0 * num_users) ** cfg.nu * np.sum(H**2, axis=1))
-    )
-    return total
+            terms -= cfg.alpha0 * yhat**2
+            terms *= c[u]
+        total += float(np.sum(terms))
+    lam_u, lam_i = _ridge_weights(X, cfg.lam, cfg.alpha0, cfg.nu)
+    return total + float(lam_u @ np.sum(W**2, axis=1)) + float(lam_i @ np.sum(H**2, axis=1))
 
 
 def _ridge_solve(A: np.ndarray, b: np.ndarray, kind: str, row: int) -> np.ndarray:
@@ -105,7 +113,7 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, kind: str, row: int) -> np.ndarra
 
     A is symmetric and C-ordered; LAPACK factors its Fortran-ordered
     transpose in place (a C-ordered array would be copied first).  NaN can
-    pass the factorization, so callers check the solved factor for it.
+    pass the factorization, so _solve_rows checks the solved rows for it.
     """
     _, x, info = dposv(A.T, b, lower=True, overwrite_a=True, overwrite_b=True)
     if info > 0:
@@ -116,9 +124,29 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, kind: str, row: int) -> np.ndarra
     return x
 
 
-def _require_finite(M: np.ndarray, kind: str) -> None:
-    if not np.all(np.isfinite(M)):
+def _solve_rows(R: sp.csr_matrix, fixed: np.ndarray, gram: np.ndarray, lams, kind: str,
+                a_scale=1.0, b_scale=1.0, conf: np.ndarray | None = None) -> np.ndarray:
+    """For each row r of R, with S its stored columns and M = fixed, solve
+    (a_r M_S^T diag(conf_S) M_S + gram + lams[r] I) x = b_r M_S^T conf_S, where
+    conf is 1 when None and a, b are scalars or per-row arrays; returns finite rows x."""
+    n, d = R.shape[0], fixed.shape[1]
+    a_scale, b_scale = np.broadcast_to(a_scale, (n,)), np.broadcast_to(b_scale, (n,))
+    out = np.empty((n, d))
+    bounds = R.indptr.tolist()
+    for r in range(n):
+        cols = R.indices[bounds[r]:bounds[r + 1]]
+        M_s = fixed[cols]
+        CM = M_s if conf is None else conf[cols, None] * M_s
+        # one BLAS call forms a_r M_S^T (conf M_S) + gram in a fresh Fortran-ordered
+        # array; a_r scales the product, since weighting M_S first can overflow it
+        A = dgemm(a_scale[r], M_s.T, CM.T, 1.0, gram, trans_b=True).T
+        b = CM.sum(axis=0)
+        b *= b_scale[r]
+        A.flat[:: d + 1] += lams[r]
+        out[r] = _ridge_solve(A, b, kind, r)
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"iALS {kind} solves produced non-finite factors")
+    return out
 
 
 def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
@@ -133,50 +161,23 @@ def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
     """
     if debiased and cfg.alpha0 >= 1:
         raise ValueError("debiased mode requires alpha0 < 1")
-    positives = _positives_from(source)
-    user_items, item_users, num_users, num_items = positives
+    X = _interactions(source)
+    by_item = X.T.tocsr()
+    num_users, num_items = X.shape
     c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (num_users,))
     rng = substream(cfg.seed, "init")
-    d = cfg.d
-    W = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_users, d))
-    H = rng.normal(0.0, cfg.init_scale / np.sqrt(d), size=(num_items, d))
-    lam_u = cfg.lam * (user_items.lengths + cfg.alpha0 * num_items) ** cfg.nu
-    lam_i = cfg.lam * (item_users.lengths + cfg.alpha0 * num_users) ** cfg.nu
+    W = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(num_users, cfg.d))
+    H = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(num_items, cfg.d))
+    lam_u, lam_i = _ridge_weights(X, cfg.lam, cfg.alpha0, cfg.nu)
+    user_a, user_b = (c * (1.0 - cfg.alpha0), c) if debiased else (1.0, 1.0)
+    item_a, item_conf = (1.0 - cfg.alpha0, c) if debiased else (1.0, None)
 
-    state = IALSState(W, H)
-    state.objective_trace.append(ials_objective(W, H, positives, cfg, debiased))
+    trace = [ials_objective(W, H, X, cfg, debiased)]
     for _ in range(cfg.num_sweeps):
-        a0_gram = cfg.alpha0 * (H.T @ H)
-        for u, items in enumerate(user_items):
-            H_s = H[items]
-            A = H_s.T @ H_s
-            b = H_s.sum(axis=0)
-            if debiased:
-                A *= c[u] * (1.0 - cfg.alpha0)
-                b *= c[u]
-            A += a0_gram
-            A.flat[:: d + 1] += lam_u[u]
-            W[u] = _ridge_solve(A, b, "user", u)
-        _require_finite(W, "user")
-        a0_gram = cfg.alpha0 * (W.T @ W)
-        for i, users in enumerate(item_users):
-            W_s = W[users]
-            if debiased:
-                cu = c[users]
-                # (c W_S)^T W_S is the transpose of W_S^T (c W_S); the solve
-                # reads its upper triangle, which is the latter's lower one
-                A = (cu[:, None] * W_s).T @ W_s
-                A *= 1.0 - cfg.alpha0
-                b = W_s.T @ cu
-            else:
-                A = W_s.T @ W_s
-                b = W_s.sum(axis=0)
-            A += a0_gram
-            A.flat[:: d + 1] += lam_i[i]
-            H[i] = _ridge_solve(A, b, "item", i)
-        _require_finite(H, "item")
-        state.objective_trace.append(ials_objective(W, H, positives, cfg, debiased))
-    return state
+        W = _solve_rows(X, H, cfg.alpha0 * (H.T @ H), lam_u, "user", user_a, user_b)
+        H = _solve_rows(by_item, W, cfg.alpha0 * (W.T @ W), lam_i, "item", item_a, 1.0, item_conf)
+        trace.append(ials_objective(W, H, X, cfg, debiased))
+    return IALSState(W, H, trace)
 
 
 @dataclass
@@ -255,9 +256,10 @@ class EASEScorer:
         return self.X[users] @ self.W
 
 
-def _rel_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(b))), 1e-30)
-    return float(np.max(np.abs(a - b))) / scale
+def _rel_deviation(a: np.ndarray, b: np.ndarray, axis: int | None = None) -> float:
+    """max |a - b| / max(max |b|, 1e-30), whole or per slice along axis (the largest)."""
+    scale = np.maximum(np.max(np.abs(b), axis=axis), 1e-30)
+    return float(np.max(np.max(np.abs(a - b), axis=axis) / scale, initial=0.0))
 
 
 def check_theorem1(
@@ -284,33 +286,22 @@ def check_theorem1(
         raise ValueError("theorem premise needs 0 < alpha0 < 1")
     if c_u <= 0:
         raise ValueError("theorem premise needs constant c_u > 0")
-    user_items, item_users, num_users, num_items = _positives_from(np.asarray(X, dtype=float))
+    R = _interactions(X)
     rng = substream(seed, "init")
-    H = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_items, d))
-    W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(num_users, d))
-    if lambda_users is None:
-        lambda_users = lam * (user_items.lengths + alpha0 * num_items) ** nu
-    if lambda_items is None:
-        lambda_items = lam * (item_users.lengths + alpha0 * num_users) ** nu
+    H = rng.normal(0.0, 1.0 / np.sqrt(d), size=(R.shape[1], d))
+    W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(R.shape[0], d))
+    default_u, default_i = _ridge_weights(R, lam, alpha0, nu)
+    lam_u = default_u if lambda_users is None else np.asarray(lambda_users, dtype=float)
+    lam_i = default_i if lambda_items is None else np.asarray(lambda_items, dtype=float)
 
     scale = 1.0 / ((1.0 - alpha0) * c_u)
     factor = 1.0 / (np.sqrt(c_u) * (1.0 - alpha0))
     worst = 0.0
-    for kind, rows, mat, gram, lams in (
-        ("user", user_items, H, H.T @ H, lambda_users),
-        ("item", item_users, W, W.T @ W, lambda_items),
-    ):
-        for r, obs in enumerate(rows):
-            M_s = mat[obs]
-            gram_s = M_s.T @ M_s
-            b = M_s.sum(axis=0)
-            A = c_u * (1.0 - alpha0) * gram_s + alpha0 * gram
-            A.flat[:: d + 1] += lams[r]
-            debiased = _ridge_solve(A, np.sqrt(c_u) * b, kind, r)
-            A = gram_s + (alpha0 * scale) * gram
-            A.flat[:: d + 1] += lams[r] * scale
-            original = _ridge_solve(A, b, kind, r)
-            worst = max(worst, _rel_deviation(debiased, factor * original))
+    for kind, rows, fixed, lams in (("user", R, H, lam_u), ("item", R.T.tocsr(), W, lam_i)):
+        gram = fixed.T @ fixed
+        debiased = _solve_rows(rows, fixed, alpha0 * gram, lams, kind, c_u * (1.0 - alpha0), np.sqrt(c_u))
+        original = _solve_rows(rows, fixed, (alpha0 * scale) * gram, lams * scale, kind)
+        worst = max(worst, _rel_deviation(debiased, factor * original, axis=1))
     return worst
 
 

@@ -246,6 +246,7 @@ def ccl(b: ScoreBundle, p: CCLParams) -> LossEvaluation:
 
     value = (1 - y_ui) + (w / N) * sum_j max(0, y_uj - margin).
     """
+    _require_unlabeled(b, "ccl")
     over = b.unlabeled_scores - p.margin
     active = over > 0
     scale = p.negative_weight / b.n
@@ -281,6 +282,11 @@ def _require_extra(b: ScoreBundle, name: str) -> None:
         )
 
 
+def _require_unlabeled(b: ScoreBundle, name: str) -> None:
+    if b.n < 1:
+        raise ValueError(f"{name} needs N >= 1 unlabeled scores")
+
+
 def debiased_infonce(b: ScoreBundle, d: DebiasParams, tau_plus) -> LossEvaluation:
     """Contrastive loss with the false-negative mass subtracted from the partition.
 
@@ -300,8 +306,7 @@ def debiased_infonce(b: ScoreBundle, d: DebiasParams, tau_plus) -> LossEvaluatio
     argument positive.
     """
     _require_extra(b, "debiased_infonce")
-    if b.n < 1:
-        raise ValueError("debiased_infonce needs N >= 1")
+    _require_unlabeled(b, "debiased_infonce")
     tau_plus = np.asarray(tau_plus, dtype=float)
     tau_minus = 1.0 - tau_plus
 
@@ -359,6 +364,7 @@ def debiased_ccl(
     zero gradients when active), mirroring non-negative risk estimators.
     """
     _require_extra(b, "debiased_ccl")
+    _require_unlabeled(b, "debiased_ccl")
     tau_plus = np.asarray(tau_plus, dtype=float)
     over_unl = b.unlabeled_scores - p.margin
     over_ext = b.extra_pos_scores - p.margin
@@ -389,8 +395,7 @@ def debiased_mse(b: ScoreBundle, d: DebiasParams, tau_plus, lambda_: float = 1.0
           + lambda * (mean_j y_uj^2 - tau+ * mean_k y_uk^2)
     """
     _require_extra(b, "debiased_mse")
-    if b.n < 1:
-        raise ValueError("debiased_mse needs N >= 1")
+    _require_unlabeled(b, "debiased_mse")
     tau_plus = np.asarray(tau_plus, dtype=float)
     return LossEvaluation(
         value=tau_plus * (1.0 - b.pos_score) ** 2

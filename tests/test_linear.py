@@ -18,7 +18,8 @@ from recloss import (
     ials_fit,
     ials_objective,
 )
-from recloss.linear import _positives_from
+from recloss import linear
+from recloss.linear import _interactions
 from recloss.sampling import substream
 from conftest import build_dataset
 
@@ -88,6 +89,33 @@ def reference_ease_fit(X, lam, alpha=0.0):
     return W, P
 
 
+def reference_ials_objective(W, H, X, cfg, debiased=False):
+    """The iALS objective with one loop iteration per user, as it was first
+    written; X is a dense binary matrix."""
+    user_items, item_users = reference_positives(X)
+    num_users, num_items = X.shape
+    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (num_users,))
+    total = cfg.alpha0 * float(np.sum((W @ (H.T @ H)) * W))
+    for u, items in enumerate(user_items):
+        if len(items) == 0:
+            continue
+        yhat = H[items] @ W[u]
+        if debiased:
+            total += c[u] * float(np.sum((yhat - 1.0) ** 2))
+            total -= c[u] * cfg.alpha0 * float(np.sum(yhat**2))
+        else:
+            total += float(np.sum((yhat - 1.0) ** 2))
+    user_counts = np.array([len(p) for p in user_items])
+    item_counts = np.array([len(p) for p in item_users])
+    total += cfg.lam * float(
+        np.sum((user_counts + cfg.alpha0 * num_items) ** cfg.nu * np.sum(W**2, axis=1))
+    )
+    total += cfg.lam * float(
+        np.sum((item_counts + cfg.alpha0 * num_users) ** cfg.nu * np.sum(H**2, axis=1))
+    )
+    return total
+
+
 def test_positives_match_the_loop_oracle(rng):
     X = random_binary(rng, (9, 12))
     X[:, 4] = 0.0  # an item nobody has
@@ -95,11 +123,51 @@ def test_positives_match_the_loop_oracle(rng):
     ds = build_dataset([np.flatnonzero(r) for r in X], [[] for _ in X], 12)
     want_u, want_i = reference_positives(X)
     for source in (X, ds):
-        user_items, item_users, num_users, num_items = _positives_from(source)
+        R = _interactions(source)
+        num_users, num_items = R.shape
+        user_items, item_users = (np.split(M.indices, M.indptr[1:-1]) for M in (R, R.T.tocsr()))
         assert (num_users, num_items) == X.shape
         assert len(user_items) == 9 and len(item_users) == 12
         for got, want in zip([*user_items, *item_users], want_u + want_i):
             np.testing.assert_array_equal(got, want)
+
+
+def test_stored_zeros_and_duplicates_are_not_interactions():
+    dense = np.eye(2)
+    ds = build_dataset([[0], [1]], [[], []], 2)
+    # row 0 stores a zero at item 1; row 1 stores item 1 twice
+    stored_zero = sp.csr_matrix(([1.0, 0.0, 1.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+    duplicated = sp.csr_matrix(([1.0, 1.0, 1.0], [0, 1, 1], [0, 1, 3]), shape=(2, 2))
+    cfg = IALSConfig(d=2, alpha0=0.1, lam=0.1, num_sweeps=2)
+    want = ials_fit(dense, cfg)
+    for source in (sp.csr_matrix(dense), stored_zero, duplicated, ds):
+        got = ials_fit(source, cfg)
+        np.testing.assert_array_equal(got.W, want.W)
+        np.testing.assert_array_equal(got.H, want.H)
+        assert got.objective_trace == want.objective_trace
+        assert ials_objective(want.W, want.H, source, cfg) == want.objective_trace[-1]
+    # the caller's matrices keep what they stored
+    assert stored_zero.nnz == 3 and list(stored_zero.data) == [1.0, 0.0, 1.0]
+    assert duplicated.nnz == 3
+
+
+class TestIALSObjective:
+    @pytest.mark.parametrize("debiased", [False, True])
+    @pytest.mark.parametrize("per_user_c", [False, True])
+    def test_matches_the_per_user_loop(self, debiased, per_user_c, rng):
+        # the last shape holds more entries than one chunk of d = 64 factors
+        for shape, p, d in (((9, 12), 0.4, 3), ((40, 25), 0.2, 5), ((300, 120), 0.5, 64)):
+            X = random_binary(rng, shape, p)
+            X[:, 4] = 0.0  # an item nobody has
+            X[3] = 0.0  # a user with no items
+            c_u = rng.uniform(0.5, 2.5, size=shape[0]) if per_user_c else 1.7
+            cfg = IALSConfig(d=d, alpha0=0.15, lam=0.05, nu=0.7, c_u=c_u)
+            W, H = rng.normal(size=(shape[0], d)), rng.normal(size=(shape[1], d))
+            want = reference_ials_objective(W, H, X, cfg, debiased)
+            for source in (X, sp.csr_matrix(X)):
+                got = ials_objective(W, H, source, cfg, debiased)
+                assert abs(got - want) <= 1e-12 * abs(want)
+        assert X.sum() > linear._CHUNK_FLOATS // d
 
 
 class TestIALSConfig:

@@ -57,6 +57,17 @@ class TestScoreBundle:
         assert np.shape(ev.d_extra_pos) == (2,)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda b: ccl(b, CCLParams()),
+    lambda b: debiased_ccl(b, CCLParams(), DebiasParams(), 0.3),
+    lambda b: debiased_mse(b, DebiasParams(), 0.3),
+    lambda b: debiased_infonce(b, DebiasParams(), 0.3),
+], ids=["ccl", "debiased_ccl", "debiased_mse", "debiased_infonce"])
+def test_no_unlabeled_scores_rejected(kernel):
+    with pytest.raises(ValueError, match=r"needs N >= 1"):
+        kernel(bundle(0.4, [], [0.2]))
+
+
 class TestPositivePrior:
     def test_topk_formula(self):
         ds = build_dataset([list(range(5))], [[]], 100)
