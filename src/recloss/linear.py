@@ -34,13 +34,19 @@ _CHUNK_FLOATS = 1 << 20
 
 def _interactions(source) -> sp.csr_matrix:
     """Binary user x item CSR of a dataset's train pairs, or a copy of a 2-d
-    matrix's nonzeros with duplicates summed and stored zeros dropped."""
+    matrix's nonzeros with duplicates summed and stored zeros dropped, where
+    a negative or non-finite entry is an error."""
     if isinstance(source, InteractionDataset):
         return source.train_csr()
     if np.ndim(source) != 2:
         raise ValueError("interaction matrix must be 2-d")
     X = sp.csr_matrix(source, dtype=float, copy=True)
     X.sum_duplicates()
+    bad = np.flatnonzero(~(np.isfinite(X.data) & (X.data >= 0)))
+    if len(bad):
+        row = np.searchsorted(X.indptr, bad[0], side="right") - 1
+        raise ValueError(f"interaction matrix entry ({row}, {X.indices[bad[0]]}) is "
+                         f"{X.data[bad[0]]}; entries must be finite and non-negative")
     X.eliminate_zeros()
     X.data[:] = 1.0
     return X
@@ -79,9 +85,6 @@ class IALSState:
     W: np.ndarray
     H: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
-
-    def score_all(self, u: int) -> np.ndarray:
-        return self.H @ self.W[u]
 
     def score_block(self, users: np.ndarray) -> np.ndarray:
         return self.W[users] @ self.H.T
@@ -249,9 +252,6 @@ class EASEScorer:
         self.X = ds.train_csr()
         self.W = W
 
-    def score_all(self, u: int) -> np.ndarray:
-        return self.score_block(np.array([u]))[0]
-
     def score_block(self, users: np.ndarray) -> np.ndarray:
         return self.X[users] @ self.W
 
@@ -293,6 +293,9 @@ def check_theorem1(
     default_u, default_i = _ridge_weights(R, lam, alpha0, nu)
     lam_u = default_u if lambda_users is None else np.asarray(lambda_users, dtype=float)
     lam_i = default_i if lambda_items is None else np.asarray(lambda_items, dtype=float)
+    for name, lams, rows in (("lambda_users", lam_u, R.shape[0]), ("lambda_items", lam_i, R.shape[1])):
+        if lams.shape != (rows,):
+            raise ValueError(f"{name} has length {lams.size}; expected {rows}")
 
     scale = 1.0 / ((1.0 - alpha0) * c_u)
     factor = 1.0 / (np.sqrt(c_u) * (1.0 - alpha0))
@@ -305,18 +308,13 @@ def check_theorem1(
     return worst
 
 
-def _offdiag_indices(n: int):
-    mask = ~np.eye(n, dtype=bool)
-    return np.where(mask)
-
-
 def _debiased_ease_oracle(X: np.ndarray, lam: float, alpha: float) -> np.ndarray:
     """Minimize the debiased objective over the off-diagonal entries with a
     quasi-Newton solver (analytic gradient); independent of the closed form."""
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     G = X.T @ X
-    rows, cols = _offdiag_indices(n)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
 
     def unpack(z):
         W = np.zeros((n, n))

@@ -159,10 +159,6 @@ def positive_prior_all(ds, params: DebiasParams) -> np.ndarray:
     return _prior(ds.train_positives.lengths, ds.num_items, params, np.arange(ds.num_users))
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def bpr(b: ScoreBundle) -> LossEvaluation:
     """Pairwise log-sigmoid ranking loss, summed over the sampled items.
 
@@ -171,7 +167,7 @@ def bpr(b: ScoreBundle) -> LossEvaluation:
     gaps = b.unlabeled_scores - b.pos_score[..., None]
     sig = expit(gaps)
     return LossEvaluation(
-        value=_softplus(gaps).sum(axis=-1),
+        value=np.logaddexp(0.0, gaps).sum(axis=-1),
         d_pos=-sig.sum(axis=-1),
         d_unlabeled=sig,
     )
@@ -241,20 +237,55 @@ def mine_plus(b: ScoreBundle, lambda_: float = 1.0) -> LossEvaluation:
     return infonce_plus(b, InfoNCEPlusParams(lambda_, 0.0))
 
 
+def _phi(y: np.ndarray, square: bool, margin: float):
+    """Per-row sum over the last axis of phi(y) = y^2 or max(0, y - margin),
+    and phi'(y) as a base and a scale (phi' = scale * base; 0 at the kink)."""
+    if square:
+        return np.einsum("...j,...j->...", y, y), y, 2.0
+    over = y - margin
+    np.maximum(over, 0.0, out=over)
+    return over.sum(axis=-1), over > 0, 1.0
+
+
+def _pointwise(b: ScoreBundle, square: bool, weight: float, margin: float = 0.0,
+               tau_plus=None, floor_at_zero: bool = False) -> LossEvaluation:
+    """The one pointwise kernel, with psi(y) = (1 - y)^2 or 1 - y:
+
+        value = w * psi(y_ui) + weight * (mean_j phi(y_uj) - tau+ * mean_k phi(y_uk))
+
+    w is 1 and the tau+ term absent without ``tau_plus``, w = tau+ with it.
+    ``floor_at_zero`` floors the bracket at 0 and zeroes its partials on those
+    rows.  A mean over no scores is 0.
+    """
+    total, base, scale = _phi(b.unlabeled_scores, square, margin)
+    bracket = total / max(b.n, 1)
+    w = 1.0
+    if tau_plus is not None:
+        w = np.asarray(tau_plus, dtype=float)
+        ext_total, ext_base, _ = _phi(b.extra_pos_scores, square, margin)
+        bracket = bracket - w * ext_total / b.m
+    live = weight
+    if floor_at_zero:
+        live = np.where(bracket < 0, 0.0, weight)
+        bracket = np.maximum(bracket, 0.0)
+    gap = 1.0 - b.pos_score
+    ev = LossEvaluation(
+        value=w * (gap**2 if square else gap) + weight * bracket,
+        d_pos=-w * (2.0 * gap if square else np.ones(np.shape(gap))[()]),
+        d_unlabeled=np.expand_dims(live * scale / max(b.n, 1), -1) * base,
+    )
+    if tau_plus is not None:
+        ev.d_extra_pos = np.expand_dims(-live * scale * w / b.m, -1) * ext_base
+    return ev
+
+
 def ccl(b: ScoreBundle, p: CCLParams) -> LossEvaluation:
     """Cosine contrastive loss: pull the positive to 1, hinge negatives at a margin.
 
     value = (1 - y_ui) + (w / N) * sum_j max(0, y_uj - margin).
     """
     _require_unlabeled(b, "ccl")
-    over = b.unlabeled_scores - p.margin
-    active = over > 0
-    scale = p.negative_weight / b.n
-    return LossEvaluation(
-        value=(1.0 - b.pos_score) + scale * np.where(active, over, 0.0).sum(axis=-1),
-        d_pos=np.full(np.shape(b.pos_score), -1.0)[()],
-        d_unlabeled=scale * active.astype(float),
-    )
+    return _pointwise(b, False, p.negative_weight, p.margin)
 
 
 def mse_pointwise(b: ScoreBundle, lambda_neg: float = 1.0) -> LossEvaluation:
@@ -262,16 +293,7 @@ def mse_pointwise(b: ScoreBundle, lambda_neg: float = 1.0) -> LossEvaluation:
 
     value = (1 - y_ui)^2 + (lambda_neg / N) * sum_j y_uj^2.
     """
-    if b.n > 0:
-        neg = (lambda_neg / b.n) * (b.unlabeled_scores**2).sum(axis=-1)
-        d_unl = (2.0 * lambda_neg / b.n) * b.unlabeled_scores
-    else:
-        neg, d_unl = 0.0, np.empty_like(b.unlabeled_scores)
-    return LossEvaluation(
-        value=(1.0 - b.pos_score) ** 2 + neg,
-        d_pos=-2.0 * (1.0 - b.pos_score),
-        d_unlabeled=d_unl,
-    )
+    return _pointwise(b, True, lambda_neg)
 
 
 def _require_extra(b: ScoreBundle, name: str) -> None:
@@ -365,27 +387,7 @@ def debiased_ccl(
     """
     _require_extra(b, "debiased_ccl")
     _require_unlabeled(b, "debiased_ccl")
-    tau_plus = np.asarray(tau_plus, dtype=float)
-    over_unl = b.unlabeled_scores - p.margin
-    over_ext = b.extra_pos_scores - p.margin
-    act_unl = over_unl > 0
-    act_ext = over_ext > 0
-    correction = (
-        np.where(act_unl, over_unl, 0.0).mean(axis=-1)
-        - tau_plus * np.where(act_ext, over_ext, 0.0).mean(axis=-1)
-    )
-    if floor_at_zero:
-        floored = correction < 0
-        correction = np.where(floored, 0.0, correction)
-    else:
-        floored = np.zeros(np.shape(correction), dtype=bool)
-    live = (~floored).astype(float)
-    return LossEvaluation(
-        value=tau_plus * (1.0 - b.pos_score) + d.lambda_n * correction,
-        d_pos=-tau_plus * np.ones(np.shape(b.pos_score))[()],
-        d_unlabeled=(live * d.lambda_n / b.n)[..., None] * act_unl.astype(float),
-        d_extra_pos=(-live * d.lambda_n * tau_plus / b.m)[..., None] * act_ext.astype(float),
-    )
+    return _pointwise(b, False, d.lambda_n, p.margin, tau_plus, floor_at_zero)
 
 
 def debiased_mse(b: ScoreBundle, d: DebiasParams, tau_plus, lambda_: float = 1.0) -> LossEvaluation:
@@ -396,14 +398,7 @@ def debiased_mse(b: ScoreBundle, d: DebiasParams, tau_plus, lambda_: float = 1.0
     """
     _require_extra(b, "debiased_mse")
     _require_unlabeled(b, "debiased_mse")
-    tau_plus = np.asarray(tau_plus, dtype=float)
-    return LossEvaluation(
-        value=tau_plus * (1.0 - b.pos_score) ** 2
-        + lambda_ * ((b.unlabeled_scores**2).mean(axis=-1) - tau_plus * (b.extra_pos_scores**2).mean(axis=-1)),
-        d_pos=-2.0 * tau_plus * (1.0 - b.pos_score),
-        d_unlabeled=(2.0 * lambda_ / b.n) * b.unlabeled_scores,
-        d_extra_pos=(-2.0 * lambda_ * tau_plus / b.m)[..., None] * b.extra_pos_scores,
-    )
+    return _pointwise(b, True, lambda_, tau_plus=tau_plus)
 
 
 # Inequalities relating the contrastive and pairwise losses.  Each entry of

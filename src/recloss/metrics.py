@@ -1,9 +1,10 @@
 """Full-catalog top-K ranking and Recall@K / NDCG@K.
 
-Scorers are duck-typed: anything with ``score_all(u) -> (num_items,)`` works
-(embedding models, item-item weight matrices, the popularity baseline).
-``score_block(users) -> (B, num_items)``, when present, is used to evaluate
-users in vectorized blocks.
+A scorer is anything with one method, ``score_block(users) -> (B,
+num_items)``, the scores of a block of users against the whole catalog
+(embedding models, iALS factors, EASE weights, the popularity baseline).
+``evaluate`` ranks users in blocks of it; ``rank_top_k`` scores one user as a
+block of one.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class PopularityScorer:
 
     def __init__(self, ds):
         self.scores = ds.item_popularity.astype(float)
-
-    def score_all(self, u: int) -> np.ndarray:
-        return self.scores
 
     def score_block(self, users: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.scores, (len(users), len(self.scores)))
@@ -88,7 +86,7 @@ def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarra
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    neg = -np.asarray(scorer.score_all(u), dtype=float)
+    neg = -np.asarray(scorer.score_block(np.array([u]))[0], dtype=float)
     if mask_train:
         neg[ds.train_positives[u]] = np.inf
     return _top_k(neg[None], min(k, ds.num_items))[0]
@@ -125,6 +123,8 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     tests = ds.test_positives if test_positives is None else test_positives
+    if len(tests) > ds.num_users:
+        raise ValueError(f"{len(tests)} test rows for {ds.num_users} users")
     if not isinstance(tests, CSRRows):
         lengths = [len(t) for t in tests]
         tests = CSRRows.from_pairs(
@@ -141,14 +141,11 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     discounts = 1.0 / np.log2(np.arange(k_eff) + 2.0)
     ideal_cum = np.cumsum(discounts)
 
-    score_block = getattr(scorer, "score_block", None)
     recall_sum = ndcg_sum = 0.0
     for start in range(0, len(users), _BLOCK_USERS):
         us = users[start:start + _BLOCK_USERS]
-        if score_block is not None:
-            neg = np.array(score_block(us), dtype=float)
-        else:
-            neg = np.stack([np.asarray(scorer.score_all(u), dtype=float) for u in us])
+        # a copy: a scorer may return a read-only view (PopularityScorer does)
+        neg = np.array(scorer.score_block(us), dtype=float)
         np.negative(neg, out=neg)
         neg[train[us].nonzero()] = np.inf
         topk = _top_k(neg, k_eff)

@@ -61,20 +61,6 @@ class ScoringModel:
     def d(self) -> int:
         return self.user_embeddings.shape[1]
 
-    def score(self, u: int, i: int) -> float:
-        return float(self.score_items(np.array([u]), np.array([[i]]))[0, 0])
-
-    def score_items(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Scores for (B,) users against (B, K) item index rows."""
-        U, V = self.user_embeddings[users], self.item_embeddings[items]
-        if self.mode == "dot":
-            return np.einsum("bd,bkd->bk", U, V)
-        return np.einsum("bd,bkd->bk", _unit_rows(U)[0], _unit_rows(V)[0]) / self.temperature
-
-    def score_all(self, u: int) -> np.ndarray:
-        """Scores of user u against the full catalog."""
-        return self.score_block(np.array([u]))[0]
-
     def score_block(self, users: np.ndarray) -> np.ndarray:
         """(B, num_items) score matrix for a block of users."""
         U = self.user_embeddings[users]

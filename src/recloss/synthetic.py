@@ -34,8 +34,8 @@ class BlockScorer:
         self.user_blocks = user_blocks
         self.item_blocks = item_blocks
 
-    def score_all(self, u: int) -> np.ndarray:
-        return (self.item_blocks == self.user_blocks[u]).astype(float)
+    def score_block(self, users: np.ndarray) -> np.ndarray:
+        return (self.item_blocks == self.user_blocks[users, None]).astype(float)
 
 
 def make_planted_blocks(

@@ -212,8 +212,8 @@ class TestAcceptance:
             def __init__(self, t):
                 self.t = np.asarray(t, dtype=float)
 
-            def score_all(self, u):
-                return self.t[u]
+            def score_block(self, users):
+                return self.t[users]
 
         worst_ndcg = 0.0
         for _ in range(200):

@@ -49,8 +49,8 @@ class TestRoundTrip:
         model = make_model("cosine", 0.5)
         save_checkpoint(tmp_path / "m.bin", model)
         _, loaded = load_checkpoint(tmp_path / "m.bin")
-        want = model.score_all(1)
-        got = loaded.score_all(1)
+        want = model.score_block(np.array([1]))
+        got = loaded.score_block(np.array([1]))
         np.testing.assert_allclose(got, want, atol=1e-6)  # float32 payload
 
 

@@ -151,6 +151,33 @@ def test_stored_zeros_and_duplicates_are_not_interactions():
     assert duplicated.nnz == 3
 
 
+@pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (np.inf, "inf"), (-3.0, "-3.0")])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_bad_entries_are_rejected(bad, shown, sparse):
+    X = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    X[2, 0] = bad
+    source = sp.csr_matrix(X) if sparse else X
+    cfg = IALSConfig(d=2, alpha0=0.1, lam=0.1, num_sweeps=2)
+    message = rf"entry \(2, 0\) is {shown}"
+    with pytest.raises(ValueError, match=message):
+        ials_fit(source, cfg)
+    with pytest.raises(ValueError, match=message):
+        ials_objective(np.ones((3, 2)), np.ones((2, 2)), source, cfg)
+    with pytest.raises(ValueError, match=message):
+        check_theorem1(source, d=2, alpha0=0.2, c_u=1.5)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_positive_values_count_once(sparse):
+    cfg = IALSConfig(d=2, alpha0=0.1, lam=0.1, num_sweeps=2)
+    weighted = np.array([[2.0, 1.0], [0.0, 1.0]])
+    want = ials_fit((weighted > 0).astype(float), cfg)
+    got = ials_fit(sp.csr_matrix(weighted) if sparse else weighted, cfg)
+    np.testing.assert_array_equal(got.W, want.W)
+    np.testing.assert_array_equal(got.H, want.H)
+    assert got.objective_trace == want.objective_trace
+
+
 class TestIALSObjective:
     @pytest.mark.parametrize("debiased", [False, True])
     @pytest.mark.parametrize("per_user_c", [False, True])
@@ -248,7 +275,7 @@ class TestIALSFit:
         state = ials_fit(X, IALSConfig(d=3, alpha0=0.1, lam=0.1, num_sweeps=2))
         block = state.score_block(np.arange(5))
         for u in range(5):
-            np.testing.assert_allclose(state.score_all(u), block[u], atol=1e-14)
+            np.testing.assert_allclose(state.score_block(np.array([u]))[0], block[u], atol=1e-14)
 
     def test_objective_value_is_finite(self, rng):
         X = random_binary(rng, (6, 6))
@@ -438,6 +465,13 @@ class TestTheorem1:
         )
         assert dev <= 1e-8
 
+    @pytest.mark.parametrize("name,rows", [("lambda_users", 5), ("lambda_items", 6)])
+    @pytest.mark.parametrize("length", [50, 2])
+    def test_lambda_length_checked(self, name, rows, length, rng):
+        X = random_binary(rng, (5, 6))
+        with pytest.raises(ValueError, match=rf"{name} has length {length}; expected {rows}"):
+            check_theorem1(X, d=3, alpha0=0.2, c_u=1.3, **{name: np.full(length, 0.1)})
+
     def test_premises_enforced(self):
         with pytest.raises(ValueError, match="alpha0"):
             check_theorem1(np.eye(3), d=2, alpha0=0.0, c_u=1.5)
@@ -479,7 +513,7 @@ class TestEASEScorer:
         ds = build_dataset([[0, 2], [1]], [[1], [0]], 3)
         W = rng.normal(size=(3, 3))
         scorer = EASEScorer(ds, W)
-        np.testing.assert_allclose(scorer.score_all(0), W[0] + W[2], atol=1e-15)
+        np.testing.assert_allclose(scorer.score_block(np.array([0]))[0], W[0] + W[2], atol=1e-15)
         np.testing.assert_allclose(
             scorer.score_block(np.array([0, 1])), np.stack([W[0] + W[2], W[1]]), atol=1e-15
         )

@@ -15,21 +15,17 @@ from recloss import (
     rank_top_k,
     recall_at_k,
 )
+from recloss.data import CSRRows
 from conftest import build_dataset
 
 
 class FixedScorer:
-    """Score table indexed by user; optionally exposes the block interface."""
+    """Score table indexed by user."""
 
-    def __init__(self, table, with_block=True):
+    def __init__(self, table):
         self.table = np.asarray(table, dtype=float)
-        if with_block:
-            self.score_block = self._score_block
 
-    def score_all(self, u):
-        return self.table[u]
-
-    def _score_block(self, users):
+    def score_block(self, users):
         return self.table[np.asarray(users)]
 
 
@@ -237,6 +233,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate(PopularityScorer(ds), ds, k=0)
 
+    @pytest.mark.parametrize("as_rows", [False, True])
+    def test_more_test_rows_than_users_rejected(self, as_rows):
+        ds = build_dataset([[0], [1]], [[2], [2]], 3)
+        tests = [[2], [2], [1]]
+        if as_rows:
+            tests = CSRRows.from_pairs([0, 1, 2], [2, 2, 1], 3, 3)
+        with pytest.raises(ValueError, match="3 test rows for 2 users"):
+            evaluate(PopularityScorer(ds), ds, tests, k=2)
+
+    def test_fewer_test_rows_than_users_allowed(self):
+        ds = build_dataset([[0], [1]], [[2], [2]], 3)
+        assert evaluate(PopularityScorer(ds), ds, [[2]], k=2).users_evaluated == 1
+
     def test_no_evaluable_user_rejected(self):
         ds = build_dataset([[0], [1]], [[], []], 3)
         with pytest.raises(ValueError, match="non-empty"):
@@ -259,13 +268,6 @@ class TestEvaluate:
             warped = evaluate(FixedScorer(transform(raw)), ds, k=3)
             assert warped.recall == base.recall
             assert warped.ndcg == base.ndcg
-
-    def test_score_all_fallback_matches_block(self, rng):
-        ds = build_dataset([[0], [1], [2]], [[3], [4], [0]], 6)
-        table = rng.normal(size=(3, 6))
-        with_block = evaluate(FixedScorer(table, with_block=True), ds, k=3)
-        without = evaluate(FixedScorer(table, with_block=False), ds, k=3)
-        assert with_block == without
 
     def test_masked_items_never_ranked(self, rng):
         ds = build_dataset([[0, 1, 2, 3]], [[4]], 6)

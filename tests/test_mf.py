@@ -33,16 +33,16 @@ from conftest import build_dataset
 class TestScoringModel:
     def test_dot_score(self):
         m = ScoringModel(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-        assert m.score(0, 0) == pytest.approx(1.0)
+        assert m.score_block(np.array([0]))[0, 0] == pytest.approx(1.0)
 
     def test_cosine_self_similarity(self):
         v = np.array([[0.3, -0.4]])
         m = ScoringModel(v, 5 * v, mode="cosine", temperature=0.5)
-        assert m.score(0, 0) == pytest.approx(2.0)  # cos=1 scaled by 1/t
+        assert m.score_block(np.array([0]))[0, 0] == pytest.approx(2.0)  # cos=1 scaled by 1/t
 
     def test_cosine_orthogonal(self):
         m = ScoringModel(np.array([[1.0, 0.0]]), np.array([[0.0, 7.0]]), mode="cosine")
-        assert m.score(0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert m.score_block(np.array([0]))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_range(self, rng):
         m = ScoringModel(
@@ -56,14 +56,17 @@ class TestScoringModel:
         for mode in ("dot", "cosine"):
             m = ScoringModel(rng.normal(size=(3, 5)), rng.normal(size=(7, 5)), mode=mode)
             block = m.score_block(np.array([0, 2]))
-            items = np.tile(np.arange(7), (2, 1))
+            U, V = m.user_embeddings[[0, 2]], m.item_embeddings
+            if mode == "cosine":
+                U = U / np.linalg.norm(U, axis=1, keepdims=True)
+                V = V / np.linalg.norm(V, axis=1, keepdims=True)
             np.testing.assert_allclose(
-                m.score_items(np.array([0, 2]), items), block, atol=1e-12
+                np.einsum("bd,kd->bk", U, V) / m.temperature, block, atol=1e-12
             )
 
     def test_zero_norm_user_stays_finite(self):
         m = ScoringModel(np.zeros((1, 3)), np.ones((2, 3)), mode="cosine")
-        assert np.all(np.isfinite(m.score_all(0)))
+        assert np.all(np.isfinite(m.score_block(np.array([0]))))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -476,7 +479,7 @@ class TestTrainEpoch:
         rng = np.random.default_rng(0)
         for _ in range(200):
             train_epoch(model, state, ds, cfg, rng)
-        assert model.score(0, 0) == pytest.approx(1.0, abs=1e-2)
+        assert model.score_block(np.array([0]))[0, 0] == pytest.approx(1.0, abs=1e-2)
 
     def test_l2_shrinks_embedding_norms(self):
         ds = make_random_dataset(15, 20, density=0.25, seed=3)
