@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from .data import _atomic_write
 from .mf import ScoringModel
 
 MAGIC = b"RECMODEL"
@@ -48,7 +49,7 @@ def save_checkpoint(path, obj) -> None:
             raise CheckpointFormatError("EASE checkpoint expects a square weight matrix")
         header = _HEADER.pack(MAGIC, VERSION, 0, W.shape[0], W.shape[1], _MODE_CODES["ease"], 1.0)
         body = W.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(body)
 

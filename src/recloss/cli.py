@@ -22,7 +22,7 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import linear, metrics, mf, verify
 from .config import ConfigError
-from .data import dataset_stats, load_dataset
+from .data import _atomic_write, dataset_stats, load_dataset
 from .sampling import SamplerConfig
 from .synthetic import synthetic_dataset
 
@@ -62,7 +62,7 @@ def _eval_row(cfg: dict, model_label: str, loss_label: str, report) -> str:
 def _write_artifact(cfg: dict, out_dir: str, name: str, lines) -> None:
     """Write one CSV artifact, and the resolved config beside it."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
+    with _atomic_write(os.path.join(out_dir, name)) as fh:
         fh.writelines(line + "\n" for line in lines)
     cfgmod.write_resolved(cfg, out_dir)
 

@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 
+from .data import _atomic_write
 from .linear import EASEConfig, IALSConfig
 from .losses import LOSS_KINDS, LOSS_TABLE, PARAM_DEFAULTS
 from .mf import TrainConfig
@@ -247,6 +248,6 @@ def resolve_config(
 
 def write_resolved(cfg: dict, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
+    with _atomic_write(os.path.join(out_dir, "config.resolved")) as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")

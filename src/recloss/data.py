@@ -13,6 +13,9 @@ duplicate-free.  Every consumer reads those two arrays.
 from __future__ import annotations
 
 import logging
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -239,6 +242,26 @@ def load_dataset(train_path: str | Path, test_path: str | Path) -> InteractionDa
     if train_dups or test_dups:
         log.warning("removed %d duplicate train and %d duplicate test pairs", train_dups, test_dups)
     return ds
+
+
+@contextmanager
+def _atomic_write(path, mode: str = "w"):
+    """Yield a file opened on a new name beside ``path``; when the block exits
+    cleanly the file is synced and moved over ``path`` by one ``os.replace``.
+    If the block raises, the new file is removed and ``path`` keeps whatever
+    it held before.  Every artifact writer goes through here."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_dataset(ds: InteractionDataset, train_path: str | Path, test_path: str | Path) -> None:

@@ -5,6 +5,11 @@ The trainer is loss-agnostic: it turns per-score partials from
 the cosine-normalization Jacobian), adds an L2 term over the rows touched by
 the batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@20.
+
+A batch is scored a few rows at a time, each chunk gathering at most
+``GATHER_BUDGET`` bytes of item rows.  ``GATHER_BUDGET`` is a module constant
+sized for the CPU cache, not a setting: no config key, flag or environment
+variable reaches it.
 """
 
 from __future__ import annotations
@@ -16,11 +21,14 @@ import numpy as np
 from scipy import sparse
 
 from . import metrics
-from .data import CSRRows, InteractionDataset, make_validation_split
+from .data import CSRRows, InteractionDataset, _atomic_write, make_validation_split
 from .losses import DEBIASED_KINDS, LOSS_KINDS, ScoreBundle, debias_params, evaluate_loss, positive_prior_all
 from .sampling import BatchSampler, SamplerConfig, substream
 
 NORM_FLOOR = 1e-12
+
+# Bytes of gathered item rows per scoring chunk in batch_objective.
+GATHER_BUDGET = 1 << 20
 
 # Losses trained on temperature-scaled cosine scores unless overridden.
 COSINE_DEFAULT_KINDS = ("mine_plus", "ccl", "debiased_ccl")
@@ -101,7 +109,7 @@ def init_model(
 
 
 def _unit_rows(x: np.ndarray):
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    norms = np.sqrt(np.einsum("...d,...d->...", x, x))[..., None]
     clamped = np.maximum(norms, NORM_FLOOR)
     return x / clamped, clamped, norms <= NORM_FLOOR
 
@@ -117,6 +125,21 @@ class GradBundle:
     item_grads: np.ndarray
 
 
+def _unique(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(x, return_inverse=True)`` for ids in [0, n), the inverse
+    shaped like x: the unique ids are the set slots of an n-slot marker, and
+    an id's inverse is the number of set slots below it."""
+    marker = np.zeros(n, dtype=bool)
+    marker[x] = True
+    return np.flatnonzero(marker), (np.cumsum(marker) - 1)[x]
+
+
+def _check_ids(name: str, ids: np.ndarray, n: int, unit: str) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise ValueError(f"{name} holds id {bad}, outside the model's {n} {unit} (ids 0..{n - 1})")
+
+
 def batch_objective(
     model: ScoringModel,
     users: np.ndarray,
@@ -129,7 +152,13 @@ def batch_objective(
     l2_weight: float = 0.0,
 ) -> GradBundle:
     """Mean pair loss over the batch plus l2_weight times the mean squared
-    norm of the touched embedding rows, with exact gradients."""
+    norm of the touched embedding rows, with exact gradients.
+
+    The (B, K) scores are computed GATHER_BUDGET bytes of gathered item rows
+    at a time, so the batch never holds a (B, K, d) block; GATHER_BUDGET is a
+    module constant sized for the CPU cache, not a setting.  An id outside the
+    model's users or items raises ValueError.
+    """
     users = np.asarray(users)
     b = len(users)
     # one (B, K) item matrix: column 0 the positive, then negatives, then extra positives
@@ -137,10 +166,14 @@ def batch_objective(
         [np.reshape(pos_items, (b, 1))] + [a for a in (neg_items, extra_items) if a is not None],
         axis=1,
     )
+    k = items.shape[1]
     neg_end = 1 if neg_items is None else 1 + neg_items.shape[1]
-    uniq_u, inv_u = np.unique(users, return_inverse=True)
-    uniq_i, inv_i = np.unique(items, return_inverse=True)
-    inv_i = inv_i.reshape(items.shape)
+    _check_ids("users", users, model.num_users, "users")
+    for name, cols in (("positives", items[:, :1]), ("negatives", items[:, 1:neg_end]),
+                       ("extras", items[:, neg_end:])):
+        _check_ids(name, cols, model.num_items, "items")
+    uniq_u, inv_u = _unique(users, model.num_users)
+    uniq_i, inv_i = _unique(items, model.num_items)
     U = model.user_embeddings[uniq_u]
     V = model.item_embeddings[uniq_i]
     cosine = model.mode == "cosine"
@@ -149,38 +182,48 @@ def batch_objective(
         Vn, cv, small_v = _unit_rows(V)
     else:
         Un, Vn = U, V
-    cos = np.einsum("bd,bkd->bk", Un[inv_u], Vn[inv_i])
+    Ub = Un[inv_u]
+    cos = np.empty((b, k))
+    rows = max(1, GATHER_BUDGET // (k * model.d * 8))
+    for s in range(0, b, rows):
+        np.matmul(Vn[inv_i[s:s + rows]], Ub[s:s + rows, :, None], out=cos[s:s + rows, :, None])
     y = cos / model.temperature if cosine else cos
 
     bundle = ScoreBundle(y[:, 0], y[:, 1:neg_end], y[:, neg_end:])
     ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus)
 
-    # Per-score partials of the batch mean as a sparse (unique users x unique
-    # items) matrix: each batch row's K entries sit in its user's row, and the
-    # sparse products sum repeated (user, item) entries.
+    # Per-score partials of the batch mean as a sparse (B x unique items)
+    # matrix R, one row per batch row, and P, the (B x unique users) indicator
+    # of each row's user.  The products run on C = R^T in CSR form: one pass
+    # over the unique item rows in order, with only the (B, d) side read or
+    # written at random, which stays in cache at any catalog width.  The
+    # sparse products sum repeated users and items.
     D = np.concatenate(
         [np.reshape(ev.d_pos, (b, 1)), np.reshape(ev.d_unlabeled, (b, -1)),
          np.reshape(ev.d_extra_pos, (b, -1))],
         axis=1,
-    ) / b
-    by_user = np.argsort(inv_u, kind="stable")
-    A = sparse.csr_array(
-        (D[by_user].ravel(), inv_i[by_user].ravel(),
-         np.concatenate([[0], np.cumsum(np.bincount(inv_u) * items.shape[1])])),
-        shape=(len(uniq_u), len(uniq_i)),
     )
+    D /= b
+    R = sparse.csr_array((D.ravel(), inv_i.ravel(), np.arange(0, b * k + 1, k)),
+                         shape=(b, len(uniq_i)))
+    P = sparse.csr_array((np.ones(b), inv_u, np.arange(b + 1)), shape=(b, len(uniq_u)))
+    C = R.T.tocsr()
     # dot: dy/du = v and dy/dv = u, so the chain rule is one sparse product each way
-    gu = A @ Vn
-    gi = A.T @ Un
+    gu = P.T @ (C.T @ Vn)
+    gi = C @ Ub
     if cosine:
         # dy/du = (v_hat - cos u_hat) / (t ||u||) and symmetrically for v: the
         # projection term needs only the per-row sums of D * cos.  Below the
         # norm floor the normalizer is the constant floor, so it vanishes.
-        Dc = D * cos
-        su = np.bincount(inv_u, Dc.sum(axis=1), minlength=len(uniq_u))[:, None]
-        si = np.bincount(inv_i.ravel(), Dc.ravel(), minlength=len(uniq_i))[:, None]
-        gu = (gu - np.where(small_u, 0.0, su * Un)) / (model.temperature * cu)
-        gi = (gi - np.where(small_v, 0.0, si * Vn)) / (model.temperature * cv)
+        # R, C, Un and Vn are not read again, so D and the unit rows are reused.
+        D *= cos
+        su = np.bincount(inv_u, D.sum(axis=1), minlength=len(uniq_u))[:, None]
+        si = np.bincount(inv_i.ravel(), D.ravel(), minlength=len(uniq_i))[:, None]
+        for g, s, small, xn, c in ((gu, su, small_u, Un, cu), (gi, si, small_v, Vn, cv)):
+            s[small] = 0.0
+            xn *= s
+            g -= xn
+            g /= model.temperature * c
 
     value = float(np.mean(ev.value))
     if l2_weight > 0:
@@ -217,7 +260,14 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr: float) -> None:
-    """One bias-corrected Adam update, touching only the rows in grads."""
+    """One bias-corrected Adam update (Kingma & Ba 2015), touching only the
+    rows in grads.
+
+    Each touched block of m, v and the embeddings is gathered once, updated in
+    place and scattered once.  The float operations keep the order of
+    ``lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is bit for bit
+    that of the unfused update.
+    """
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
@@ -225,9 +275,30 @@ def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr:
         (grads.user_rows, grads.user_grads, state.m_user, state.v_user, model.user_embeddings),
         (grads.item_rows, grads.item_grads, state.m_item, state.v_item, model.item_embeddings),
     ):
-        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
-        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g**2
-        theta[rows] -= lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + ADAM_EPS)
+        # Three (rows x d) blocks serve the whole update.  The fancy gather of
+        # m checks rows; after it, take(mode="wrap") picks the same rows and,
+        # unlike the default mode, fills a reused block without a copy.
+        mr = m[rows]
+        mr *= ADAM_BETA1
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+        mr += scratch
+        m[rows] = mr
+        g2 = np.square(g)
+        g2 *= 1.0 - ADAM_BETA2
+        vr = np.take(v, rows, axis=0, out=scratch, mode="wrap")
+        vr *= ADAM_BETA2
+        vr += g2
+        v[rows] = vr
+        # the step, built in the gathered blocks now that m and v are stored
+        mr /= bc1
+        mr *= lr
+        vr /= bc2
+        np.sqrt(vr, out=vr)
+        vr += ADAM_EPS
+        mr /= vr
+        tr = np.take(theta, rows, axis=0, out=g2, mode="wrap")
+        tr -= mr
+        theta[rows] = tr
 
 
 @dataclass
@@ -384,7 +455,7 @@ class TrainingHistory:
         return max(self.records, key=lambda r: r.val_recall20)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with _atomic_write(path) as fh:
             fh.write("epoch,loss,val_recall20,val_ndcg20,lr\n")
             for r in self.records:
                 fh.write(f"{r.epoch},{r.loss:.10g},{r.val_recall20:.10g},{r.val_ndcg20:.10g},{r.lr:.10g}\n")

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import losses
+from .data import _atomic_write
 from .linear import check_theorem1, check_theorem2
 from .losses import BOUND_NAMES, ScoreBundle
 from .sampling import substream
@@ -166,6 +167,6 @@ def run_verification(
 
 
 def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

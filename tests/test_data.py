@@ -1,6 +1,7 @@
 """Dataset parsing, validation, stats, and the validation split."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from recloss import (
     make_validation_split,
     save_dataset,
 )
+from recloss.data import _atomic_write
 from conftest import build_dataset
 
 
@@ -316,3 +318,57 @@ class TestValidationSplit:
     def test_reduced_popularity_consistent(self, tiny_ds):
         reduced, _ = make_validation_split(tiny_ds, 0.4, seed=0)
         reduced.validate()
+
+
+class TestAtomicWrite:
+    """Artifacts replace their target whole or not at all."""
+
+    def test_failure_midway_keeps_the_previous_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with _atomic_write(target) as fh:
+                fh.write("partial")
+                raise RuntimeError("midway")
+        assert target.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_success_replaces_with_the_usual_permissions(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"previous\n")
+        with _atomic_write(target) as fh:
+            fh.write("new\n")
+        assert target.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert os.stat(target).st_mode == os.stat(tmp_path / "plain").st_mode
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "history", "artifact", "report", "config"])
+    def test_every_writer_is_atomic(self, tmp_path, monkeypatch, writer):
+        from recloss import TrainingHistory, init_model, save_checkpoint, write_report
+        from recloss.cli import _write_artifact
+        from recloss.config import resolve_config, write_resolved
+
+        target, write = {
+            "checkpoint": ("model.bin", lambda p: save_checkpoint(p, init_model(3, 4, 2))),
+            "history": ("history.csv", lambda p: TrainingHistory().to_csv(p)),
+            "artifact": ("eval.csv", lambda p: _write_artifact(resolve_config(), tmp_path,
+                                                               "eval.csv", ["a,b"])),
+            "report": ("report.json", lambda p: write_report({"passed": True}, p)),
+            "config": ("config.resolved", lambda p: write_resolved(resolve_config(), tmp_path)),
+        }[writer]
+        path = tmp_path / target
+        write(path)
+        assert path.exists() and not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+        path.write_bytes(b"previous")
+        before = sorted(os.listdir(tmp_path))
+
+        def fail(fd):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk went away"):
+            write(path)
+        assert path.read_bytes() == b"previous"
+        assert sorted(os.listdir(tmp_path)) == before

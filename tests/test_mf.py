@@ -25,7 +25,10 @@ from recloss import (
     make_validation_split,
     train_epoch,
 )
-from recloss.mf import ADAM_EPS, NORM_FLOOR, EpochRecord, GradBundle, _tau_vector
+from recloss import mf
+from recloss.mf import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, NORM_FLOOR, EpochRecord, GradBundle, _tau_vector, _unique,
+)
 from recloss import make_random_dataset
 from conftest import build_dataset
 
@@ -320,8 +323,152 @@ class TestBatchObjectiveMatchesReference:
             tracemalloc.stop()
         assert peak < 2 * b * (1 + n) * d * 8
 
+    def test_peak_memory_stays_below_a_quarter_of_the_gathered_block(self):
+        # scoring in GATHER_BUDGET chunks: no (B, K, d) gather is ever whole
+        rng = np.random.default_rng(5)
+        b, n, d = 256, 800, 64
+        model = ScoringModel(rng.normal(size=(300, d)), rng.normal(size=(1000, d)),
+                             mode="cosine", temperature=0.4)
+        users = rng.integers(0, 300, size=b)
+        pos = rng.integers(0, 1000, size=b)
+        negs = rng.integers(0, 1000, size=(b, n))
+        tracemalloc.start()
+        try:
+            batch_objective(model, users, pos, negs, None, "mine_plus", {"lambda": 1.2})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * b * (1 + n) * d * 8
+
+
+CHUNK_CASES = [
+    ("mine_plus", {"lambda": 1.1}, "cosine", 6, 0),
+    ("debiased_ccl", {"lambda_n": 0.9, "margin": 0.05}, "cosine", 6, 3),
+    ("bpr", {}, "dot", 4, 0),
+]
+
+
+class TestChunkedScoring:
+    """Any chunk size scores the batch as the per-score reference does."""
+
+    # 1 byte: one row per chunk; "3 rows": chunks of 3, 3 and 2; 1 GB: one chunk
+    @pytest.mark.parametrize("budget", [1, "3 rows", 1 << 30])
+    @pytest.mark.parametrize("kind,params,mode,n_neg,m_pos", CHUNK_CASES)
+    def test_any_chunk_size_matches_reference(self, monkeypatch, kind, params, mode, n_neg,
+                                              m_pos, budget):
+        rng = np.random.default_rng(17)
+        model = ScoringModel(rng.normal(0, 0.5, size=(7, 5)), rng.normal(0, 0.5, size=(9, 5)),
+                             mode=mode, temperature=0.5)
+        b = 8  # not a multiple of 3
+        users = rng.integers(0, 7, size=b)
+        pos = rng.integers(0, 9, size=b)
+        negs = rng.integers(0, 9, size=(b, n_neg))
+        extras = np.column_stack([pos, rng.integers(0, 9, size=(b, m_pos - 1))]) if m_pos else None
+        tau = np.full(b, 0.2) if kind.startswith("debiased") else None
+        if budget == "3 rows":
+            budget = 3 * (1 + n_neg + m_pos) * model.d * 8
+        monkeypatch.setattr(mf, "GATHER_BUDGET", budget)
+
+        got = batch_objective(model, users, pos, negs, extras, kind, params, tau, 0.1)
+        ref = reference_batch_objective(model, users, pos, negs, extras, kind, params, tau, 0.1)
+
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(got.user_rows, ref.user_rows)
+        np.testing.assert_array_equal(got.item_rows, ref.item_rows)
+        for g, r in ((got.user_grads, ref.user_grads), (got.item_grads, ref.item_grads)):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+
+class TestBatchIds:
+    """Ids outside the model are refused, never wrapped or merged."""
+
+    @pytest.mark.parametrize("bad", ["low", "high"])
+    @pytest.mark.parametrize("arg", ["users", "positives", "negatives", "extras"])
+    def test_out_of_range_id_names_its_argument(self, arg, bad):
+        model = ScoringModel(np.ones((4, 2)), np.ones((7, 2)))
+        batch = {
+            "users": np.array([0, 3]),
+            "positives": np.array([1, 2]),
+            "negatives": np.array([[3, 4], [5, 6]]),
+            "extras": np.array([[0], [6]]),
+        }
+        n = 4 if arg == "users" else 7
+        value = -1 if bad == "low" else n
+        batch[arg].flat[-1] = value
+        with pytest.raises(ValueError, match=rf"^{arg} holds id {value}, outside the model's {n} "):
+            batch_objective(model, batch["users"], batch["positives"], batch["negatives"],
+                            batch["extras"], "debiased_ccl", tau_plus=np.full(2, 0.1))
+
+    def test_boundary_ids_are_accepted(self):
+        model = ScoringModel(np.ones((4, 2)), np.ones((7, 2)))
+        g = batch_objective(model, np.array([0, 3]), np.array([0, 6]), np.array([[6], [0]]),
+                            None, "bpr")
+        np.testing.assert_array_equal(g.user_rows, [0, 3])
+        np.testing.assert_array_equal(g.item_rows, [0, 6])
+
+
+class TestUnique:
+    """The marker-based unique against np.unique(return_inverse=True)."""
+
+    @staticmethod
+    def check(x, n):
+        uniq, inv = _unique(x, n)
+        ref_uniq, ref_inv = np.unique(x, return_inverse=True)
+        np.testing.assert_array_equal(uniq, ref_uniq)
+        np.testing.assert_array_equal(inv, np.reshape(ref_inv, np.shape(x)))
+        np.testing.assert_array_equal(uniq[inv], x)
+
+    @pytest.mark.parametrize("shape", [(50,), (12, 9)])
+    def test_random(self, rng, shape):
+        self.check(rng.integers(0, 40, size=shape), 40)
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 4)])
+    def test_all_equal(self, shape):
+        self.check(np.full(shape, 5), 9)
+
+    def test_first_and_last_ids(self, rng):
+        x = rng.integers(0, 30, size=(5, 7))
+        x[0, 0], x[4, 6] = 0, 29
+        self.check(x, 30)
+
+
+def reference_adam_step(model, state, grads, lr):
+    """The unfused lazy Adam update: three gathers each of m and v."""
+    state.step += 1
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    for rows, g, m, v, theta in (
+        (grads.user_rows, grads.user_grads, state.m_user, state.v_user, model.user_embeddings),
+        (grads.item_rows, grads.item_grads, state.m_item, state.v_item, model.item_embeddings),
+    ):
+        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
+        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g**2
+        theta[rows] -= lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + ADAM_EPS)
+
 
 class TestAdam:
+    def test_matches_reference_bit_for_bit(self, rng):
+        model = ScoringModel(rng.normal(size=(6, 4)), rng.normal(size=(9, 4)))
+        ref_model = model.copy()
+        state, ref_state = OptimizerState.for_model(model), OptimizerState.for_model(model)
+        # rows touched, left alone and touched again across the steps
+        steps = [([0, 2], [1, 4, 8]), ([2, 5], [0, 4]), ([0], [1, 8]), ([1, 2, 5], [4]),
+                 ([0, 5], [0, 1, 2, 8])]
+        for i, (u_rows, i_rows) in enumerate(steps):
+            grads = GradBundle(0.0, np.array(u_rows), rng.normal(size=(len(u_rows), 4)),
+                               np.array(i_rows), rng.normal(size=(len(i_rows), 4)) * 10.0**-i)
+            kept = (grads.user_grads.copy(), grads.item_grads.copy())
+            adam_step(model, state, grads, lr=0.05)
+            reference_adam_step(ref_model, ref_state, grads, lr=0.05)
+            np.testing.assert_array_equal(grads.user_grads, kept[0])
+            np.testing.assert_array_equal(grads.item_grads, kept[1])
+            for got, want in ((model.user_embeddings, ref_model.user_embeddings),
+                              (model.item_embeddings, ref_model.item_embeddings),
+                              (state.m_user, ref_state.m_user), (state.v_user, ref_state.v_user),
+                              (state.m_item, ref_state.m_item), (state.v_item, ref_state.v_item)):
+                np.testing.assert_array_equal(got, want)
+            assert state.step == ref_state.step == i + 1
+
     def test_zero_gradient_is_noop(self):
         model = ScoringModel(np.ones((2, 3)), np.ones((4, 3)))
         state = OptimizerState.for_model(model)
