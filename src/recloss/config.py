@@ -60,7 +60,7 @@ DEFAULTS = {
         "c_u": _IALS["c_u"],
         "alpha": _keyword_defaults(EASEConfig)["alpha"],
         "sweeps": _IALS["num_sweeps"],
-        "item_budget": 15_000,  # an EASE fit peaks near 24 n^2 bytes: ~5.4 GB here
+        "item_budget": 15_000,  # an EASE fit peaks below 12 n^2 bytes: ~2.7 GB here
     },
     "eval": {"k": _TRAIN["eval_k"]},
     "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},

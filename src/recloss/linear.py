@@ -10,6 +10,8 @@ against a general-purpose constrained optimizer.
 iALS reads one binary scipy CSR (its transpose is the item side).  One row
 solver serves both half-sweeps and both sides of Theorem 1, and the
 objective sums its observed terms over the CSR entries in fixed-size chunks.
+EASE holds one n x n buffer: the Gram, then its inverse P, then the weights
+W, which are all it returns.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 
 # gathered factor entries per ials_objective chunk: two 8 MB float64 blocks
 _CHUNK_FLOATS = 1 << 20
+
+# item rows of the EASE Gram built, and of its inverse mirrored, per step
+_GRAM_ROWS = 64
 
 
 def _interactions(source) -> sp.csr_matrix:
@@ -198,19 +203,27 @@ class EASEConfig:
 @dataclass
 class EASESolution:
     W: np.ndarray
-    P: np.ndarray
 
 
 def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
-    """P = (X^T X + lam I)^{-1}, W = (I - P dMat(1/diag(P))) / (1-alpha), diag(W) = 0.
+    """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
+    P = (X^T X + lam I)^{-1}, formed in one C-ordered n x n buffer.
 
-    The Gram comes from X's nonzeros (X dense or scipy.sparse).  Cholesky
-    (potrf + potri) inverts it in place in about n^3 flops, against 2n^3 for
-    LU.  The I term only touches the zeroed diagonal, so it is left out.
+    The dense Gram is built into the buffer _GRAM_ROWS item rows at a time
+    from X's nonzeros (X dense or scipy.sparse).  Cholesky (potrf + potri)
+    inverts it in place in about n^3 flops, against 2n^3 for LU, and W then
+    overwrites P.  The I term only touches the zeroed diagonal, so it is left
+    out.  Beside the buffer, the solve holds X's nonzeros and their transposed
+    copy while it builds the Gram, and an n x n bool array while it checks W.
     """
     Xs = sp.csr_matrix(X, dtype=float)
-    P = (Xs.T @ Xs).toarray(order="F").T
-    n = P.shape[0]
+    Xt = Xs.T.tocsr()
+    n = Xs.shape[1]
+    P = np.zeros((n, n))
+    # toarray adds the block into out, so out must start at zero
+    for lo in range(0, n, _GRAM_ROWS):
+        (Xt[lo:lo + _GRAM_ROWS] @ Xs).toarray(out=P[lo:lo + _GRAM_ROWS])
+    del Xs, Xt
     P.flat[:: n + 1] += lam
     # LAPACK works on the Fortran-ordered P.T in place; its lower triangle is
     # P's upper one, and P's strict lower triangle keeps stale Gram entries
@@ -221,13 +234,17 @@ def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
         raise FloatingPointError(
             f"EASE Gram + lam I is not numerically positive definite (info {info}); raise lam"
         )
-    np.copyto(P, P.T, where=np.tri(n, k=-1, dtype=bool))
-    W = P / np.diag(P)
-    W /= alpha - 1.0
-    if not np.all(np.isfinite(W)):
+    # mirror the upper triangle down one block of rows at a time; copyto
+    # copies the overlapping source first, a block of rows, not all of P
+    for lo in range(0, n, _GRAM_ROWS):
+        hi = min(lo + _GRAM_ROWS, n)
+        np.copyto(P[lo:hi, :hi], P[:hi, lo:hi].T, where=np.tri(hi - lo, hi, lo - 1, dtype=bool))
+    P /= np.diag(P).copy()
+    P /= alpha - 1.0
+    if not np.all(np.isfinite(P)):
         raise FloatingPointError("EASE solve produced non-finite weights (ill-conditioned Gram)")
-    np.fill_diagonal(W, 0.0)
-    return EASESolution(W=W, P=P)
+    np.fill_diagonal(P, 0.0)
+    return EASESolution(W=P)
 
 
 def ease_fit(X, lam: float) -> EASESolution:

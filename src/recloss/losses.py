@@ -133,30 +133,19 @@ def debias_params(p: dict) -> DebiasParams:
 _TAU_CEILING = 1.0 - 1e-6
 
 
-def _prior(n_pos: np.ndarray, num_items: int, params: DebiasParams, users: np.ndarray) -> np.ndarray:
-    """tau+ for users with ``n_pos`` known positives; NaN where ``n_pos`` is 0."""
+def positive_prior_all(ds, params: DebiasParams) -> np.ndarray:
+    """Per user, the probability tau+ that a random catalog item is a true
+    positive (NaN for users without train positives)."""
+    n_pos = ds.train_positives.lengths
     if params.tau_mode == "topk":
-        raw = (n_pos + params.k) / num_items
+        raw = (n_pos + params.k) / ds.num_items
     else:
-        raw = (1.0 + params.alpha) * n_pos / num_items
+        raw = (1.0 + params.alpha) * n_pos / ds.num_items
     raw = np.where(n_pos >= 1, raw, np.nan)
     bad = np.flatnonzero(raw >= 1.0)
     if len(bad):
-        raise ValueError(f"positive prior {raw[bad[0]]:.3f} >= 1 for user {users[bad[0]]}; lower k/alpha")
+        raise ValueError(f"positive prior {raw[bad[0]]:.3f} >= 1 for user {bad[0]}; lower k/alpha")
     return np.minimum(raw, _TAU_CEILING)
-
-
-def positive_prior(ds, u: int, params: DebiasParams) -> float:
-    """Per-user probability tau+ that a random catalog item is a true positive."""
-    n_pos = len(ds.train_positives[u])
-    if n_pos < 1:
-        raise ValueError(f"user {u} has no train positives")
-    return float(_prior(np.array([n_pos]), ds.num_items, params, np.array([u]))[0])
-
-
-def positive_prior_all(ds, params: DebiasParams) -> np.ndarray:
-    """Vector of tau+ over all users (users without positives get NaN)."""
-    return _prior(ds.train_positives.lengths, ds.num_items, params, np.arange(ds.num_users))
 
 
 def bpr(b: ScoreBundle) -> LossEvaluation:

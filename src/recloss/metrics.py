@@ -3,8 +3,9 @@
 A scorer is anything with one method, ``score_block(users) -> (B,
 num_items)``, the scores of a block of users against the whole catalog
 (embedding models, iALS factors, EASE weights, the popularity baseline).
-``evaluate`` ranks users in blocks of it; ``rank_top_k`` scores one user as a
-block of one.
+The block is a fresh, writable float64 array that the caller may overwrite:
+``evaluate`` negates and masks it in place.  ``evaluate`` ranks users in
+blocks of it; ``rank_top_k`` scores one user as a block of one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class PopularityScorer:
         self.scores = ds.item_popularity.astype(float)
 
     def score_block(self, users: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.scores, (len(users), len(self.scores)))
+        return np.tile(self.scores, (len(users), 1))
 
 
 def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
@@ -86,31 +87,10 @@ def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarra
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    neg = -np.asarray(scorer.score_block(np.array([u]))[0], dtype=float)
+    neg = -scorer.score_block(np.array([u]))[0]
     if mask_train:
         neg[ds.train_positives[u]] = np.inf
     return _top_k(neg[None], min(k, ds.num_items))[0]
-
-
-def recall_at_k(topk, test_items) -> float:
-    """|topk ∩ test| / |test|."""
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("test set is empty; skip this user")
-    return sum(1 for i in topk if int(i) in test) / len(test)
-
-
-def ndcg_at_k(topk, test_items) -> float:
-    """Binary-relevance DCG over the top-k, normalized by the truncated ideal."""
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("test set is empty; skip this user")
-    dcg = sum(
-        1.0 / np.log2(rank + 2) for rank, i in enumerate(topk) if int(i) in test
-    )
-    ideal_len = min(len(topk), len(test))
-    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(ideal_len))
-    return dcg / idcg
 
 
 def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
@@ -144,8 +124,7 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     recall_sum = ndcg_sum = 0.0
     for start in range(0, len(users), _BLOCK_USERS):
         us = users[start:start + _BLOCK_USERS]
-        # a copy: a scorer may return a read-only view (PopularityScorer does)
-        neg = np.array(scorer.score_block(us), dtype=float)
+        neg = scorer.score_block(us)
         np.negative(neg, out=neg)
         neg[train[us].nonzero()] = np.inf
         topk = _top_k(neg, k_eff)

@@ -23,20 +23,6 @@ class PlantedBlocks:
     user_blocks: np.ndarray
     item_blocks: np.ndarray
 
-    def ideal_scorer(self) -> "BlockScorer":
-        return BlockScorer(self.user_blocks, self.item_blocks)
-
-
-class BlockScorer:
-    """Oracle that scores 1 for in-block items, 0 elsewhere."""
-
-    def __init__(self, user_blocks: np.ndarray, item_blocks: np.ndarray):
-        self.user_blocks = user_blocks
-        self.item_blocks = item_blocks
-
-    def score_block(self, users: np.ndarray) -> np.ndarray:
-        return (self.item_blocks == self.user_blocks[users, None]).astype(float)
-
 
 def make_planted_blocks(
     num_users: int = 200,

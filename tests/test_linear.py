@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from recloss import (
     EASEConfig,
@@ -85,6 +86,25 @@ def reference_ease_fit(X, lam, alpha=0.0):
     n = X.shape[1]
     P = np.linalg.inv(X.T @ X + (lam / (1.0 - alpha)) * np.eye(n))
     W = (np.eye(n) - P / np.diag(P)[None, :]) / (1.0 - alpha)
+    np.fill_diagonal(W, 0.0)
+    return W, P
+
+
+def two_buffer_ease_solve(X, lam, alpha=0.0):
+    """W and P = (X^T X + lam I)^{-1} as the solver formed them before W took
+    over P's buffer: a full sparse Gram densified into P, a masked transpose
+    copy for the mirror, and W in a second n x n array."""
+    Xs = sp.csr_matrix(X, dtype=float)
+    P = (Xs.T @ Xs).toarray(order="F").T
+    n = P.shape[0]
+    P.flat[:: n + 1] += lam
+    _, info = dpotrf(P.T, lower=True, clean=False, overwrite_a=True)
+    assert info == 0
+    _, info = dpotri(P.T, lower=True, overwrite_c=True)
+    assert info == 0
+    np.copyto(P, P.T, where=np.tri(n, k=-1, dtype=bool))
+    W = P / np.diag(P)
+    W /= alpha - 1.0
     np.fill_diagonal(W, 0.0)
     return W, P
 
@@ -330,7 +350,8 @@ class TestEASE:
     def test_identity_gives_zero(self):
         sol = ease_fit(np.eye(3), lam=0.5)
         assert np.all(sol.W == 0.0)
-        np.testing.assert_allclose(sol.P, (2.0 / 3.0) * np.eye(3), atol=1e-15)
+        _, P = two_buffer_ease_solve(np.eye(3), 0.5)
+        np.testing.assert_allclose(P, (2.0 / 3.0) * np.eye(3), atol=1e-15)
 
     def test_matches_per_column_oracle(self, rng):
         for _ in range(5):
@@ -369,19 +390,19 @@ class TestEASE:
             sol = ease_fit(X, lam) if alpha is None else ease_debiased_fit(X, lam, alpha)
             W, P = reference_ease_fit(X, lam, alpha or 0.0)
             assert rel_dev(sol.W, W) <= 1e-12
-            assert rel_dev(sol.P, P) <= 1e-12
-            assert np.array_equal(sol.P, sol.P.T)
+            # P is symmetric, so W's columns scaled by diag(P) are too
+            scaled = sol.W * np.diag(P)
+            assert rel_dev(scaled, scaled.T) <= 1e-12
 
     def test_sparse_input_equals_dense(self, rng):
         X = random_binary(rng, (25, 18), p=0.2)
         for fit in (lambda Y: ease_fit(Y, 0.8), lambda Y: ease_debiased_fit(Y, 0.8, 0.3)):
             dense, sparse = fit(X), fit(sp.csr_matrix(X))
             np.testing.assert_array_equal(sparse.W, dense.W)
-            np.testing.assert_array_equal(sparse.P, dense.P)
 
     def test_outputs_are_c_contiguous(self, rng):
         sol = ease_fit(random_binary(rng, (10, 9)), lam=0.5)
-        assert sol.W.flags.c_contiguous and sol.P.flags.c_contiguous
+        assert sol.W.flags.c_contiguous
 
     @pytest.mark.parametrize("fit", [ease_fit, lambda X, lam: ease_debiased_fit(X, lam, 0.4)])
     def test_rejected_factorization_raises(self, fit):
@@ -396,9 +417,22 @@ class TestEASE:
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             ease_fit(X, 1.0)
 
+    @pytest.mark.parametrize("gram_rows", [3, 64])
+    @pytest.mark.parametrize("n", [1, 40, 150])
+    def test_one_buffer_equals_two_buffer_solve(self, n, gram_rows, rng, monkeypatch):
+        # n = 1, n below the block of Gram rows and n not a multiple of it
+        monkeypatch.setattr(linear, "_GRAM_ROWS", gram_rows)
+        X = random_binary(rng, (max(n // 2, 3), n))
+        weighted = X * rng.uniform(0.5, 3.0, size=X.shape)
+        for Y in (X, sp.csr_matrix(X), weighted, sp.csr_matrix(weighted)):
+            for lam, alpha in ((0.7, 0.0), (0.7, 0.35)):
+                W, _ = two_buffer_ease_solve(Y, lam / (1.0 - alpha), alpha)
+                fit = ease_fit(Y, lam) if alpha == 0.0 else ease_debiased_fit(Y, lam, alpha)
+                np.testing.assert_array_equal(fit.W, W)
+
     def test_peak_memory_within_the_budget_estimate(self, rng):
         # the CLI refuses catalogs above linear.item_budget on an estimate of
-        # 24 n^2 bytes (three n x n float64 matrices); a dense Gram is the
+        # 12 n^2 bytes (1.5 n x n float64 matrices); a dense Gram is the
         # worst case for the sparse product
         n = 1000
         X = random_binary(rng, (300, n), p=0.3)
@@ -408,7 +442,7 @@ class TestEASE:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.05 * 8 * n * n
+        assert peak <= 1.5 * 8 * n * n
 
 
 class TestEASEDebiased:

@@ -27,7 +27,6 @@ from recloss import (
     mine,
     mine_plus,
     mse_pointwise,
-    positive_prior,
     positive_prior_all,
     sampled_softmax,
 )
@@ -73,12 +72,12 @@ def test_no_unlabeled_scores_rejected(kernel):
 class TestPositivePrior:
     def test_topk_formula(self):
         ds = build_dataset([list(range(5))], [[]], 100)
-        tau = positive_prior(ds, 0, DebiasParams(tau_mode="topk", k=20))
+        tau = positive_prior_all(ds, DebiasParams(tau_mode="topk", k=20))[0]
         assert tau == pytest.approx(0.25)
 
     def test_proportional_alpha_zero(self):
         ds = build_dataset([list(range(5))], [[]], 100)
-        tau = positive_prior(ds, 0, DebiasParams(tau_mode="proportional", alpha=0.0))
+        tau = positive_prior_all(ds, DebiasParams(tau_mode="proportional", alpha=0.0))[0]
         assert tau == pytest.approx(0.05)
 
     def test_proportional_constant_cu(self, rng):
@@ -87,25 +86,24 @@ class TestPositivePrior:
                  for _ in range(12)]
         ds = build_dataset(lists, [[] for _ in lists], 60)
         params = DebiasParams(tau_mode="proportional", alpha=0.4)
+        taus = positive_prior_all(ds, params)
         for u in range(ds.num_users):
-            tau = positive_prior(ds, u, params)
-            c_u = ds.num_items * tau / len(ds.train_positives[u])
+            c_u = ds.num_items * taus[u] / len(ds.train_positives[u])
             assert c_u == pytest.approx(1.4, rel=1e-12)
 
     def test_prior_at_least_one_rejected(self):
         ds = build_dataset([list(range(90))], [[]], 100)
         with pytest.raises(ValueError, match=">= 1"):
-            positive_prior(ds, 0, DebiasParams(tau_mode="topk", k=20))
+            positive_prior_all(ds, DebiasParams(tau_mode="topk", k=20))
 
     def test_ceiling_clamp(self):
         ds = build_dataset([list(range(9))], [[]], 2_000_000)
-        tau = positive_prior(ds, 0, DebiasParams(tau_mode="topk", k=1_999_990))
+        tau = positive_prior_all(ds, DebiasParams(tau_mode="topk", k=1_999_990))[0]
         assert tau == 1.0 - 1e-6
 
-    def test_no_positives_rejected(self):
-        ds = build_dataset([[0], []], [[], [0]], 2)
-        with pytest.raises(ValueError, match="no train positives"):
-            positive_prior(ds, 1, DebiasParams())
+    def test_no_positives_give_nan(self):
+        ds = build_dataset([[0], []], [[], [0]], 100)
+        assert np.isnan(positive_prior_all(ds, DebiasParams())[1])
 
     @pytest.mark.parametrize("params, num_items", [
         (DebiasParams(tau_mode="topk", k=3), 40),
@@ -127,15 +125,14 @@ class TestPositivePrior:
                     raw = (1.0 + params.alpha) * n / num_items
                 expected[u] = min(raw, 1.0 - 1e-6)
         np.testing.assert_array_equal(positive_prior_all(ds, params), expected)
-        for u in np.flatnonzero(ds.train_positives.lengths):
-            assert positive_prior(ds, u, params) == expected[u]
 
     def test_prior_all_names_first_user_at_one(self):
         ds = build_dataset([[0], [0, 1, 2], [0, 1, 2, 3]], [[], [], []], 10)
         with pytest.raises(ValueError, match="for user 1;"):
             positive_prior_all(ds, DebiasParams(tau_mode="topk", k=7))
+        ds = build_dataset([[0], [0, 1], [0, 1, 2, 3]], [[], [], []], 10)
         with pytest.raises(ValueError, match="for user 2;"):
-            positive_prior(ds, 2, DebiasParams(tau_mode="topk", k=7))
+            positive_prior_all(ds, DebiasParams(tau_mode="topk", k=7))
 
     def test_prior_all_nan_for_empty(self):
         ds = build_dataset([[0], []], [[], [0]], 2)

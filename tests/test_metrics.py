@@ -11,9 +11,7 @@ from recloss import (
     MetricsReport,
     PopularityScorer,
     evaluate,
-    ndcg_at_k,
     rank_top_k,
-    recall_at_k,
 )
 from recloss.data import CSRRows
 from conftest import build_dataset
@@ -27,6 +25,25 @@ class FixedScorer:
 
     def score_block(self, users):
         return self.table[np.asarray(users)]
+
+
+def recall_at_k(topk, test_items) -> float:
+    """|topk ∩ test| / |test|, by a per-user set loop."""
+    test = set(int(i) for i in test_items)
+    if not test:
+        raise ValueError("test set is empty; skip this user")
+    return sum(1 for i in topk if int(i) in test) / len(test)
+
+
+def ndcg_at_k(topk, test_items) -> float:
+    """Binary-relevance DCG over the top-k, normalized by the truncated ideal,
+    by a per-user set loop."""
+    test = set(int(i) for i in test_items)
+    if not test:
+        raise ValueError("test set is empty; skip this user")
+    dcg = sum(1.0 / np.log2(rank + 2) for rank, i in enumerate(topk) if int(i) in test)
+    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(min(len(topk), len(test))))
+    return dcg / idcg
 
 
 def reference_top_k(scores, k):
@@ -227,6 +244,19 @@ class TestEvaluate:
         ds = build_dataset([[0], [1], [2]], [[3], [], [4]], 5)
         report = evaluate(PopularityScorer(ds), ds, k=5)
         assert report.users_evaluated == 2
+
+    def test_popularity_blocks_are_fresh_and_writable(self):
+        # evaluate negates each block in place, so no block may be a view of
+        # the scorer's counts or of another block
+        ds = build_dataset([[0], [0, 1]], [[2], [3]], 4)
+        scorer = PopularityScorer(ds)
+        first, second = (scorer.score_block(np.array(us)) for us in ([0, 1], [0]))
+        for block in (first, second):
+            assert block.flags.writeable and block.dtype == np.float64
+            assert not np.shares_memory(block, scorer.scores)
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        np.testing.assert_array_equal(second, [[2.0, 1.0, 0.0, 0.0]])
 
     def test_k_below_one_rejected(self):
         ds = build_dataset([[0], [1]], [[2], [3]], 4)

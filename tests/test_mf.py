@@ -644,7 +644,7 @@ class TestTrainEpoch:
         assert norms_after(1.0) < 10.0
 
     def test_tau_vector_matches_prior(self):
-        from recloss import DebiasParams, positive_prior
+        from recloss import DebiasParams, positive_prior_all
 
         ds = make_random_dataset(8, 40, density=0.3, seed=4)
         cfg = TrainConfig(
@@ -654,10 +654,10 @@ class TestTrainEpoch:
             initial_lr=1e-3,
         )
         taus = _tau_vector(ds, cfg)
-        ref = DebiasParams(k=5, lambda_n=2.0)
+        ref = positive_prior_all(ds, DebiasParams(k=5, lambda_n=2.0))
         for u in range(ds.num_users):
             if len(ds.train_positives[u]):
-                assert taus[u] == pytest.approx(positive_prior(ds, u, ref))
+                assert taus[u] == pytest.approx(ref[u])
 
 
 class TestTrainConfig:
