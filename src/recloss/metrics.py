@@ -18,6 +18,9 @@ from .data import CSRRows, sorted_member
 
 # users scored per block by evaluate: a (1024, num_items) float64 score block
 _BLOCK_USERS = 1024
+# rows of a score block ranked per _top_k call by evaluate, so the partition's
+# (rows, num_items) index and mask arrays stay a small fraction of the block
+_TOP_K_ROWS = 32
 
 
 @dataclass
@@ -127,7 +130,8 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
         neg = scorer.score_block(us)
         np.negative(neg, out=neg)
         neg[train[us].nonzero()] = np.inf
-        topk = _top_k(neg, k_eff)
+        topk = np.concatenate([_top_k(neg[s:s + _TOP_K_ROWS], k_eff)
+                               for s in range(0, len(us), _TOP_K_ROWS)])
         hits = sorted_member(test_keys, us[:, None] * ds.num_items + topk)
         counts = test_counts[us]
         recall_sum += float((hits.sum(axis=1) / counts).sum())

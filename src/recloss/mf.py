@@ -6,10 +6,11 @@ the cosine-normalization Jacobian), adds an L2 term over the rows touched by
 the batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@20.
 
-A batch is scored a few rows at a time, each chunk gathering at most
-``GATHER_BUDGET`` bytes of item rows.  ``GATHER_BUDGET`` is a module constant
-sized for the CPU cache, not a setting: no config key, flag or environment
-variable reaches it.
+``GATHER_BUDGET`` is the one cache budget of the trainer: a batch is scored a
+few rows at a time, each chunk gathering at most that many bytes of item rows,
+and Adam updates the touched rows in chunks whose four (rows x d) blocks fill
+it.  It is a module constant sized for the CPU cache, not a setting: no config
+key, flag or environment variable reaches it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .sampling import BatchSampler, SamplerConfig, substream
 
 NORM_FLOOR = 1e-12
 
-# Bytes of gathered item rows per scoring chunk in batch_objective.
+# Bytes per chunk, for both the gathered item rows of a scoring chunk in
+# batch_objective and the four-block workspace of adam_step, small enough that
+# a chunk's repeated passes stay in a core's L2 cache.
 GATHER_BUDGET = 1 << 20
 
 # Losses trained on temperature-scaled cosine scores unless overridden.
@@ -263,42 +266,62 @@ def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr:
     """One bias-corrected Adam update (Kingma & Ba 2015), touching only the
     rows in grads.
 
-    Each touched block of m, v and the embeddings is gathered once, updated in
-    place and scattered once.  The float operations keep the order of
+    The touched rows are updated a chunk at a time, in one (4, chunk, d)
+    workspace of GATHER_BUDGET bytes: each chunk of m, v and the embeddings is
+    gathered into it, updated in place and scattered back, so the whole update
+    runs in cache.  The float operations keep the order of
     ``lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is bit for bit
-    that of the unfused update.
+    that of the unfused update.  Rows outside the model, a row given twice or
+    gradients not shaped (rows, d) raise ValueError before any state changes.
     """
+    d = model.d
+    sides = (
+        ("user", grads.user_rows, grads.user_grads, state.m_user, state.v_user,
+         model.user_embeddings),
+        ("item", grads.item_rows, grads.item_grads, state.m_item, state.v_item,
+         model.item_embeddings),
+    )
+    for side, rows, g, _, _, theta in sides:
+        n = len(theta)
+        _check_ids(f"{side}_rows", rows, n, f"{side}s")
+        if np.shape(g) != (len(rows), d):
+            raise ValueError(f"{side}_grads has shape {np.shape(g)}, expected "
+                             f"({len(rows)}, {d}) for {len(rows)} {side}_rows")
+        repeated = np.flatnonzero(np.bincount(rows, minlength=n) > 1)
+        if repeated.size:
+            raise ValueError(f"{side}_rows holds id {repeated[0]} more than once")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    for rows, g, m, v, theta in (
-        (grads.user_rows, grads.user_grads, state.m_user, state.v_user, model.user_embeddings),
-        (grads.item_rows, grads.item_grads, state.m_item, state.v_item, model.item_embeddings),
-    ):
-        # Three (rows x d) blocks serve the whole update.  The fancy gather of
-        # m checks rows; after it, take(mode="wrap") picks the same rows and,
-        # unlike the default mode, fills a reused block without a copy.
-        mr = m[rows]
-        mr *= ADAM_BETA1
-        scratch = np.multiply(g, 1.0 - ADAM_BETA1)
-        mr += scratch
-        m[rows] = mr
-        g2 = np.square(g)
-        g2 *= 1.0 - ADAM_BETA2
-        vr = np.take(v, rows, axis=0, out=scratch, mode="wrap")
-        vr *= ADAM_BETA2
-        vr += g2
-        v[rows] = vr
-        # the step, built in the gathered blocks now that m and v are stored
-        mr /= bc1
-        mr *= lr
-        vr /= bc2
-        np.sqrt(vr, out=vr)
-        vr += ADAM_EPS
-        mr /= vr
-        tr = np.take(theta, rows, axis=0, out=g2, mode="wrap")
-        tr -= mr
-        theta[rows] = tr
+    chunk = max(1, GATHER_BUDGET // (4 * d * 8))
+    work = np.empty((4, chunk, d))
+    for _, rows, g, m, v, theta in sides:
+        for s in range(0, len(rows), chunk):
+            r, gs = rows[s:s + chunk], g[s:s + chunk]
+            # the rows are checked, so take(mode="wrap") picks exactly them
+            # and, unlike the default mode, fills the workspace without a copy
+            mr, vr, tr, scratch = work[:, :len(r)]
+            np.take(m, r, axis=0, out=mr, mode="wrap")
+            mr *= ADAM_BETA1
+            np.multiply(gs, 1.0 - ADAM_BETA1, out=scratch)
+            mr += scratch
+            m[r] = mr
+            np.square(gs, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            np.take(v, r, axis=0, out=vr, mode="wrap")
+            vr *= ADAM_BETA2
+            vr += scratch
+            v[r] = vr
+            # the step, built in the gathered blocks now that m and v are stored
+            mr /= bc1
+            mr *= lr
+            vr /= bc2
+            np.sqrt(vr, out=vr)
+            vr += ADAM_EPS
+            mr /= vr
+            np.take(theta, r, axis=0, out=tr, mode="wrap")
+            tr -= mr
+            theta[r] = tr
 
 
 @dataclass

@@ -167,8 +167,9 @@ class TestTopKKernel:
         assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
 
     def test_evaluate_peak_memory(self):
-        # the block's score copy plus argpartition's (B, n) result; the full
-        # stable sort held a negated copy and a (B, n) int64 order on top
+        # the block's scores plus argpartition's result for one _TOP_K_ROWS
+        # slice; the full stable sort held a negated copy and a (B, n) int64
+        # order on top
         b, n = 256, 20_000
         rng = np.random.default_rng(31)
         ds = build_dataset([[u] for u in range(b)], [[b + u] for u in range(b)], n)
@@ -179,7 +180,34 @@ class TestTopKKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * b * n * 8
+        assert peak <= 1.25 * b * n * 8
+
+
+class TestTopKSlices:
+    """evaluate ranks a score block _TOP_K_ROWS rows at a time."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_slices_rank_as_one_call(self, monkeypatch, name):
+        # 20 users: slices of 3 leave a short last one; 1 << 30 ranks them in one call
+        rng = np.random.default_rng(37)
+        b, n = 20, 60
+        scores = tie_cases(rng, b=b, n=n)[name]
+        train = [rng.choice(n, size=int(rng.integers(0, 30)), replace=False).tolist()
+                 for _ in range(b)]
+        test = [rng.choice(np.setdiff1d(np.arange(n), t), size=2, replace=False).tolist()
+                for t in train]
+        ds = build_dataset(train, test, n)
+        masked = scores.copy()
+        for u, items in enumerate(train):
+            masked[u, items] = -np.inf
+        order = reference_top_k(masked, 10)
+        recall = np.mean([recall_at_k(order[u], test[u]) for u in range(b)])
+        ndcg = np.mean([ndcg_at_k(order[u], test[u]) for u in range(b)])
+        for rows in (3, 1 << 30):
+            monkeypatch.setattr(metrics, "_TOP_K_ROWS", rows)
+            report = evaluate(FixedScorer(scores), ds, k=10)
+            assert report.recall == pytest.approx(recall, abs=1e-12)
+            assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
 
 
 class TestRecall:

@@ -500,6 +500,83 @@ class TestAdam:
         assert np.all(model.item_embeddings[[0, 1]] == 1.0)
         assert np.all(model.user_embeddings[1] != 1.0)
 
+    # 1 byte: one row per chunk; "3 rows": chunks of 3, 3, 3 and 1; 1 GB: one chunk
+    @pytest.mark.parametrize("budget", [1, "3 rows", 1 << 30])
+    def test_any_chunk_size_matches_reference(self, monkeypatch, rng, budget):
+        d = 4
+        if budget == "3 rows":
+            budget = 3 * 4 * d * 8
+        monkeypatch.setattr(mf, "GATHER_BUDGET", budget)
+        model = ScoringModel(rng.normal(size=(12, d)), rng.normal(size=(15, d)))
+        ref_model = model.copy()
+        state, ref_state = OptimizerState.for_model(model), OptimizerState.for_model(model)
+        # unsorted rows, touched, left alone and touched again on both sides
+        steps = [([7, 0, 11, 3, 5, 2, 9], [14, 2, 8, 0, 13, 5, 11, 6, 1, 9]),
+                 ([3, 10, 1], [6, 14, 3, 12]), ([11, 7, 0, 3, 8], [0, 8, 7, 14, 2, 9, 4])]
+        for u_rows, i_rows in steps:
+            grads = GradBundle(0.0, np.array(u_rows), rng.normal(size=(len(u_rows), d)),
+                               np.array(i_rows), rng.normal(size=(len(i_rows), d)))
+            adam_step(model, state, grads, lr=0.05)
+            reference_adam_step(ref_model, ref_state, grads, lr=0.05)
+            for got, want in ((model.user_embeddings, ref_model.user_embeddings),
+                              (model.item_embeddings, ref_model.item_embeddings),
+                              (state.m_user, ref_state.m_user), (state.v_user, ref_state.v_user),
+                              (state.m_item, ref_state.m_item), (state.v_item, ref_state.v_item)):
+                np.testing.assert_array_equal(got, want)
+        assert state.step == ref_state.step == len(steps)
+
+    def test_peak_memory_is_one_workspace(self, rng):
+        # 4 * GATHER_BUDGET bytes of touched item rows; a whole-block update
+        # held three (rows x d) blocks, 12 x GATHER_BUDGET
+        d = 64
+        n_rows = 4 * mf.GATHER_BUDGET // (d * 8)
+        model = ScoringModel(rng.normal(size=(10, d)), rng.normal(size=(n_rows + 100, d)))
+        state = OptimizerState.for_model(model)
+        grads = GradBundle(0.0, np.arange(10), rng.normal(size=(10, d)),
+                           rng.permutation(n_rows + 100)[:n_rows], rng.normal(size=(n_rows, d)))
+        tracemalloc.start()
+        try:
+            adam_step(model, state, grads, lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * mf.GATHER_BUDGET
+
+
+class TestAdamRejects:
+    """A refused Adam step leaves the embeddings, m, v and the step count as they were."""
+
+    def stepped(self, rng):
+        # one real step first, so m and v hold values a stray write would change
+        model = ScoringModel(rng.normal(size=(4, 3)), rng.normal(size=(6, 3)))
+        state = OptimizerState.for_model(model)
+        adam_step(model, state, GradBundle(0.0, np.arange(4), rng.normal(size=(4, 3)),
+                                           np.arange(6), rng.normal(size=(6, 3))), lr=0.1)
+        return model, state
+
+    @pytest.mark.parametrize("user_rows,item_rows,user_shape,item_shape,message", [
+        ([-1], [0], (1, 3), (1, 3), r"^user_rows holds id -1, outside the model's 4 users"),
+        ([0, 1], [2, 6], (2, 3), (2, 3), r"^item_rows holds id 6, outside the model's 6 items"),
+        ([0, 2, 3], [1], (1, 3), (1, 3), r"^user_grads has shape \(1, 3\), expected \(3, 3\)"),
+        ([1], [0, 4, 5], (1, 3), (3, 2), r"^item_grads has shape \(3, 2\), expected \(3, 3\)"),
+        ([2, 0, 2], [1], (3, 3), (1, 3), r"^user_rows holds id 2 more than once"),
+        ([0], [3, 1, 5, 1], (1, 3), (4, 3), r"^item_rows holds id 1 more than once"),
+    ])
+    def test_bad_step_changes_nothing(self, rng, user_rows, item_rows, user_shape, item_shape,
+                                      message):
+        model, state = self.stepped(rng)
+        before = [a.copy() for a in (model.user_embeddings, model.item_embeddings,
+                                     state.m_user, state.v_user, state.m_item, state.v_item)]
+        grads = GradBundle(0.0, np.array(user_rows), rng.normal(size=user_shape),
+                           np.array(item_rows), rng.normal(size=item_shape))
+        with pytest.raises(ValueError, match=message):
+            adam_step(model, state, grads, lr=0.1)
+        after = (model.user_embeddings, model.item_embeddings,
+                 state.m_user, state.v_user, state.m_item, state.v_item)
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+        assert state.step == 1
+
 
 class TestPlateauSchedule:
     def test_flat_metric_halves_then_stops(self):
