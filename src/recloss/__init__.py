@@ -1,169 +1,26 @@
 """Contrastive and classical losses for implicit-feedback recommendation,
 plus closed-form linear recommenders and executable checks of the
-inequalities and equivalences that relate them."""
+inequalities and equivalences that relate them.
 
-from .checkpoint import (
-    CheckpointFormatError,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .data import (
-    CSRRows,
-    DatasetFormatError,
-    DatasetStats,
-    InteractionDataset,
-    dataset_stats,
-    load_dataset,
-    make_validation_split,
-    save_dataset,
-)
-from .losses import (
-    BOUND_NAMES,
-    CCLParams,
-    DEBIASED_KINDS,
-    DebiasParams,
-    InfoNCEPlusParams,
-    LOSS_KINDS,
-    LossEvaluation,
-    ScoreBundle,
-    bound_chain_slacks,
-    bpr,
-    ccl,
-    dcl,
-    debiased_ccl,
-    debiased_infonce,
-    debiased_mse,
-    evaluate_loss,
-    infonce,
-    infonce_plus,
-    mine,
-    mine_plus,
-    mse_pointwise,
-    positive_prior_all,
-    sampled_softmax,
-)
-from .linear import (
-    EASEConfig,
-    EASEScorer,
-    IALSConfig,
-    IALSState,
-    check_theorem1,
-    check_theorem2,
-    ease_debiased_fit,
-    ease_fit,
-    ials_fit,
-    ials_objective,
-)
-from .metrics import (
-    MetricsReport,
-    PopularityScorer,
-    evaluate,
-    rank_top_k,
-)
-from .mf import (
-    OptimizerState,
-    PlateauSchedule,
-    ScoringModel,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainingHistory,
-    adam_step,
-    batch_objective,
-    fit,
-    init_model,
-    train_epoch,
-)
-from .sampling import (
-    SAMPLER_KINDS,
-    BatchSampler,
-    PopularitySampler,
-    SamplerConfig,
-    substream,
-)
-from .synthetic import make_planted_blocks, make_random_dataset
-from .verify import (
-    PropertyReport,
-    run_verification,
-    verify_bound_chain,
-    verify_theorem1,
-    verify_theorem2,
-    write_report,
-)
+Each module names its public objects in its own ``__all__``; the package
+exports the union of those lists.
+"""
+
+from . import checkpoint, data, linear, losses, metrics, mf, sampling, synthetic, verify
+from .checkpoint import *
+from .data import *
+from .linear import *
+from .losses import *
+from .metrics import *
+from .mf import *
+from .sampling import *
+from .synthetic import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_NAMES",
-    "BatchSampler",
-    "CCLParams",
-    "CSRRows",
-    "CheckpointFormatError",
-    "DEBIASED_KINDS",
-    "DatasetFormatError",
-    "DatasetStats",
-    "DebiasParams",
-    "InfoNCEPlusParams",
-    "InteractionDataset",
-    "EASEConfig",
-    "EASEScorer",
-    "IALSConfig",
-    "IALSState",
-    "LOSS_KINDS",
-    "LossEvaluation",
-    "MetricsReport",
-    "OptimizerState",
-    "PlateauSchedule",
-    "PopularitySampler",
-    "PopularityScorer",
-    "PropertyReport",
-    "SAMPLER_KINDS",
-    "SamplerConfig",
-    "ScoreBundle",
-    "ScoringModel",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "TrainingHistory",
-    "adam_step",
-    "batch_objective",
-    "bound_chain_slacks",
-    "bpr",
-    "ccl",
-    "check_theorem1",
-    "check_theorem2",
-    "dataset_stats",
-    "dcl",
-    "debiased_ccl",
-    "debiased_infonce",
-    "debiased_mse",
-    "ease_debiased_fit",
-    "ease_fit",
-    "evaluate",
-    "evaluate_loss",
-    "fit",
-    "ials_fit",
-    "ials_objective",
-    "infonce",
-    "infonce_plus",
-    "init_model",
-    "load_checkpoint",
-    "load_dataset",
-    "make_planted_blocks",
-    "make_random_dataset",
-    "make_validation_split",
-    "mine",
-    "mine_plus",
-    "mse_pointwise",
-    "positive_prior_all",
-    "rank_top_k",
-    "run_verification",
-    "sampled_softmax",
-    "save_checkpoint",
-    "save_dataset",
-    "substream",
-    "train_epoch",
-    "verify_bound_chain",
-    "verify_theorem1",
-    "verify_theorem2",
-    "write_report",
-    "__version__",
-]
+    name
+    for module in (checkpoint, data, linear, losses, metrics, mf, sampling, synthetic, verify)
+    for name in module.__all__
+] + ["__version__"]

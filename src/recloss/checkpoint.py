@@ -21,6 +21,8 @@ import numpy as np
 from .data import _atomic_write
 from .mf import ScoringModel
 
+__all__ = ["CheckpointFormatError", "load_checkpoint", "save_checkpoint"]
+
 MAGIC = b"RECMODEL"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIIIBd")

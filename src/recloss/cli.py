@@ -105,6 +105,15 @@ def cmd_eval(cfg: dict, args) -> int:
     """Evaluate a checkpoint."""
     ds = _load_data(cfg)
     mode, payload = ckpt.load_checkpoint(args.checkpoint)
+    # EASE weights hold no user rows, so they fit any number of users
+    users = ds.num_users if mode == "ease" else payload.num_users
+    items = len(payload) if mode == "ease" else payload.num_items
+    if (users, items) != (ds.num_users, ds.num_items):
+        raise ConfigError(
+            f"checkpoint {args.checkpoint} holds {users} users x {items} items but the "
+            f"dataset has {ds.num_users} users x {ds.num_items} items; evaluate a "
+            "checkpoint on the dataset it was fitted on"
+        )
     scorer = linear.EASEScorer(ds, payload) if mode == "ease" else payload
     report = metrics.evaluate(scorer, ds, k=cfg["eval"]["k"])
     row = _eval_row(cfg, args.model_label or mode, args.loss_label, report)
@@ -199,19 +208,24 @@ def cmd_sweep(cfg: dict, args) -> int:
     axis = cfg["sweep"]["axis"]
     if not axis:
         raise ConfigError("sweep needs an axis (--axis key.path)")
-    if args.values:
-        values = [cfgmod._parse_override_value(v) for v in args.values.split(",")]
-    elif not args.log_range and cfg["sweep"]["values"]:
-        values = cfg["sweep"]["values"]
-    else:
-        log_range = args.log_range or cfg["sweep"]["log_range"]
+    values, log_range = cfg["sweep"]["values"], cfg["sweep"]["log_range"]
+    keys = ("sweep.values", "sweep.log_range")
+    if args.values or args.log_range:  # a flag outranks the config
+        values, log_range = args.values, args.log_range
+        keys = ("--values", "--log-range")
+        if values:
+            values = [cfgmod._parse_override_value(v) for v in values.split(",")]
+    if values and log_range:
+        raise ConfigError(f"the sweep grid is set twice, by {keys[0]} and by {keys[1]}; keep one")
+    if not values:
         if not log_range:
             raise ConfigError("sweep needs --values or --log-range")
         if not isinstance(log_range, (list, tuple)) or len(log_range) != 3:
             raise ConfigError(f"sweep.log_range must be [lo, hi, count], got {log_range!r}")
         lo, hi, count = log_range
         values = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
-    cfg = cfgmod.apply_override(cfg, "sweep.values", values)
+    # config.resolved holds the grid as its points alone, so it reruns the same grid
+    cfg = cfgmod.apply_override(cfg, "sweep", {"values": values, "log_range": None})
     workers = max(1, min(cfg["sweep"]["workers"], cfg["threads"]))
     points = [json.dumps(cfgmod.apply_override(cfg, axis, value)) for value in values]
     if workers > 1:

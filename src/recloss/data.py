@@ -22,6 +22,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+__all__ = [
+    "CSRRows", "DatasetFormatError", "DatasetStats", "InteractionDataset", "dataset_stats",
+    "load_dataset", "make_validation_split", "save_dataset",
+]
+
 log = logging.getLogger(__name__)
 
 
@@ -308,7 +313,7 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 
 def make_validation_split(
-    ds: InteractionDataset, fraction: float = 0.1, seed: int = 0
+    ds: InteractionDataset, fraction: float, seed: int
 ) -> tuple[InteractionDataset, CSRRows]:
     """Hold out ceil(fraction * |train_u|) items per user as a validation list.
 

@@ -27,6 +27,11 @@ from scipy.optimize import minimize
 from .data import InteractionDataset
 from .sampling import substream
 
+__all__ = [
+    "EASEConfig", "EASEScorer", "IALSConfig", "IALSState", "check_theorem1", "check_theorem2",
+    "ease_debiased_fit", "ease_fit", "ials_fit", "ials_objective",
+]
+
 # the models `recloss solve` fits, as linear.model names them
 LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 

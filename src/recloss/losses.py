@@ -21,6 +21,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import expit, logsumexp
 
+__all__ = [
+    "BOUND_NAMES", "CCLParams", "DEBIASED_KINDS", "DebiasParams", "InfoNCEPlusParams",
+    "LOSS_KINDS", "LossEvaluation", "ScoreBundle", "bound_chain_slacks", "bpr", "ccl", "dcl",
+    "debiased_ccl", "debiased_infonce", "debiased_mse", "evaluate_loss", "infonce",
+    "infonce_plus", "mine", "mine_plus", "mse_pointwise", "positive_prior_all",
+    "sampled_softmax",
+]
+
 
 @dataclass
 class ScoreBundle:

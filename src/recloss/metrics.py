@@ -16,6 +16,8 @@ import numpy as np
 
 from .data import CSRRows, sorted_member
 
+__all__ = ["MetricsReport", "PopularityScorer", "evaluate", "rank_top_k"]
+
 # users scored per block by evaluate: a (1024, num_items) float64 score block
 _BLOCK_USERS = 1024
 # rows of a score block ranked per _top_k call by evaluate, so the partition's
@@ -96,7 +98,7 @@ def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarra
     return _top_k(neg[None], min(k, ds.num_items))[0]
 
 
-def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
+def evaluate(scorer, ds, test_positives=None, *, k: int) -> MetricsReport:
     """Mean Recall@k / NDCG@k over users with non-empty test lists.
 
     ``test_positives`` overrides ``ds.test_positives`` (used for validation
@@ -128,6 +130,9 @@ def evaluate(scorer, ds, test_positives=None, k: int = 20) -> MetricsReport:
     for start in range(0, len(users), _BLOCK_USERS):
         us = users[start:start + _BLOCK_USERS]
         neg = scorer.score_block(us)
+        if neg.shape != (len(us), ds.num_items):
+            raise ValueError(f"scorer gave a {neg.shape} score block for {len(us)} users "
+                             f"and a catalog of {ds.num_items} items")
         np.negative(neg, out=neg)
         neg[train[us].nonzero()] = np.inf
         topk = np.concatenate([_top_k(neg[s:s + _TOP_K_ROWS], k_eff)

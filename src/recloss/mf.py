@@ -26,6 +26,11 @@ from .data import CSRRows, InteractionDataset, _atomic_write, make_validation_sp
 from .losses import DEBIASED_KINDS, LOSS_KINDS, ScoreBundle, debias_params, evaluate_loss, positive_prior_all
 from .sampling import BatchSampler, SamplerConfig, substream
 
+__all__ = [
+    "OptimizerState", "PlateauSchedule", "ScoringModel", "TrainConfig", "TrainingDivergedError",
+    "TrainingHistory", "adam_step", "batch_objective", "fit", "init_model", "train_epoch",
+]
+
 NORM_FLOOR = 1e-12
 
 # Bytes per chunk, for both the gathered item rows of a scoring chunk in
@@ -427,10 +432,11 @@ def train_epoch(
 
 
 class PlateauSchedule:
-    """Halve the lr after `patience` epochs without metric improvement."""
+    """Scale the lr by `factor` after `patience` epochs without a metric gain
+    above `threshold`; training stops once the lr falls below `min_lr`."""
 
-    def __init__(self, initial_lr: float, factor: float = 0.5, patience: int = 3,
-                 threshold: float = 1e-4, min_lr: float = 1e-6):
+    def __init__(self, initial_lr: float, factor: float, patience: int, threshold: float,
+                 min_lr: float):
         self.lr = initial_lr
         self.factor = factor
         self.patience = patience

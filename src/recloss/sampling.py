@@ -16,6 +16,8 @@ import numpy as np
 
 from .data import sorted_member
 
+__all__ = ["SAMPLER_KINDS", "BatchSampler", "PopularitySampler", "SamplerConfig", "substream"]
+
 SAMPLER_KINDS = ("uniform_all_items", "uniform_excluding_user_positives", "popularity")
 
 

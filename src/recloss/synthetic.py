@@ -16,6 +16,8 @@ import numpy as np
 from .data import InteractionDataset, hold_out
 from .sampling import substream
 
+__all__ = ["make_planted_blocks", "make_random_dataset"]
+
 
 @dataclass
 class PlantedBlocks:

@@ -1,7 +1,7 @@
 """Randomized property checks: loss inequalities and linear-model theorems.
 
 Each driver draws its own instances from a seed, tracks the worst-case
-slack or deviation, and reports pass/fail against a pinned tolerance.
+slack or deviation, and reports pass/fail against a tolerance pinned below.
 The CLI `verify` subcommand serializes the reports to JSON and exits
 nonzero when any property fails.
 """
@@ -19,6 +19,24 @@ from .linear import check_theorem1, check_theorem2
 from .losses import BOUND_NAMES, ScoreBundle
 from .sampling import substream
 
+__all__ = [
+    "PropertyReport", "run_verification", "verify_bound_chain", "verify_theorem1",
+    "verify_theorem2", "write_report",
+]
+
+# The drivers' score range, parameter grids and tolerances.  A bound-chain
+# slack passes at or above BOUND_TOLERANCE (zero up to float noise); a
+# theorem's deviation passes at or below its tolerance.
+BOUND_MAX_N = 64
+BOUND_SCORE_RANGE = (-10.0, 10.0)
+BOUND_TOLERANCE = -1e-9
+THEOREM1_ALPHA0 = (0.05, 0.1, 0.5)
+THEOREM1_C_U = (1.2, 1.5, 2.0)
+THEOREM1_TOLERANCE = 1e-8
+THEOREM2_ALPHAS = (0.1, 0.3, 0.6)
+THEOREM2_SCALE_TOLERANCE = 1e-10
+THEOREM2_ORACLE_TOLERANCE = 1e-4
+
 
 @dataclass
 class PropertyReport:
@@ -29,42 +47,33 @@ class PropertyReport:
     instances: int
 
 
+def _report(name: str, worst: float, tolerance: float, instances: int,
+            floor: bool = False) -> PropertyReport:
+    """A deviation passes at or below its tolerance; a slack, a `floor`, at or above it."""
+    passed = worst >= tolerance if floor else worst <= tolerance
+    return PropertyReport(name, bool(passed), worst, tolerance, instances)
+
+
 def _require_instances(count: int, key: str) -> None:
     """A check over zero instances checks nothing, so it must not report a pass."""
     if count < 1:
         raise ValueError(f"{key} must be >= 1, got {count}")
 
 
-def verify_bound_chain(
-    num_instances: int = 10_000,
-    seed: int = 0,
-    max_n: int = 64,
-    score_low: float = -10.0,
-    score_high: float = 10.0,
-    tolerance: float = -1e-9,
-) -> list[PropertyReport]:
-    """Slack of every loss inequality over random score bundles; all slacks
-    must stay above `tolerance` (zero up to float noise)."""
+def verify_bound_chain(num_instances: int, seed: int = 0) -> list[PropertyReport]:
+    """Slack of every loss inequality over random score bundles."""
     _require_instances(num_instances, "verify.bound_instances")
     rng = substream(seed, "verify-bounds")
     worst = {name: np.inf for name in BOUND_NAMES}
     for _ in range(num_instances):
-        n = int(rng.integers(1, max_n + 1))
-        pos = float(rng.uniform(score_low, score_high))
-        unl = rng.uniform(score_low, score_high, size=n)
+        n = int(rng.integers(1, BOUND_MAX_N + 1))
+        pos = float(rng.uniform(*BOUND_SCORE_RANGE))
+        unl = rng.uniform(*BOUND_SCORE_RANGE, size=n)
         slacks = losses.bound_chain_slacks(ScoreBundle(pos, unl))
         for name in BOUND_NAMES:
             worst[name] = min(worst[name], float(slacks[name]))
-    return [
-        PropertyReport(
-            name=f"bound/{name}",
-            passed=bool(worst[name] >= tolerance),
-            worst=worst[name],
-            tolerance=tolerance,
-            instances=num_instances,
-        )
-        for name in BOUND_NAMES
-    ]
+    return [_report(f"bound/{name}", worst[name], BOUND_TOLERANCE, num_instances, floor=True)
+            for name in BOUND_NAMES]
 
 
 def _random_interactions(rng, num_users, num_items, p=0.4) -> np.ndarray:
@@ -75,13 +84,7 @@ def _random_interactions(rng, num_users, num_items, p=0.4) -> np.ndarray:
     return X
 
 
-def verify_theorem1(
-    num_instances: int = 50,
-    seed: int = 0,
-    alpha0_values: tuple = (0.05, 0.1, 0.5),
-    c_u_values: tuple = (1.2, 1.5, 2.0),
-    tolerance: float = 1e-8,
-) -> PropertyReport:
+def verify_theorem1(num_instances: int, seed: int = 0) -> PropertyReport:
     """Debiased-iALS closed form equals the rescaled original closed form."""
     _require_instances(num_instances, "verify.theorem_instances")
     rng = substream(seed, "verify-thm1")
@@ -91,59 +94,31 @@ def verify_theorem1(
         n_items = int(rng.integers(6, 13))
         d = int(rng.integers(2, 6))
         X = _random_interactions(rng, nu_users, n_items)
-        alpha0 = alpha0_values[k % len(alpha0_values)]
-        c_u = c_u_values[(k // len(alpha0_values)) % len(c_u_values)]
+        alpha0 = THEOREM1_ALPHA0[k % len(THEOREM1_ALPHA0)]
+        c_u = THEOREM1_C_U[(k // len(THEOREM1_ALPHA0)) % len(THEOREM1_C_U)]
         dev = check_theorem1(X, d=d, alpha0=alpha0, c_u=c_u, lam=0.01, seed=int(rng.integers(1 << 31)))
         worst = max(worst, dev)
-    return PropertyReport(
-        name="theorem1/ials-rescaling",
-        passed=bool(worst <= tolerance),
-        worst=worst,
-        tolerance=tolerance,
-        instances=num_instances,
-    )
+    return _report("theorem1/ials-rescaling", worst, THEOREM1_TOLERANCE, num_instances)
 
 
-def verify_theorem2(
-    num_instances: int = 50,
-    seed: int = 0,
-    alphas: tuple = (0.1, 0.3, 0.6),
-    scale_tolerance: float = 1e-10,
-    oracle_tolerance: float = 1e-4,
-    oracle_every: int = 1,
-) -> list[PropertyReport]:
-    """Debiased EASE vs rescaled EASE (all instances) and vs an L-BFGS
-    minimizer of the debiased objective (every `oracle_every`-th instance)."""
+def verify_theorem2(num_instances: int, seed: int = 0) -> list[PropertyReport]:
+    """Debiased EASE vs rescaled EASE and vs an L-BFGS minimizer of the
+    debiased objective, on every instance."""
     _require_instances(num_instances, "verify.theorem_instances")
     rng = substream(seed, "verify-thm2")
-    worst_scale, worst_oracle, oracle_runs = 0.0, 0.0, 0
+    worst_scale, worst_oracle = 0.0, 0.0
     for k in range(num_instances):
         n_users = int(rng.integers(5, 9))
         n_items = int(rng.integers(4, 9))
         X = _random_interactions(rng, n_users, n_items, p=0.5)
         lam = float(rng.uniform(0.3, 2.0))
-        alpha = alphas[k % len(alphas)]
-        run_oracle = (k % oracle_every) == 0
-        scale_dev, oracle_dev = check_theorem2(X, lam, alpha, run_oracle=run_oracle)
+        scale_dev, oracle_dev = check_theorem2(X, lam, THEOREM2_ALPHAS[k % len(THEOREM2_ALPHAS)])
         worst_scale = max(worst_scale, scale_dev)
-        if run_oracle:
-            worst_oracle = max(worst_oracle, oracle_dev)
-            oracle_runs += 1
+        worst_oracle = max(worst_oracle, oracle_dev)
     return [
-        PropertyReport(
-            name="theorem2/ease-scale",
-            passed=bool(worst_scale <= scale_tolerance),
-            worst=worst_scale,
-            tolerance=scale_tolerance,
-            instances=num_instances,
-        ),
-        PropertyReport(
-            name="theorem2/ease-optimizer-oracle",
-            passed=bool(worst_oracle <= oracle_tolerance),
-            worst=worst_oracle,
-            tolerance=oracle_tolerance,
-            instances=oracle_runs,
-        ),
+        _report("theorem2/ease-scale", worst_scale, THEOREM2_SCALE_TOLERANCE, num_instances),
+        _report("theorem2/ease-optimizer-oracle", worst_oracle, THEOREM2_ORACLE_TOLERANCE,
+                num_instances),
     ]
 
 

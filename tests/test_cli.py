@@ -37,6 +37,13 @@ FAST = [
 ]
 
 
+
+def random_data(users, items):
+    return ["--set", "data.synthetic.kind=random", "--set", "data.synthetic.density=0.3",
+            "--set", f"data.synthetic.num_users={users}",
+            "--set", f"data.synthetic.num_items={items}"]
+
+
 @pytest.fixture()
 def data_dir(tmp_path):
     d = tmp_path / "data"
@@ -176,6 +183,26 @@ class TestEval:
         rc = main(["eval", "--data-dir", str(data_dir), "--checkpoint", str(bad)])
         assert rc == 1
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("users, items", [(40, 30), (20, 50), (10, 20)])
+    def test_checkpoint_of_another_shape_rejected(self, users, items, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", *random_data(20, 30), *FAST, "--output", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", *random_data(users, items), "--checkpoint", str(out / "checkpoint.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"holds 20 users x 30 items but the dataset has {users} users x {items} items" in err
+
+    def test_ease_checkpoint_fits_any_user_count(self, tmp_path, capsys):
+        out = tmp_path / "ease"
+        assert main(["solve", *random_data(20, 30), "--output", str(out)]) == 0
+        checkpoint = str(out / "checkpoint.bin")
+        assert main(["eval", *random_data(40, 30), "--checkpoint", checkpoint]) == 0
+        capsys.readouterr()
+        assert main(["eval", *random_data(20, 50), "--checkpoint", checkpoint]) == 1
+        assert "holds 20 users x 30 items but the dataset has 20 users x 50 items" in (
+            capsys.readouterr().err)
 
     def test_missing_checkpoint(self, data_dir, tmp_path, capsys):
         rc = main(["eval", "--data-dir", str(data_dir),
@@ -395,6 +422,37 @@ class TestSweep:
         assert seen == {"workers": 2, "start": "spawn", "env": ["2", "2", "2"]}
         assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
         assert "OMP_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("grid, keys", [
+        (["--values", "0.05,0.1", "--log-range", "1e-3", "1e-1", "3"], "--values and by --log-range"),
+        (["--set", "sweep.values=[0.05,0.1]", "--set", "sweep.log_range=[0.001,0.1,3]"],
+         "sweep.values and by sweep.log_range"),
+    ])
+    def test_grid_set_twice_is_an_error(self, grid, keys, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["sweep", *SYNTH, "--axis", "train.initial_lr", *grid, "--output", str(out)])
+        assert rc == 1
+        assert f"the sweep grid is set twice, by {keys}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_outranks_config_grid(self, tmp_path):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *SYNTH, *FAST, "--axis", "train.l2_weight",
+                   "--set", "sweep.values=[0.5]", "--log-range", "1e-3", "1e-1", "3",
+                   "--output", str(out)])
+        assert rc == 0
+        assert len((out / "sweep.csv").read_text().strip().split("\n")) == 4
+
+    def test_rerun_from_resolved_config(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sweep", *SYNTH, *FAST, "--axis", "train.l2_weight",
+                     "--set", "sweep.log_range=[0.001,0.1,3]", "--output", str(first)]) == 0
+        resolved = json.loads((first / "config.resolved").read_text())
+        assert resolved["sweep"]["values"] == list(np.geomspace(1e-3, 1e-1, 3))
+        assert resolved["sweep"]["log_range"] is None
+        assert main(["sweep", "--config", str(first / "config.resolved"),
+                     "--output", str(second)]) == 0
+        assert (first / "sweep.csv").read_text() == (second / "sweep.csv").read_text()
 
     def test_needs_axis(self, tmp_path, capsys):
         rc = main(["sweep", *SYNTH, "--output", str(tmp_path / "x")])

@@ -295,9 +295,9 @@ class TestValidationSplit:
 
     def test_fraction_out_of_range(self, tiny_ds):
         with pytest.raises(ValueError):
-            make_validation_split(tiny_ds, fraction=0.0)
+            make_validation_split(tiny_ds, fraction=0.0, seed=0)
         with pytest.raises(ValueError):
-            make_validation_split(tiny_ds, fraction=1.0)
+            make_validation_split(tiny_ds, fraction=1.0, seed=0)
 
     def test_hold_counts_follow_the_ceiling_rule(self):
         lengths = [0, 1, 2, 3, 7, 10, 11, 29]

@@ -304,6 +304,12 @@ class TestEvaluate:
         ds = build_dataset([[0], [1]], [[2], [2]], 3)
         assert evaluate(PopularityScorer(ds), ds, [[2]], k=2).users_evaluated == 1
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_block_wider_or_narrower_than_catalog_rejected(self, width):
+        ds = build_dataset([[0], [1]], [[2], [3]], 4)
+        with pytest.raises(ValueError, match=r"\(2, %d\) score block .* catalog of 4 items" % width):
+            evaluate(FixedScorer(np.ones((2, width))), ds, k=2)
+
     def test_no_evaluable_user_rejected(self):
         ds = build_dataset([[0], [1]], [[], []], 3)
         with pytest.raises(ValueError, match="non-empty"):

@@ -580,7 +580,7 @@ class TestAdamRejects:
 
 class TestPlateauSchedule:
     def test_flat_metric_halves_then_stops(self):
-        sched = PlateauSchedule(1e-4)
+        sched = PlateauSchedule(1e-4, factor=0.5, patience=3, threshold=1e-4, min_lr=1e-6)
         epochs = 0
         while not sched.stopped:
             sched.observe(0.5)
@@ -590,7 +590,7 @@ class TestPlateauSchedule:
         assert sched.lr == pytest.approx(1e-4 * 0.5**7)
 
     def test_improvement_resets_patience(self):
-        sched = PlateauSchedule(1e-2, patience=2)
+        sched = PlateauSchedule(1e-2, factor=0.5, patience=2, threshold=1e-4, min_lr=1e-6)
         sched.observe(0.1)
         sched.observe(0.1)      # bad 1
         sched.observe(0.2)      # improvement clears the counter
@@ -600,7 +600,7 @@ class TestPlateauSchedule:
         assert sched.lr == pytest.approx(5e-3)
 
     def test_threshold_filters_tiny_gains(self):
-        sched = PlateauSchedule(1e-2, patience=1, threshold=1e-4)
+        sched = PlateauSchedule(1e-2, factor=0.5, patience=1, threshold=1e-4, min_lr=1e-6)
         sched.observe(0.5)
         sched.observe(0.5 + 1e-5)  # below threshold: counts as bad
         assert sched.lr == pytest.approx(5e-3)

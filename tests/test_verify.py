@@ -58,10 +58,6 @@ class TestTheoremDrivers:
         assert scale.passed and oracle.passed
         assert oracle.instances == 6
 
-    def test_theorem2_oracle_subsampling(self):
-        _, oracle = verify_theorem2(num_instances=6, seed=1, oracle_every=3)
-        assert oracle.instances == 2
-
 
 @pytest.mark.parametrize("check, key", [
     (verify_bound_chain, "verify.bound_instances"),
