@@ -215,15 +215,15 @@ def cmd_sweep(cfg: dict, args) -> int:
         keys = ("--values", "--log-range")
         if values:
             values = [cfgmod._parse_override_value(v) for v in values.split(",")]
+        if log_range:
+            log_range = [cfgmod._parse_override_value(v) for v in log_range]
+            cfgmod.check_log_range("--log-range", log_range)
     if values and log_range:
         raise ConfigError(f"the sweep grid is set twice, by {keys[0]} and by {keys[1]}; keep one")
     if not values:
         if not log_range:
             raise ConfigError("sweep needs --values or --log-range")
-        if not isinstance(log_range, (list, tuple)) or len(log_range) != 3:
-            raise ConfigError(f"sweep.log_range must be [lo, hi, count], got {log_range!r}")
-        lo, hi, count = log_range
-        values = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
+        values = [float(v) for v in np.geomspace(*log_range)]
     # config.resolved holds the grid as its points alone, so it reruns the same grid
     cfg = cfgmod.apply_override(cfg, "sweep", {"values": values, "log_range": None})
     workers = max(1, min(cfg["sweep"]["workers"], cfg["threads"]))

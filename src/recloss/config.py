@@ -167,6 +167,27 @@ def _check_synthetic(synth) -> None:
             raise ConfigError(f"synthetic data kind {kind!r} requires data.synthetic.{key}")
 
 
+def check_log_range(key: str, log_range) -> None:
+    """A geometric sweep grid is [lo, hi, count]: two positive numbers and
+    an integer count of at least 1."""
+    numbers = isinstance(log_range, list) and len(log_range) == 3 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in log_range)
+    if not (numbers and log_range[0] > 0 and log_range[1] > 0
+            and isinstance(log_range[2], int) and log_range[2] >= 1):
+        raise ConfigError(f"{key} must be [lo, hi, count] with lo, hi > 0 and an integer "
+                          f"count >= 1, got {log_range!r}")
+
+
+def _check_sweep(sweep: dict) -> None:
+    axis, values = sweep["axis"], sweep["values"]
+    if axis is not None and not isinstance(axis, str):
+        raise ConfigError(f"config key 'sweep.axis' must be a dotted key string, got {axis!r}")
+    if values is not None and not (isinstance(values, list) and values):
+        raise ConfigError(f"config key 'sweep.values' must be a non-empty list, got {values!r}")
+    if sweep["log_range"] is not None:
+        check_log_range("sweep.log_range", sweep["log_range"])
+
+
 def validate_config(cfg: dict) -> None:
     _check_keys(cfg, DEFAULTS)
     kind = cfg["loss"]["kind"]
@@ -191,6 +212,7 @@ def validate_config(cfg: dict) -> None:
         )
     if cfg["data"]["synthetic"] is not None:
         _check_synthetic(cfg["data"]["synthetic"])
+    _check_sweep(cfg["sweep"])
 
 
 def _parse_override_value(raw: str):

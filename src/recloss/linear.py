@@ -8,8 +8,11 @@ runs the two closed forms side by side, the other pits the closed form
 against a general-purpose constrained optimizer.
 
 iALS reads one binary scipy CSR (its transpose is the item side).  One row
-solver serves both half-sweeps and both sides of Theorem 1, and the
-objective sums its observed terms over the CSR entries in fixed-size chunks.
+solver serves both half-sweeps and both sides of Theorem 1: it rotates the
+fixed factors into the eigenbasis of the shared Gram once, then solves the
+rows of each length together, a row of L <= d entries through an L x L
+system.  The objective sums its observed terms over the CSR entries in
+fixed-size chunks.
 EASE holds one n x n buffer: the Gram, then its inverse P, then the weights
 W, which are all it returns.
 """
@@ -20,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dposv, dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
 from .data import InteractionDataset
@@ -35,7 +37,8 @@ __all__ = [
 # the models `recloss solve` fits, as linear.model names them
 LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 
-# gathered factor entries per ials_objective chunk: two 8 MB float64 blocks
+# gathered factor entries per chunk of ials_objective (two 8 MB float64
+# blocks) and of the iALS row solver (8 MB blocks of equal-length rows)
 _CHUNK_FLOATS = 1 << 20
 
 # item rows of the EASE Gram built, and of its inverse mirrored, per step
@@ -121,49 +124,86 @@ def ials_objective(W, H, source, cfg: IALSConfig, debiased: bool = False) -> flo
     return total + float(lam_u @ np.sum(W**2, axis=1)) + float(lam_i @ np.sum(H**2, axis=1))
 
 
-def _ridge_solve(A: np.ndarray, b: np.ndarray, kind: str, row: int) -> np.ndarray:
-    """Solve A x = b by Cholesky (LAPACK posv), overwriting A and b.
-
-    A is symmetric and C-ordered; LAPACK factors its Fortran-ordered
-    transpose in place (a C-ordered array would be copied first).  NaN can
-    pass the factorization, so _solve_rows checks the solved rows for it.
-    """
-    _, x, info = dposv(A.T, b, lower=True, overwrite_a=True, overwrite_b=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"ridge system of {kind} {row} is not positive definite (leading minor "
-            f"{info}); its lambda must be positive and its inputs finite"
-        )
-    return x
+def _require_definite(A: np.ndarray, rows: np.ndarray, kind: str) -> None:
+    """Raise LinAlgError naming the first of rows whose system in A is not
+    positive definite (Cholesky fails); A stacks one d x d system per row."""
+    for row, system in zip(rows.tolist(), A):
+        try:
+            np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"ridge system of {kind} {row} is not positive definite; "
+                "its lambda must be positive and its inputs finite"
+            ) from None
 
 
 def _solve_rows(R: sp.csr_matrix, fixed: np.ndarray, gram: np.ndarray, lams, kind: str,
-                a_scale=1.0, b_scale=1.0, conf: np.ndarray | None = None) -> np.ndarray:
+                a_scale=1.0, b_scale=1.0, conf: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """For each row r of R, with S its stored columns and M = fixed, solve
     (a_r M_S^T diag(conf_S) M_S + gram + lams[r] I) x = b_r M_S^T conf_S, where
-    conf is 1 when None and a, b are scalars or per-row arrays; returns finite rows x."""
+    conf is 1 when None, a and b are scalars or per-row arrays (a > 0), and
+    gram is symmetric; returns the solved rows x and their Gram x^T x, both
+    finite.
+
+    With gram = Q diag(evals) Q^T, row r reads (V^T V + diag(k)) y = V^T w
+    in the eigenbasis, where V = sqrt(a_r conf_S) M_S Q, k = evals + lams[r],
+    w = b_r sqrt(conf_S / a_r) and x = Q y.  Rows with the same number L of
+    entries are solved together, _CHUNK_FLOATS gathered floats at a time.
+    With L <= d and k > 0, y = diag(1/k) V^T C^{-1} w, where the L x L
+    capacitance C = I + V diag(1/k) V^T (Woodbury) has eigenvalues >= 1;
+    otherwise the d x d normal equations are solved.  Only a row with some
+    k <= 0 can be indefinite; its system is checked by Cholesky first.
+    """
     n, d = R.shape[0], fixed.shape[1]
-    a_scale, b_scale = np.broadcast_to(a_scale, (n,)), np.broadcast_to(b_scale, (n,))
-    out = np.empty((n, d))
-    bounds = R.indptr.tolist()
-    for r in range(n):
-        cols = R.indices[bounds[r]:bounds[r + 1]]
-        M_s = fixed[cols]
-        CM = M_s if conf is None else conf[cols, None] * M_s
-        # one BLAS call forms a_r M_S^T (conf M_S) + gram in a fresh Fortran-ordered
-        # array; a_r scales the product, since weighting M_S first can overflow it
-        A = dgemm(a_scale[r], M_s.T, CM.T, 1.0, gram, trans_b=True).T
-        b = CM.sum(axis=0)
-        b *= b_scale[r]
-        A.flat[:: d + 1] += lams[r]
-        out[r] = _ridge_solve(A, b, kind, r)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"iALS {kind} solves produced non-finite factors")
-    return out
+    if not np.all(np.isfinite(gram)):
+        raise FloatingPointError(f"iALS {kind} solves got non-finite fixed factors")
+    evals, Q = np.linalg.eigh(gram)
+    rotated = fixed @ Q
+    lams, a_scale, b_scale = (np.broadcast_to(v, (n,)) for v in (lams, a_scale, b_scale))
+    counts = np.diff(R.indptr)
+    order = np.argsort(counts, kind="stable")
+    bounds = [*np.flatnonzero(np.diff(counts[order], prepend=-1)).tolist(), n]
+    solved = np.zeros((n, d))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite factor
+        for lo, hi in zip(bounds, bounds[1:]):
+            L = int(counts[order[lo]])
+            step = max(1, _CHUNK_FLOATS // max(L * d, 1))
+            for start in range(lo, hi, step):
+                rows = order[start:min(start + step, hi)]
+                k = evals + lams[rows, None]
+                definite = k.min() > 0  # False for NaN
+                if L == 0 and definite:
+                    continue  # the right side is zero
+                cols = R.indices[R.indptr[rows, None] + np.arange(L)]
+                a = a_scale[rows, None]
+                root = np.broadcast_to(np.sqrt(a if conf is None else a * conf[cols]), cols.shape)
+                w = root * (b_scale[rows, None] / a)
+                V = rotated[cols]
+                V *= root[..., None]
+                Vt = V.transpose(0, 2, 1)
+                if L <= d and definite:
+                    Vk = V / k[:, None, :]
+                    C = Vk @ Vt
+                    C.reshape(len(rows), -1)[:, :: L + 1] += 1.0
+                    y = np.linalg.solve(C, w[..., None])
+                    solved[rows] = (Vk.transpose(0, 2, 1) @ y)[..., 0]
+                else:
+                    A = Vt @ V
+                    A.reshape(len(rows), -1)[:, :: d + 1] += k
+                    if not definite:
+                        _require_definite(A, rows, kind)
+                    solved[rows] = np.linalg.solve(A, Vt @ w[..., None])[..., 0]
+        x = solved @ Q.T
+        x_gram = x.T @ x
+    if not np.all(np.isfinite(x_gram)):
+        raise FloatingPointError(f"iALS {kind} solves produced non-finite factors or Gram")
+    return x, x_gram
 
 
 def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
-    """Alternating exact per-row ridge solves; objective recorded per sweep.
+    """Alternating exact ridge solves, every row of a half-sweep in batches
+    of equal-length rows (_solve_rows); objective recorded per sweep.
 
     Original mode solves (H_S H_S^T + alpha0 H H^T + lam_u I) w = H_S 1 per
     user (symmetrically per item).  Debiased mode solves the normal
@@ -186,9 +226,10 @@ def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
     item_a, item_conf = (1.0 - cfg.alpha0, c) if debiased else (1.0, None)
 
     trace = [ials_objective(W, H, X, cfg, debiased)]
+    gram = H.T @ H
     for _ in range(cfg.num_sweeps):
-        W = _solve_rows(X, H, cfg.alpha0 * (H.T @ H), lam_u, "user", user_a, user_b)
-        H = _solve_rows(by_item, W, cfg.alpha0 * (W.T @ W), lam_i, "item", item_a, 1.0, item_conf)
+        W, gram = _solve_rows(X, H, cfg.alpha0 * gram, lam_u, "user", user_a, user_b)
+        H, gram = _solve_rows(by_item, W, cfg.alpha0 * gram, lam_i, "item", item_a, 1.0, item_conf)
         trace.append(ials_objective(W, H, X, cfg, debiased))
     return IALSState(W, H, trace)
 
@@ -324,8 +365,8 @@ def check_theorem1(
     worst = 0.0
     for kind, rows, fixed, lams in (("user", R, H, lam_u), ("item", R.T.tocsr(), W, lam_i)):
         gram = fixed.T @ fixed
-        debiased = _solve_rows(rows, fixed, alpha0 * gram, lams, kind, c_u * (1.0 - alpha0), np.sqrt(c_u))
-        original = _solve_rows(rows, fixed, (alpha0 * scale) * gram, lams * scale, kind)
+        debiased, _ = _solve_rows(rows, fixed, alpha0 * gram, lams, kind, c_u * (1.0 - alpha0), np.sqrt(c_u))
+        original, _ = _solve_rows(rows, fixed, (alpha0 * scale) * gram, lams * scale, kind)
         worst = max(worst, _rel_deviation(debiased, factor * original, axis=1))
     return worst
 

@@ -394,6 +394,29 @@ class TestSweep:
         assert rc == 1
         assert "sweep.log_range must be [lo, hi, count]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, shown", [
+        (["--set", "sweep.axis=5"], "config key 'sweep.axis' must be a dotted key string, got 5"),
+        (["--set", "sweep.values=0.05"], "config key 'sweep.values' must be a non-empty list, got 0.05"),
+        (["--set", "sweep.values=[]"], "config key 'sweep.values' must be a non-empty list, got []"),
+        (["--set", "sweep.log_range=[0.01,0.1,0]"], "sweep.log_range must be [lo, hi, count] with "
+         "lo, hi > 0 and an integer count >= 1, got [0.01, 0.1, 0]"),
+        (["--set", 'sweep.log_range=[0.01,"a",2]'], "sweep.log_range must be [lo, hi, count] with "
+         "lo, hi > 0 and an integer count >= 1, got [0.01, 'a', 2]"),
+        (["--set", "sweep.log_range=[0,0.1,3]"], "sweep.log_range must be [lo, hi, count] with "
+         "lo, hi > 0 and an integer count >= 1, got [0, 0.1, 3]"),
+        (["--set", "sweep.log_range=[0.01,0.1,2.5]"], "sweep.log_range must be [lo, hi, count] "
+         "with lo, hi > 0 and an integer count >= 1, got [0.01, 0.1, 2.5]"),
+        (["--log-range", "0.01", "a", "2"], "--log-range must be [lo, hi, count] with "
+         "lo, hi > 0 and an integer count >= 1, got [0.01, 'a', 2]"),
+    ])
+    def test_mistyped_grid_is_refused(self, grid, shown, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["sweep", *SYNTH, *FAST, "--set", "sweep.axis=train.l2_weight", *grid,
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not out.exists()
+
     def test_workers_spawn_with_blas_threads_split(self, tmp_path, monkeypatch):
         seen = {}
 

@@ -1,12 +1,14 @@
 """iALS and EASE closed forms, debiased variants, and the theorem checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dposv, dpotrf, dpotri
 
 from recloss import (
     EASEConfig,
@@ -79,6 +81,32 @@ def reference_ials_fit(X, cfg, debiased=False):
             H[i] = cho_solve(cho_factor(A, lower=True), b)
         trace.append(ials_objective(W, H, X, cfg, debiased))
     return W, H, trace
+
+
+def per_row_solve_rows(R, fixed, gram, lams, kind, a_scale=1.0, b_scale=1.0, conf=None):
+    """linear._solve_rows as it first was: per row, one BLAS gemm forms
+    a_r M_S^T (conf M_S) + gram + lams[r] I and one LAPACK posv solves it."""
+    n, d = R.shape[0], fixed.shape[1]
+    a_scale, b_scale = np.broadcast_to(a_scale, (n,)), np.broadcast_to(b_scale, (n,))
+    out = np.empty((n, d))
+    for r in range(n):
+        cols = R.indices[R.indptr[r]:R.indptr[r + 1]]
+        M_s = fixed[cols]
+        CM = M_s if conf is None else conf[cols, None] * M_s
+        A = dgemm(a_scale[r], M_s.T, CM.T, 1.0, gram, trans_b=True).T
+        b = CM.sum(axis=0) * b_scale[r]
+        A.flat[:: d + 1] += lams[r]
+        _, out[r], info = dposv(A.T, b, lower=True, overwrite_a=True, overwrite_b=True)
+        assert info == 0, f"{kind} {r} is not positive definite"
+    return out
+
+
+def rows_with_counts(rng, counts, num_cols):
+    """A binary CSR whose row r holds counts[r] distinct random columns."""
+    dense = np.zeros((len(counts), num_cols))
+    for r, count in enumerate(counts):
+        dense[r, rng.choice(num_cols, count, replace=False)] = 1.0
+    return sp.csr_matrix(dense)
 
 
 def reference_ease_fit(X, lam, alpha=0.0):
@@ -332,6 +360,108 @@ class TestIALSFit:
         cfg = IALSConfig(d=2, alpha0=0.1, lam=0.1, init_scale=np.nan, num_sweeps=1)
         with pytest.raises(FloatingPointError, match="non-finite"):
             ials_fit(X, cfg)
+
+
+class TestSolveRows:
+    d = 6
+    # rows with 0, 1, d - 1, d, d + 1 and many entries, shuffled so that
+    # equal-length rows are not adjacent
+    counts = np.random.default_rng(0).permutation([0, 0, 1, 1, 1, 5, 5, 6, 6, 7, 7, 30, 30, 37])
+
+    def system(self, rng, gram_kind):
+        R = rows_with_counts(rng, self.counts, 40)
+        fixed = rng.normal(size=(40, self.d))
+        if gram_kind == "full":
+            gram = 0.3 * (fixed.T @ fixed)
+        elif gram_kind == "zero":  # alpha0 = 0
+            gram = np.zeros((self.d, self.d))
+        else:  # rank 2, with exactly zero eigenvalues in exact arithmetic
+            B = rng.normal(size=(self.d, 2))
+            gram = B @ B.T
+        return R, fixed, gram, rng.uniform(0.05, 1.0, size=len(self.counts))
+
+    @pytest.mark.parametrize("gram_kind", ["full", "zero", "rank-deficient"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("with_conf", [False, True])
+    @pytest.mark.parametrize("chunk_floats", [None, 1])
+    def test_matches_the_per_row_solver(self, gram_kind, per_row, with_conf, chunk_floats,
+                                        rng, monkeypatch):
+        if chunk_floats is not None:  # one row per chunk
+            monkeypatch.setattr(linear, "_CHUNK_FLOATS", chunk_floats)
+        R, fixed, gram, lams = self.system(rng, gram_kind)
+        n = R.shape[0]
+        a, b = (rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)) if per_row else (0.7, 1.3)
+        conf = rng.uniform(0.5, 2.5, size=40) if with_conf else None
+        args = (R, fixed, gram, lams, "user", a, b, conf)
+        want = per_row_solve_rows(*args)
+        got, got_gram = linear._solve_rows(*args)
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+        assert np.all(got[self.counts == 0] == 0.0)
+        np.testing.assert_array_equal(got_gram, got.T @ got)
+        again, again_gram = linear._solve_rows(*args)
+        np.testing.assert_array_equal(again, got)
+        np.testing.assert_array_equal(again_gram, got_gram)
+
+    @pytest.mark.parametrize("gram_kind", ["full", "zero"])
+    def test_negative_lambda_on_a_definite_system(self, gram_kind, rng):
+        # a long row stays positive definite below lambda = -min eig(gram),
+        # and is solved through its checked normal equations
+        R, fixed, gram, lams = self.system(rng, gram_kind)
+        long_row = int(np.argmax(self.counts))
+        lams[long_row] = -np.linalg.eigvalsh(gram)[0] - 1e-2
+        want = per_row_solve_rows(R, fixed, gram, lams, "user")
+        got, _ = linear._solve_rows(R, fixed, gram, lams, "user")
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_indefinite_row_is_named(self, side, length, rng):
+        d = 3
+        X = random_binary(rng, (12, 10), p=0.4)
+        X[0, :2] = 1.0
+        X[0, 2:] = 0.0
+        X[:2, 0] = 1.0  # user 0 and item 0 hold 2 <= d entries each
+        X[2:, 0] = 0.0
+        X[1] = X[:, 1] = 1.0  # user 1 and item 1 hold more than d
+        counts = X.sum(axis=1 if side == "user" else 0)
+        row = {"short": 0, "long": 1}[length]
+        assert (counts[row] <= d) == (length == "short")
+        name = "lambda_users" if side == "user" else "lambda_items"
+        lams = np.full(len(counts), 0.1)
+        lams[row] = -50.0
+        with pytest.raises(np.linalg.LinAlgError, match=rf"{side} {row} is not positive definite"):
+            check_theorem1(X, d=d, alpha0=0.2, c_u=1.3, **{name: lams})
+
+    def raises_without_warnings(self, match, *args, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match=match):
+                linear._solve_rows(*args, **kwargs)
+        assert caught == []
+
+    def test_non_finite_fixed_factors_raise(self, rng):
+        R, fixed, _, lams = self.system(rng, "full")
+        for bad in (np.nan, np.inf):
+            fixed[3, 2] = bad
+            with np.errstate(invalid="ignore"):
+                # alpha0 = 0 does not make the Gram zero: 0 * inf is NaN
+                grams = (fixed.T @ fixed, 0.0 * (fixed.T @ fixed))
+            for gram in grams:
+                self.raises_without_warnings("user solves got non-finite fixed factors",
+                                             R, fixed, gram, lams, "user")
+
+    def test_overflow_raises(self, rng):
+        R, fixed, gram, lams = self.system(rng, "full")
+        # b / lambda overflows the solved rows themselves
+        self.raises_without_warnings("item solves produced non-finite factors",
+                                     R, fixed, 0.0 * gram, np.full_like(lams, 1e-300), "item",
+                                     1.0, 1e300)
+        # the rows are finite (near 1e200) but their Gram overflows
+        self.raises_without_warnings("item solves produced non-finite factors",
+                                     R, 1e-200 * fixed, 0.0 * gram, np.full_like(lams, 1e-300),
+                                     "item", 1e300, 1e300)
 
 
 def lagrangian_column_oracle(X, lam):
