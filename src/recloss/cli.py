@@ -149,12 +149,13 @@ def cmd_solve(cfg: dict, args) -> int:
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
     else:
         if ds.num_items > lin["item_budget"]:
-            # ease_fit holds one dense n x n float64 buffer, plus X's transposed
-            # copy and a block of Gram rows or, later, an n^2-byte finiteness
-            # mask: 1.24 * 8n^2 bytes measured at n = 1,000 with a dense Gram,
-            # so 12 n^2 bytes keeps a margin; the sparse X and its copy add 24
-            # bytes per interaction (a float and an index each)
-            need = 12 * ds.num_items**2 + 24 * ds.train_interactions
+            # ease_fit holds one dense n x n float64 buffer and, with 2m^2 > n^2,
+            # X's transposed copy, a block of Gram rows or an n^2-byte mask:
+            # 1.24 * 8n^2 bytes measured at n = 1,000, so 12 n^2 keeps a margin;
+            # with 2m^2 <= n^2 an m x m buffer, 8(n^2 + m^2) bytes.  The sparse
+            # X and its copy add 24 bytes per interaction (a float and an index)
+            m2, n2 = ds.num_users**2, ds.num_items**2
+            need = 8 * (n2 + min(m2, n2 / 2)) + 24 * ds.train_interactions
             raise ConfigError(
                 f"catalog has {ds.num_items} items, above the dense-solve budget "
                 f"of {lin['item_budget']}; an EASE fit would need about "

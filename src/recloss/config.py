@@ -60,7 +60,7 @@ DEFAULTS = {
         "c_u": _IALS["c_u"],
         "alpha": _keyword_defaults(EASEConfig)["alpha"],
         "sweeps": _IALS["num_sweeps"],
-        "item_budget": 15_000,  # an EASE fit peaks below 12 n^2 bytes: ~2.7 GB here
+        "item_budget": 15_000,  # EASE peaks below 12 n^2 bytes, ~2.7 GB; 8(n^2 + m^2) if 2m^2 <= n^2
     },
     "eval": {"k": _TRAIN["eval_k"]},
     "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},

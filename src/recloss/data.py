@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "CSRRows", "DatasetFormatError", "DatasetStats", "InteractionDataset", "dataset_stats",
-    "load_dataset", "make_validation_split", "save_dataset",
+    "load_dataset", "make_validation_split",
 ]
 
 log = logging.getLogger(__name__)
@@ -267,14 +267,6 @@ def _atomic_write(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def save_dataset(ds: InteractionDataset, train_path: str | Path, test_path: str | Path) -> None:
-    """Write a dataset back to the text format (inverse of load_dataset)."""
-    for path, rows in ((train_path, ds.train_positives), (test_path, ds.test_positives)):
-        with open(path, "w") as f:
-            for u, items in enumerate(rows):
-                f.write(" ".join([str(u), *map(str, items.tolist())]).rstrip() + "\n")
 
 
 def dataset_stats(ds: InteractionDataset) -> DatasetStats:

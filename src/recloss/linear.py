@@ -13,8 +13,8 @@ fixed factors into the eigenbasis of the shared Gram once, then solves the
 rows of each length together, a row of L <= d entries through an L x L
 system.  The objective sums its observed terms over the CSR entries in
 fixed-size chunks.
-EASE holds one n x n buffer: the Gram, then its inverse P, then the weights
-W, which are all it returns.
+EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
+the item Gram otherwise; it returns only the weights W.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 # blocks) and of the iALS row solver (8 MB blocks of equal-length rows)
 _CHUNK_FLOATS = 1 << 20
 
-# item rows of the EASE Gram built, and of its inverse mirrored, per step
+# rows of an EASE Gram built, of its inverse mirrored, or of M filled, per step
 _GRAM_ROWS = 64
 
 
@@ -251,26 +251,17 @@ class EASESolution:
     W: np.ndarray
 
 
-def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
-    """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
-    P = (X^T X + lam I)^{-1}, formed in one C-ordered n x n buffer.
-
-    The dense Gram is built into the buffer _GRAM_ROWS item rows at a time
-    from X's nonzeros (X dense or scipy.sparse).  Cholesky (potrf + potri)
-    inverts it in place in about n^3 flops, against 2n^3 for LU, and W then
-    overwrites P.  The I term only touches the zeroed diagonal, so it is left
-    out.  Beside the buffer, the solve holds X's nonzeros and their transposed
-    copy while it builds the Gram, and an n x n bool array while it checks W.
-    """
-    Xs = sp.csr_matrix(X, dtype=float)
-    Xt = Xs.T.tocsr()
-    n = Xs.shape[1]
-    P = np.zeros((n, n))
+def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float) -> np.ndarray:
+    """(A A^T + lam I)^{-1} for a CSR A with k rows and its CSR transpose At,
+    in one C-ordered k x k buffer: the Gram built from A's nonzeros
+    _GRAM_ROWS rows at a time, then inverted in place by Cholesky (potrf +
+    potri, about k^3 flops against 2k^3 for LU) and mirrored."""
+    k = A.shape[0]
+    P = np.zeros((k, k))
     # toarray adds the block into out, so out must start at zero
-    for lo in range(0, n, _GRAM_ROWS):
-        (Xt[lo:lo + _GRAM_ROWS] @ Xs).toarray(out=P[lo:lo + _GRAM_ROWS])
-    del Xs, Xt
-    P.flat[:: n + 1] += lam
+    for lo in range(0, k, _GRAM_ROWS):
+        (A[lo:lo + _GRAM_ROWS] @ At).toarray(out=P[lo:lo + _GRAM_ROWS])
+    P.flat[:: k + 1] += lam
     # LAPACK works on the Fortran-ordered P.T in place; its lower triangle is
     # P's upper one, and P's strict lower triangle keeps stale Gram entries
     _, info = dpotrf(P.T, lower=True, clean=False, overwrite_a=True)
@@ -282,11 +273,46 @@ def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
         )
     # mirror the upper triangle down one block of rows at a time; copyto
     # copies the overlapping source first, a block of rows, not all of P
-    for lo in range(0, n, _GRAM_ROWS):
-        hi = min(lo + _GRAM_ROWS, n)
+    for lo in range(0, k, _GRAM_ROWS):
+        hi = min(lo + _GRAM_ROWS, k)
         np.copyto(P[lo:hi, :hi], P[:hi, lo:hi].T, where=np.tri(hi - lo, hi, lo - 1, dtype=bool))
-    P /= np.diag(P).copy()
-    P /= alpha - 1.0
+    return P
+
+
+def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
+    """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
+    P = (X^T X + lam I)^{-1} for X dense or scipy.sparse, m x n, and W fills
+    one C-ordered n x n buffer.
+
+    With 2m^2 > n^2 (or m = 0) the buffer holds the inverse of the n x n
+    Gram, which W overwrites; the I term only touches the zeroed diagonal.
+    With 0 < 2m^2 <= n^2 a second buffer holds the inverse of K = X X^T +
+    lam I; by Woodbury P = (I - M) / lam with M = X^T K^{-1} X, which fills
+    the n x n buffer _GRAM_ROWS rows at a time, and W_ij = M_ij /
+    ((1 - M_jj)(1-alpha)) overwrites M: a peak of 8(n^2 + m^2) <= 12 n^2
+    bytes.  Beside the buffers the solve holds X's nonzeros and their
+    transposed copy until P or M is formed, then an n x n bool array.
+    """
+    Xs = sp.csr_matrix(X, dtype=float)
+    Xt = Xs.T.tocsr()
+    m, n = Xs.shape
+    if not 0 < 2 * m * m <= n * n:
+        P = _inverse_gram(Xt, Xs, lam)
+        del Xs, Xt
+        P /= np.diag(P).copy()
+        P /= alpha - 1.0
+    else:
+        K = _inverse_gram(Xs, Xt, lam)
+        del Xs
+        P = np.empty((n, n))
+        for lo in range(0, n, _GRAM_ROWS):
+            P[lo:lo + _GRAM_ROWS] = (Xt @ (Xt[lo:lo + _GRAM_ROWS] @ K).T).T
+        del Xt, K
+        pivots = 1.0 - np.diag(P)  # lam P_jj, positive for a definite Gram + lam I
+        if not np.all(np.isfinite(pivots) & (pivots > 0)):
+            raise FloatingPointError("EASE Gram + lam I is not numerically positive definite "
+                                     f"(least 1 - M_jj {pivots.min()}); raise lam")
+        P /= pivots * (1.0 - alpha)
     if not np.all(np.isfinite(P)):
         raise FloatingPointError("EASE solve produced non-finite weights (ill-conditioned Gram)")
     np.fill_diagonal(P, 0.0)

@@ -193,17 +193,12 @@ def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
 
 
 def sampled_softmax(b: ScoreBundle) -> LossEvaluation:
-    """-log of the positive's share of exp mass among {positive} + sampled items."""
+    """-log of the positive's share of exp mass among {positive} + sampled
+    items: the one-positive-vs-N-noise InfoNCE, also named infonce."""
     return infonce_plus(b, InfoNCEPlusParams(1.0, 1.0))
 
 
-def infonce(b: ScoreBundle) -> LossEvaluation:
-    """Contrastive one-positive-vs-N-noise loss; same form as sampled_softmax.
-
-    Kept as a named entry point because biased-vs-debiased comparisons key
-    on it.
-    """
-    return sampled_softmax(b)
+infonce = sampled_softmax
 
 
 def dcl(b: ScoreBundle) -> LossEvaluation:
@@ -448,12 +443,14 @@ class LossKind(NamedTuple):
     params: tuple[str, ...]
 
 
+_SOFTMAX = LossKind(lambda b, p, tau: sampled_softmax(b), ())
+
 # The one source of what each loss kind is.  "temperature" is not a
 # loss.params key of debiased_infonce: TrainConfig passes train.temperature.
 LOSS_TABLE = {
     "bpr": LossKind(lambda b, p, tau: bpr(b), ()),
-    "softmax": LossKind(lambda b, p, tau: sampled_softmax(b), ()),
-    "infonce": LossKind(lambda b, p, tau: infonce(b), ()),
+    "softmax": _SOFTMAX,
+    "infonce": _SOFTMAX,
     "infonce_plus": LossKind(
         lambda b, p, tau: infonce_plus(b, InfoNCEPlusParams(**_kw(p, "lambda", "epsilon"))),
         ("lambda", "epsilon"),

@@ -13,7 +13,6 @@ from recloss import (
     dataset_stats,
     load_dataset,
     make_validation_split,
-    save_dataset,
 )
 from recloss.data import _atomic_write
 from conftest import build_dataset
@@ -156,6 +155,14 @@ class TestParserOracle:
         train, test = write_pair(tmp_path, "0 1\n1 2\n", "0 3\n\n-1 2\n")
         with pytest.raises(DatasetFormatError, match=f"{test}:3: negative index"):
             load_dataset(train, test)
+
+
+def save_dataset(ds, train_path, test_path):
+    """Write a dataset back to the text format (inverse of load_dataset)."""
+    for path, rows in ((train_path, ds.train_positives), (test_path, ds.test_positives)):
+        with open(path, "w") as f:
+            for u, items in enumerate(rows):
+                f.write(" ".join([str(u), *map(str, items.tolist())]) + "\n")
 
 
 class TestRoundTrip:

@@ -22,7 +22,7 @@ EXPORTED = {
     "evaluate_loss", "fit", "ials_fit", "ials_objective", "infonce", "infonce_plus", "init_model",
     "load_checkpoint", "load_dataset", "make_planted_blocks", "make_random_dataset",
     "make_validation_split", "mine", "mine_plus", "mse_pointwise", "positive_prior_all",
-    "rank_top_k", "run_verification", "sampled_softmax", "save_checkpoint", "save_dataset",
+    "rank_top_k", "run_verification", "sampled_softmax", "save_checkpoint",
     "substream", "train_epoch", "verify_bound_chain", "verify_theorem1", "verify_theorem2",
     "write_report",
 }

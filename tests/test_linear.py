@@ -137,6 +137,16 @@ def two_buffer_ease_solve(X, lam, alpha=0.0):
     return W, P
 
 
+def ease_fit_peak(X, lam=5.0):
+    """The tracemalloc peak, in bytes, of one ease_fit."""
+    tracemalloc.start()
+    try:
+        ease_fit(X, lam)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reference_ials_objective(W, H, X, cfg, debiased=False):
     """The iALS objective with one loop iteration per user, as it was first
     written; X is a dense binary matrix."""
@@ -550,15 +560,45 @@ class TestEASE:
     @pytest.mark.parametrize("gram_rows", [3, 64])
     @pytest.mark.parametrize("n", [1, 40, 150])
     def test_one_buffer_equals_two_buffer_solve(self, n, gram_rows, rng, monkeypatch):
-        # n = 1, n below the block of Gram rows and n not a multiple of it
+        # n = 1, n below the block of Gram rows and n not a multiple of it;
+        # the item side (2m^2 > n^2) keeps the two-buffer arithmetic bit for
+        # bit, the user side (n/2 x n for n >= 40) agrees to rounding
         monkeypatch.setattr(linear, "_GRAM_ROWS", gram_rows)
-        X = random_binary(rng, (max(n // 2, 3), n))
-        weighted = X * rng.uniform(0.5, 3.0, size=X.shape)
-        for Y in (X, sp.csr_matrix(X), weighted, sp.csr_matrix(weighted)):
-            for lam, alpha in ((0.7, 0.0), (0.7, 0.35)):
-                W, _ = two_buffer_ease_solve(Y, lam / (1.0 - alpha), alpha)
-                fit = ease_fit(Y, lam) if alpha == 0.0 else ease_debiased_fit(Y, lam, alpha)
-                np.testing.assert_array_equal(fit.W, W)
+        for m in (max(n // 2, 3), 2 * n):
+            X = random_binary(rng, (m, n))
+            weighted = X * rng.uniform(0.5, 3.0, size=X.shape)
+            for Y in (X, sp.csr_matrix(X), weighted, sp.csr_matrix(weighted)):
+                for lam, alpha in ((0.7, 0.0), (0.7, 0.35)):
+                    W, _ = two_buffer_ease_solve(Y, lam / (1.0 - alpha), alpha)
+                    fit = ease_fit(Y, lam) if alpha == 0.0 else ease_debiased_fit(Y, lam, alpha)
+                    if 2 * m * m <= n * n:
+                        assert rel_dev(fit.W, W) <= 1e-12
+                    else:
+                        np.testing.assert_array_equal(fit.W, W)
+
+    @pytest.mark.parametrize("alpha", [None, 0.35])
+    @pytest.mark.parametrize("shape", [(7, 10), (8, 11), (9, 9), (0, 5)])
+    def test_both_sides_match_lu_inverse_oracle(self, shape, alpha, rng, monkeypatch):
+        # 2 * 7^2 <= 10^2 takes the user side; 2 * 8^2 > 11^2, m = n and m = 0
+        # the item side
+        monkeypatch.setattr(linear, "_GRAM_ROWS", 3)
+        X = random_binary(rng, shape, 0.4)
+        X[:, 1] = 0.0  # an item nobody has
+        weighted = X * rng.uniform(0.5, 3.0, size=shape)
+        for Y in (X, weighted, sp.csr_matrix(weighted)):
+            W, _ = reference_ease_fit(sp.csr_matrix(Y).toarray(), 0.6, alpha or 0.0)
+            sol = ease_fit(Y, 0.6) if alpha is None else ease_debiased_fit(Y, 0.6, alpha)
+            assert rel_dev(sol.W, W) <= 1e-12
+            assert np.all(np.diag(sol.W) == 0.0) and np.all(sol.W[:, 1] == 0.0)
+            assert sol.W.flags.c_contiguous
+
+    def test_user_side_non_finite_input_raises(self, rng):
+        X = random_binary(rng, (3, 5))
+        for bad in (np.nan, np.inf):
+            X[2, 3] = bad
+            with np.errstate(all="ignore"), pytest.raises(
+                    FloatingPointError, match=r"positive definite \(least 1 - M_jj nan\)"):
+                ease_fit(X, 1.0)
 
     def test_peak_memory_within_the_budget_estimate(self, rng):
         # the CLI refuses catalogs above linear.item_budget on an estimate of
@@ -573,6 +613,22 @@ class TestEASE:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n * n
+
+    @pytest.mark.parametrize("m", [500, 1400])
+    def test_peak_memory_within_the_budget_estimate_on_each_side(self, m, rng):
+        # 2 * 500^2 <= n^2 takes the user side, which holds an m x m buffer
+        # beside the n x n one; 1,400 users take the item side
+        n = 1000
+        assert ease_fit_peak(sp.csr_matrix(random_binary(rng, (m, n), p=0.05))) <= 1.5 * 8 * n * n
+
+    def test_user_side_peak_at_the_edge_of_the_rule(self, rng):
+        # 2 * 707^2 <= 1000^2: the two buffers, 8(n^2 + m^2) bytes, all but
+        # fill 12 n^2, and X's nonzeros and two blocks of _GRAM_ROWS rows of
+        # M's fill come on top, but no dense m x n array
+        n, m = 1000, 707
+        X = sp.csr_matrix(random_binary(rng, (m, n), p=0.05))
+        bound = 8 * (n * n + m * m) + 24 * X.nnz + 16 * linear._GRAM_ROWS * (n + m)
+        assert ease_fit_peak(X) <= bound
 
 
 class TestEASEDebiased:
