@@ -139,28 +139,20 @@ def cmd_solve(cfg: dict, args) -> int:
             d=lin["d"], alpha0=lin["alpha0"], lam=lin["lambda"], nu=lin["nu"],
             c_u=lin["c_u"], num_sweeps=lin["sweeps"], seed=cfg["seed"],
         )
-        state = linear.ials_fit(ds, ials_cfg, debiased=model_kind.endswith("debiased"))
-        scorer = state
+        scorer = linear.ials_fit(ds, ials_cfg, debiased=model_kind.endswith("debiased"))
         ckpt.save_checkpoint(
             os.path.join(args.output, "checkpoint.bin"),
-            mf.ScoringModel(state.W, state.H, mode="dot"),
+            mf.ScoringModel(scorer.W, scorer.H, mode="dot"),
         )
-        trace = state.objective_trace
+        trace = scorer.objective_trace
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
     else:
         if ds.num_items > lin["item_budget"]:
-            # ease_fit holds one dense n x n float64 buffer and, with 2m^2 > n^2,
-            # X's transposed copy, a block of Gram rows or an n^2-byte mask:
-            # 1.24 * 8n^2 bytes measured at n = 1,000, so 12 n^2 keeps a margin;
-            # with 2m^2 <= n^2 an m x m buffer, 8(n^2 + m^2) bytes.  The sparse
-            # X and its copy add 24 bytes per interaction (a float and an index)
-            m2, n2 = ds.num_users**2, ds.num_items**2
-            need = 8 * (n2 + min(m2, n2 / 2)) + 24 * ds.train_interactions
+            _, need = linear._ease_plan(ds.num_users, ds.num_items, ds.train_interactions)
             raise ConfigError(
-                f"catalog has {ds.num_items} items, above the dense-solve budget "
-                f"of {lin['item_budget']}; an EASE fit would need about "
-                f"{need / 1e9:.2g} GB. Raise linear.item_budget "
-                "only where that much memory is free"
+                f"catalog has {ds.num_items} items, above the dense-solve budget of "
+                f"{lin['item_budget']}; an EASE fit would need about {need / 1e9:.2g} GB. "
+                "Raise linear.item_budget only where that much memory is free"
             )
         X = ds.train_csr()
         if model_kind == "ease":
@@ -227,13 +219,12 @@ def cmd_sweep(cfg: dict, args) -> int:
         values = [float(v) for v in np.geomspace(*log_range)]
     # config.resolved holds the grid as its points alone, so it reruns the same grid
     cfg = cfgmod.apply_override(cfg, "sweep", {"values": values, "log_range": None})
-    workers = max(1, min(cfg["sweep"]["workers"], cfg["threads"]))
+    workers = min(cfg["threads"], len(values))
     points = [json.dumps(cfgmod.apply_override(cfg, axis, value)) for value in values]
     if workers > 1:
-        # spawned workers load BLAS afresh and read these thread counts,
-        # which split cfg["threads"] between them
+        # spawned workers load BLAS afresh and read these counts, threads // workers each
         saved = dict(os.environ)
-        os.environ.update(dict.fromkeys(BLAS_ENV_VARS, str(max(1, cfg["threads"] // workers))))
+        os.environ.update(dict.fromkeys(BLAS_ENV_VARS, str(cfg["threads"] // workers)))
         try:
             context = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
@@ -285,7 +276,6 @@ FLAGS = (
     ("verify", "--bounds", "verify.bound_instances"),
     ("verify", "--theorem-instances", "verify.theorem_instances"),
     ("sweep", "--axis", "sweep.axis"),
-    ("sweep", "--workers", "sweep.workers"),
 )
 _FLAG_CHOICES = {"linear.model": linear.LINEAR_MODELS}
 
@@ -344,9 +334,9 @@ def main(argv=None) -> int:
             overrides=_flag_overrides(args) + list(args.sets),
         )
         return _HANDLERS[args.command](cfg, args)
-    except (ValueError, FileNotFoundError, mf.TrainingDivergedError) as exc:
-        # ValueError covers ConfigError, the data and checkpoint format errors
-        # and the settings the config dataclasses reject
+    except (ValueError, FileNotFoundError, FloatingPointError, mf.TrainingDivergedError) as exc:
+        # ValueError covers ConfigError, the data and checkpoint format errors and
+        # the settings the config dataclasses reject; FloatingPointError a refused solve
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ import json
 import os
 
 from .data import _atomic_write
-from .linear import EASEConfig, IALSConfig
+from .linear import IALSConfig, ease_debiased_fit
 from .losses import LOSS_KINDS, LOSS_TABLE, PARAM_DEFAULTS
 from .mf import TrainConfig
 from .sampling import SAMPLER_KINDS, SamplerConfig
@@ -58,13 +58,13 @@ DEFAULTS = {
         "lambda": 100.0,
         "nu": _IALS["nu"],
         "c_u": _IALS["c_u"],
-        "alpha": _keyword_defaults(EASEConfig)["alpha"],
+        "alpha": _keyword_defaults(ease_debiased_fit)["alpha"],
         "sweeps": _IALS["num_sweeps"],
-        "item_budget": 15_000,  # EASE peaks below 12 n^2 bytes, ~2.7 GB; 8(n^2 + m^2) if 2m^2 <= n^2
+        "item_budget": 15_000,  # ~2.7 GB on the item side; linear._ease_plan bounds the peak
     },
     "eval": {"k": _TRAIN["eval_k"]},
     "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},
-    "sweep": {"axis": None, "values": None, "log_range": None, "workers": 1},
+    "sweep": {"axis": None, "values": None, "log_range": None},
 }
 
 # The repro tables, verbatim.  "regularization: -9" in the debiased-CCL
@@ -190,6 +190,8 @@ def _check_sweep(sweep: dict) -> None:
 
 def validate_config(cfg: dict) -> None:
     _check_keys(cfg, DEFAULTS)
+    if cfg["threads"] < 1:
+        raise ConfigError(f"config key 'threads' must be >= 1, got {cfg['threads']}")
     kind = cfg["loss"]["kind"]
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")

@@ -14,7 +14,7 @@ rows of each length together, a row of L <= d entries through an L x L
 system.  The objective sums its observed terms over the CSR entries in
 fixed-size chunks.
 EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
-the item Gram otherwise; it returns only the weights W.
+the item Gram otherwise (_ease_plan); it returns only the weights W.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .data import InteractionDataset
 from .sampling import substream
 
 __all__ = [
-    "EASEConfig", "EASEScorer", "IALSConfig", "IALSState", "check_theorem1", "check_theorem2",
+    "EASEScorer", "IALSConfig", "IALSState", "check_theorem1", "check_theorem2",
     "ease_debiased_fit", "ease_fit", "ials_fit", "ials_objective",
 ]
 
@@ -55,14 +55,19 @@ def _interactions(source) -> sp.csr_matrix:
         raise ValueError("interaction matrix must be 2-d")
     X = sp.csr_matrix(source, dtype=float, copy=True)
     X.sum_duplicates()
-    bad = np.flatnonzero(~(np.isfinite(X.data) & (X.data >= 0)))
-    if len(bad):
-        row = np.searchsorted(X.indptr, bad[0], side="right") - 1
-        raise ValueError(f"interaction matrix entry ({row}, {X.indices[bad[0]]}) is "
-                         f"{X.data[bad[0]]}; entries must be finite and non-negative")
+    _refuse_entries(X, np.isfinite(X.data) & (X.data >= 0), "finite and non-negative")
     X.eliminate_zeros()
     X.data[:] = 1.0
     return X
+
+
+def _refuse_entries(X: sp.csr_matrix, ok: np.ndarray, rule: str) -> None:
+    """Raise ValueError naming the first stored entry of X whose ok flag is False."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        row = np.searchsorted(X.indptr, bad[0], side="right") - 1
+        raise ValueError(f"interaction matrix entry ({row}, {X.indices[bad[0]]}) is "
+                         f"{X.data[bad[0]]}; entries must be {rule}")
 
 
 def _ridge_weights(X: sp.csr_matrix, lam: float, alpha0: float, nu: float):
@@ -235,18 +240,6 @@ def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
 
 
 @dataclass
-class EASEConfig:
-    lam: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1); convexity requires c_u < 2 here")
-
-
-@dataclass
 class EASESolution:
     W: np.ndarray
 
@@ -279,24 +272,39 @@ def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float) -> np.ndarray
     return P
 
 
-def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
-    """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
-    P = (X^T X + lam I)^{-1} for X dense or scipy.sparse, m x n, and W fills
-    one C-ordered n x n buffer.
+def _ease_plan(m: int, n: int, nnz: int) -> tuple[bool, int]:
+    """Whether EASE on an m x n X with nnz nonzeros takes the user side, and a
+    bound on its peak bytes: the n x n buffer and its bool mask on the item
+    side (12 n^2 in all), or the n x n, the m x m or later the mask, and two
+    _GRAM_ROWS-row blocks of M on the user side; plus 24 bytes per nonzero (X and X^T)."""
+    user_side = 0 < 2 * m * m <= n * n
+    dense = 8 * n * n + max(8 * m * m, n * n) + 16 * _GRAM_ROWS * (n + m) if user_side else 12 * n * n
+    return user_side, dense + 24 * nnz
 
-    With 2m^2 > n^2 (or m = 0) the buffer holds the inverse of the n x n
+
+def _ease_solve(X, lam: float, alpha: float) -> EASESolution:
+    """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
+    P = (X^T X + lam' I)^{-1}, lam' = lam/(1-alpha), for X m x n, dense or
+    scipy.sparse, with finite (weighted or negative) entries; W fills one
+    C-ordered n x n buffer.
+
+    On the item side (_ease_plan) the buffer holds the inverse of the n x n
     Gram, which W overwrites; the I term only touches the zeroed diagonal.
-    With 0 < 2m^2 <= n^2 a second buffer holds the inverse of K = X X^T +
-    lam I; by Woodbury P = (I - M) / lam with M = X^T K^{-1} X, which fills
-    the n x n buffer _GRAM_ROWS rows at a time, and W_ij = M_ij /
-    ((1 - M_jj)(1-alpha)) overwrites M: a peak of 8(n^2 + m^2) <= 12 n^2
-    bytes.  Beside the buffers the solve holds X's nonzeros and their
-    transposed copy until P or M is formed, then an n x n bool array.
+    On the user side a second buffer holds the inverse of K = X X^T + lam' I;
+    by Woodbury P = (I - M) / lam' with M = X^T K^{-1} X, which fills the
+    n x n buffer _GRAM_ROWS rows at a time, and W_ij = M_ij /
+    ((1 - M_jj)(1-alpha)) overwrites M.
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1); convexity requires c_u < 2 here")
+    lam = lam / (1.0 - alpha)
     Xs = sp.csr_matrix(X, dtype=float)
+    _refuse_entries(Xs, np.isfinite(Xs.data), "finite")
     Xt = Xs.T.tocsr()
     m, n = Xs.shape
-    if not 0 < 2 * m * m <= n * n:
+    if not _ease_plan(m, n, Xs.nnz)[0]:
         P = _inverse_gram(Xt, Xs, lam)
         del Xs, Xt
         P /= np.diag(P).copy()
@@ -322,14 +330,13 @@ def _ease_solve(X, lam: float, alpha: float = 0.0) -> EASESolution:
 def ease_fit(X, lam: float) -> EASESolution:
     """Item-item ridge with a zero-diagonal constraint, via the one-inverse form
     P = (X^T X + lam I)^{-1}, W = I - P dMat(1/diag(P))."""
-    return _ease_solve(X, EASEConfig(lam=lam).lam)
+    return _ease_solve(X, lam, 0.0)
 
 
-def ease_debiased_fit(X, lam: float, alpha: float) -> EASESolution:
+def ease_debiased_fit(X, lam: float, alpha: float = 0.0) -> EASESolution:
     """Zero-diagonal minimizer of ||X-XW||^2 - alpha ||XW||^2 + lam ||W||^2:
     P_hat = (X^T X + lam/(1-alpha) I)^{-1}, W = (I - P_hat dMat(1/diag(P_hat))) / (1-alpha)."""
-    cfg = EASEConfig(lam=lam, alpha=alpha)
-    return _ease_solve(X, cfg.lam / (1.0 - cfg.alpha), cfg.alpha)
+    return _ease_solve(X, lam, alpha)
 
 
 class EASEScorer:

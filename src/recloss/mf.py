@@ -4,7 +4,7 @@ The trainer is loss-agnostic: it turns per-score partials from
 :mod:`recloss.losses` into embedding gradients via the chain rule (including
 the cosine-normalization Jacobian), adds an L2 term over the rows touched by
 the batch, and applies lazily-updated Adam steps.  Learning rate follows a
-reduce-on-plateau schedule keyed on validation Recall@20.
+reduce-on-plateau schedule keyed on validation Recall@K, K = ``eval_k``.
 
 ``GATHER_BUDGET`` is the one cache budget of the trainer: a batch is scored a
 few rows at a time, each chunk gathering at most that many bytes of item rows,
@@ -466,13 +466,14 @@ class PlateauSchedule:
 class EpochRecord:
     epoch: int
     loss: float
-    val_recall20: float
-    val_ndcg20: float
+    val_recall: float
+    val_ndcg: float
     lr: float
 
 
 @dataclass
 class TrainingHistory:
+    k: int  # the cutoff of the validation metrics, which to_csv names
     records: list[EpochRecord] = field(default_factory=list)
 
     def append(self, rec: EpochRecord) -> None:
@@ -481,13 +482,13 @@ class TrainingHistory:
         self.records.append(rec)
 
     def best_epoch(self) -> EpochRecord:
-        return max(self.records, key=lambda r: r.val_recall20)
+        return max(self.records, key=lambda r: r.val_recall)
 
     def to_csv(self, path) -> None:
         with _atomic_write(path) as fh:
-            fh.write("epoch,loss,val_recall20,val_ndcg20,lr\n")
+            fh.write(f"epoch,loss,val_recall{self.k},val_ndcg{self.k},lr\n")
             for r in self.records:
-                fh.write(f"{r.epoch},{r.loss:.10g},{r.val_recall20:.10g},{r.val_ndcg20:.10g},{r.lr:.10g}\n")
+                fh.write(f"{r.epoch},{r.loss:.10g},{r.val_recall:.10g},{r.val_ndcg:.10g},{r.lr:.10g}\n")
 
 
 def fit(
@@ -517,7 +518,7 @@ def fit(
     # one generator drives both shuffling and negative draws so epochs differ
     epoch_rng = substream(cfg.seed, "sampling")
     tau_all = _tau_vector(train_ds, cfg)
-    history = TrainingHistory()
+    history = TrainingHistory(cfg.eval_k)
     best_recall, best_model = -1.0, model.copy()
 
     for epoch in range(1, cfg.max_epochs + 1):

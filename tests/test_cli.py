@@ -119,6 +119,14 @@ class TestTrain:
         printed = capsys.readouterr().out.strip().split("\n")[-1]
         assert printed == (outs[1] / "eval.csv").read_text().strip().split("\n")[1]
 
+    def test_history_names_the_configured_k(self, tmp_path, capsys):
+        out = tmp_path / "k5"
+        assert main(["train", *SYNTH, *FAST, "--set", "eval.k=5", "--output", str(out)]) == 0
+        lines = (out / "history.csv").read_text().strip().split("\n")
+        assert lines[0] == "epoch,loss,val_recall5,val_ndcg5,lr"
+        assert len(lines) == 4  # the header and three epochs
+        assert read_eval(out / "eval.csv")[3] == "5"
+
     def test_rerun_from_resolved_config(self, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(["train", *SYNTH, *FAST, "--seed", "4", "--output", str(first)]) == 0
@@ -283,6 +291,20 @@ class TestSolve:
         assert "linear.item_budget" in err
         assert re.search(r"about [0-9.e+-]+ GB", err)
 
+    def test_refused_solve_is_an_error_line(self, tmp_path, capsys):
+        # two identical one-user columns: 1 + lam rounds to 1, so the
+        # solve is not numerically positive definite
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text("0 0 1\n1 2\n")
+        (data / "test.txt").write_text("0 2\n1 0\n")
+        rc = main(["solve", "--data-dir", str(data), "--model", "ease", "--lambda", "1e-300",
+                   "--output", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: EASE Gram + lam I is not numerically positive definite")
+        assert err.endswith("raise lam\n") and "Traceback" not in err
+
     def test_unknown_model(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir),
                    "--set", "linear.model=svd", "--output", str(tmp_path / "x")])
@@ -372,10 +394,9 @@ class TestSweep:
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
-        base = ["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr",
-                "--values", "0.05,0.1", "--set", "threads=4"]
-        assert main([*base, "--output", str(serial)]) == 0
-        assert main([*base, "--workers", "2", "--output", str(parallel)]) == 0
+        base = ["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr", "--values", "0.05,0.1"]
+        assert main([*base, "--set", "threads=1", "--output", str(serial)]) == 0
+        assert main([*base, "--set", "threads=2", "--output", str(parallel)]) == 0
         assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
 
     def test_log_range_from_config(self, tmp_path):
@@ -440,7 +461,7 @@ class TestSweep:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("RECLOSS_THREADS", raising=False)
         assert main(["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr",
-                     "--values", "0.05,0.1", "--set", "threads=5", "--workers", "2",
+                     "--values", "0.05,0.1", "--set", "threads=5",
                      "--output", str(tmp_path / "p")]) == 0
         assert seen == {"workers": 2, "start": "spawn", "env": ["2", "2", "2"]}
         assert os.environ["OPENBLAS_NUM_THREADS"] == "7"

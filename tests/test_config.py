@@ -39,7 +39,7 @@ DEFAULT_DOCUMENT = {
                "c_u": 1.0, "alpha": 0.0, "sweeps": 10, "item_budget": 15_000},
     "eval": {"k": 20},
     "verify": {"bound_instances": 10_000, "theorem_instances": 50},
-    "sweep": {"axis": None, "values": None, "log_range": None, "workers": 1},
+    "sweep": {"axis": None, "values": None, "log_range": None},
 }
 
 
@@ -96,7 +96,7 @@ class TestValueTypes:
         ("train.initial_lr=fast", "train.initial_lr"),
         ("linear.sweeps=abc", "linear.sweeps"),
         ("linear.model=3", "linear.model"),
-        ("sweep.workers=2.0", "sweep.workers"),
+        ("threads=2.0", "threads"),
         ("data.synthetic.num_blocks=2.5", "data.synthetic.num_blocks"),
     ])
     def test_mistyped_value_names_its_key(self, override, key):
@@ -299,6 +299,15 @@ class TestThreadCap:
         monkeypatch.setenv(THREADS_ENV_VAR, "8")
         cfg = resolve_config(overrides=["threads=2"])
         assert cfg["threads"] == 2
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, threads):
+        with pytest.raises(ConfigError, match=f"'threads' must be >= 1, got {threads}"):
+            resolve_config(overrides=[f"threads={threads}"])
+
+    def test_sweep_workers_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'sweep.workers'"):
+            resolve_config(overrides=["sweep.workers=2"])
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "lots")

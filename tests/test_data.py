@@ -359,7 +359,7 @@ class TestAtomicWrite:
 
         target, write = {
             "checkpoint": ("model.bin", lambda p: save_checkpoint(p, init_model(3, 4, 2))),
-            "history": ("history.csv", lambda p: TrainingHistory().to_csv(p)),
+            "history": ("history.csv", lambda p: TrainingHistory(k=20).to_csv(p)),
             "artifact": ("eval.csv", lambda p: _write_artifact(resolve_config(), tmp_path,
                                                                "eval.csv", ["a,b"])),
             "report": ("report.json", lambda p: write_report({"passed": True}, p)),

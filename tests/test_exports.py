@@ -11,8 +11,8 @@ import recloss
 
 EXPORTED = {
     "BOUND_NAMES", "BatchSampler", "CCLParams", "CSRRows", "CheckpointFormatError",
-    "DEBIASED_KINDS", "DatasetFormatError", "DatasetStats", "DebiasParams", "EASEConfig",
-    "EASEScorer", "IALSConfig", "IALSState", "InfoNCEPlusParams", "InteractionDataset",
+    "DEBIASED_KINDS", "DatasetFormatError", "DatasetStats", "DebiasParams", "EASEScorer",
+    "IALSConfig", "IALSState", "InfoNCEPlusParams", "InteractionDataset",
     "LOSS_KINDS", "LossEvaluation", "MetricsReport", "OptimizerState", "PlateauSchedule",
     "PopularitySampler", "PopularityScorer", "PropertyReport", "SAMPLER_KINDS", "SamplerConfig",
     "ScoreBundle", "ScoringModel", "TrainConfig", "TrainingDivergedError", "TrainingHistory",

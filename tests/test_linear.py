@@ -11,7 +11,6 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dposv, dpotrf, dpotri
 
 from recloss import (
-    EASEConfig,
     EASEScorer,
     IALSConfig,
     check_theorem1,
@@ -552,10 +551,13 @@ class TestEASE:
             fit(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1e-300)
 
     def test_non_finite_input_raises(self, rng):
+        # 6 x 5 takes the item side
         X = random_binary(rng, (6, 5))
         X[2, 3] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"entry \(2, 3\) is nan; entries must be finite"):
             ease_fit(X, 1.0)
+        with pytest.raises(ValueError, match=r"entry \(2, 3\) is nan"):
+            ease_debiased_fit(sp.csr_matrix(X), 1.0, 0.4)
 
     @pytest.mark.parametrize("gram_rows", [3, 64])
     @pytest.mark.parametrize("n", [1, 40, 150])
@@ -594,11 +596,12 @@ class TestEASE:
 
     def test_user_side_non_finite_input_raises(self, rng):
         X = random_binary(rng, (3, 5))
-        for bad in (np.nan, np.inf):
+        for bad, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
             X[2, 3] = bad
-            with np.errstate(all="ignore"), pytest.raises(
-                    FloatingPointError, match=r"positive definite \(least 1 - M_jj nan\)"):
+            with pytest.raises(ValueError, match=rf"entry \(2, 3\) is {shown}; entries must be finite"):
                 ease_fit(X, 1.0)
+            with pytest.raises(ValueError, match=rf"entry \(2, 3\) is {shown}"):
+                ease_debiased_fit(sp.csr_matrix(X), 1.0, 0.4)
 
     def test_peak_memory_within_the_budget_estimate(self, rng):
         # the CLI refuses catalogs above linear.item_budget on an estimate of
@@ -630,6 +633,24 @@ class TestEASE:
         bound = 8 * (n * n + m * m) + 24 * X.nnz + 16 * linear._GRAM_ROWS * (n + m)
         assert ease_fit_peak(X) <= bound
 
+    def test_weighted_and_negative_entries_are_used(self, rng):
+        for shape in ((6, 5), (3, 5)):
+            X = random_binary(rng, shape) * rng.uniform(-2.0, 3.0, size=shape)
+            W, _ = reference_ease_fit(X, 0.9)
+            assert rel_dev(ease_fit(X, 0.9).W, W) <= 1e-12
+
+    @pytest.mark.parametrize("shape, p", [((300, 1000), 0.3), ((500, 1000), 0.05),
+                                          ((1400, 1000), 0.05), ((707, 1000), 0.05),
+                                          ((10, 2000), 0.05)])
+    def test_peak_within_the_plan(self, shape, p, rng):
+        # the shapes of the three peak tests above (707 x 1,000 is the user
+        # side's edge, 1,400 x 1,000 the item side) and a user side so narrow
+        # that W's n x n finiteness mask outweighs the m x m buffer
+        X = sp.csr_matrix(random_binary(rng, shape, p))
+        user_side, peak_bytes = linear._ease_plan(*shape, X.nnz)
+        assert user_side == (shape[0] < 1000)
+        assert ease_fit_peak(X) <= peak_bytes
+
 
 class TestEASEDebiased:
     def test_alpha_zero_equals_plain(self, rng):
@@ -653,8 +674,10 @@ class TestEASEDebiased:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError, match="c_u < 2"):
             ease_debiased_fit(np.eye(2), lam=0.1, alpha=1.0)
-        with pytest.raises(ValueError):
-            EASEConfig(lam=0.1, alpha=-0.2)
+        with pytest.raises(ValueError, match="c_u < 2"):
+            ease_debiased_fit(np.eye(2), 0.1, -0.2)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            ease_debiased_fit(np.eye(2), 0.0, 0.3)
 
 
 class TestTheorem1:

@@ -608,20 +608,20 @@ class TestPlateauSchedule:
 
 class TestTrainingHistory:
     def test_lr_must_not_increase(self):
-        h = TrainingHistory()
+        h = TrainingHistory(k=20)
         h.append(EpochRecord(1, 1.0, 0.1, 0.1, 1e-3))
         with pytest.raises(ValueError, match="non-increasing"):
             h.append(EpochRecord(2, 0.9, 0.1, 0.1, 2e-3))
 
     def test_best_epoch(self):
-        h = TrainingHistory()
+        h = TrainingHistory(k=20)
         h.append(EpochRecord(1, 1.0, 0.1, 0.1, 1e-3))
         h.append(EpochRecord(2, 0.9, 0.3, 0.2, 1e-3))
         h.append(EpochRecord(3, 0.8, 0.2, 0.2, 5e-4))
         assert h.best_epoch().epoch == 2
 
     def test_csv_round_numbers(self, tmp_path):
-        h = TrainingHistory()
+        h = TrainingHistory(k=20)
         h.append(EpochRecord(1, 0.5, 0.25, 0.125, 1e-4))
         path = tmp_path / "history.csv"
         h.to_csv(path)
@@ -809,8 +809,8 @@ class TestFit:
         reduced, val = make_validation_split(ds, cfg.val_fraction, cfg.seed)
         best = history.best_epoch()
         res = evaluate(model, reduced, val, k=cfg.eval_k)
-        assert res.recall == pytest.approx(best.val_recall20, abs=1e-12)
-        assert best.val_recall20 == max(r.val_recall20 for r in history.records)
+        assert res.recall == pytest.approx(best.val_recall, abs=1e-12)
+        assert best.val_recall == max(r.val_recall for r in history.records)
 
     def test_lr_non_increasing(self):
         ds = self.small_ds()
