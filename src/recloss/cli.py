@@ -133,17 +133,13 @@ def cmd_solve(cfg: dict, args) -> int:
     model_kind = lin["model"]
     if model_kind not in linear.LINEAR_MODELS:
         raise ConfigError(f"unknown linear model {model_kind!r}; expected one of {linear.LINEAR_MODELS}")
-    os.makedirs(args.output, exist_ok=True)
     if model_kind.startswith("ials"):
         ials_cfg = linear.IALSConfig(
             d=lin["d"], alpha0=lin["alpha0"], lam=lin["lambda"], nu=lin["nu"],
             c_u=lin["c_u"], num_sweeps=lin["sweeps"], seed=cfg["seed"],
         )
         scorer = linear.ials_fit(ds, ials_cfg, debiased=model_kind.endswith("debiased"))
-        ckpt.save_checkpoint(
-            os.path.join(args.output, "checkpoint.bin"),
-            mf.ScoringModel(scorer.W, scorer.H, mode="dot"),
-        )
+        weights = mf.ScoringModel(scorer.W, scorer.H, mode="dot")
         trace = scorer.objective_trace
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
     else:
@@ -159,8 +155,10 @@ def cmd_solve(cfg: dict, args) -> int:
             sol = linear.ease_fit(X, lin["lambda"])
         else:
             sol = linear.ease_debiased_fit(X, lin["lambda"], lin["alpha"])
-        scorer = linear.EASEScorer(ds, sol.W)
-        ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), sol.W)
+        scorer, weights = linear.EASEScorer(ds, sol.W), sol.W
+    # the output directory is made only once the fit has succeeded
+    os.makedirs(args.output, exist_ok=True)
+    ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), weights)
     report = metrics.evaluate(scorer, ds, k=cfg["eval"]["k"])
     row = _eval_row(cfg, model_kind, "mse-closed-form", report)
     _write_artifact(cfg, args.output, "eval.csv", [EVAL_HEADER, row])

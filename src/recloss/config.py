@@ -264,9 +264,12 @@ def resolve_config(
     env_cap = os.environ.get(THREADS_ENV_VAR)
     if env_cap is not None:
         try:
-            cfg["threads"] = min(int(cfg["threads"]), max(1, int(env_cap)))
+            cap = int(env_cap)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env_cap!r}")
+        if cap < 1:
+            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
+        cfg["threads"] = min(int(cfg["threads"]), cap)
     return cfg
 
 

@@ -6,11 +6,18 @@ the cosine-normalization Jacobian), adds an L2 term over the rows touched by
 the batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@K, K = ``eval_k``.
 
-``GATHER_BUDGET`` is the one cache budget of the trainer: a batch is scored a
-few rows at a time, each chunk gathering at most that many bytes of item rows,
-and Adam updates the touched rows in chunks whose four (rows x d) blocks fill
-it.  It is a module constant sized for the CPU cache, not a setting: no config
-key, flag or environment variable reaches it.
+A batch of B rows of K items, touching n_u unique users and n_i unique items,
+runs through one dense (n_u x n_i) block when n_u * n_i <=
+``DENSE_BLOCK_FACTOR`` * B * K, as on a narrow catalog: the rule bounds the
+block by the batch, never by the catalog.  A wide catalog, where that block
+would be mostly zeros and measured slower beyond a ratio near 9, keeps the
+chunked gather and sparse products.
+
+``GATHER_BUDGET`` is the one cache budget of the trainer: the sparse path
+scores a batch a few rows at a time, each chunk gathering at most that many
+bytes of item rows, and Adam updates the touched rows in chunks whose four
+(rows x d) blocks fill it.  Both are module constants, not settings: no config
+key, flag or environment variable reaches them.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ NORM_FLOOR = 1e-12
 # batch_objective and the four-block workspace of adam_step, small enough that
 # a chunk's repeated passes stay in a core's L2 cache.
 GATHER_BUDGET = 1 << 20
+
+# batch_objective takes the dense (unique users x unique items) block when it
+# holds at most this many times B*K entries.  The measured crossover sat near
+# 9; 4 keeps the block within a few (B, K) arrays.
+DENSE_BLOCK_FACTOR = 4
 
 # Losses trained on temperature-scaled cosine scores unless overridden.
 COSINE_DEFAULT_KINDS = ("mine_plus", "ccl", "debiased_ccl")
@@ -162,10 +174,15 @@ def batch_objective(
     """Mean pair loss over the batch plus l2_weight times the mean squared
     norm of the touched embedding rows, with exact gradients.
 
-    The (B, K) scores are computed GATHER_BUDGET bytes of gathered item rows
-    at a time, so the batch never holds a (B, K, d) block; GATHER_BUDGET is a
-    module constant sized for the CPU cache, not a setting.  An id outside the
-    model's users or items raises ValueError.
+    With n_u unique users and n_i unique items, a batch with
+    n_u * n_i <= DENSE_BLOCK_FACTOR * B * K is scored as one (n_u x n_i) GEMM
+    and its partials summed into one such block G, so the gradients are the
+    GEMMs G V and G^T U; the block never exceeds 4 * B * K floats, whatever
+    the catalog.  A wider batch is scored GATHER_BUDGET bytes of gathered item
+    rows at a time, so it never holds a (B, K, d) block, and back-propagated
+    through sparse products.  Both paths share the loss call, the cosine
+    projection, the norm floor and the L2 term.  An id outside the model's
+    users or items raises ValueError.
     """
     users = np.asarray(users)
     b = len(users)
@@ -190,43 +207,60 @@ def batch_objective(
         Vn, cv, small_v = _unit_rows(V)
     else:
         Un, Vn = U, V
-    Ub = Un[inv_u]
-    cos = np.empty((b, k))
-    rows = max(1, GATHER_BUDGET // (k * model.d * 8))
-    for s in range(0, b, rows):
-        np.matmul(Vn[inv_i[s:s + rows]], Ub[s:s + rows, :, None], out=cos[s:s + rows, :, None])
+    n_u, n_i = len(uniq_u), len(uniq_i)
+    dense = n_u * n_i <= DENSE_BLOCK_FACTOR * b * k
+    if dense:
+        # one GEMM scores every (unique user, unique item) pair, and each
+        # score's flat position in that block picks the batch's scores out
+        flat = inv_u[:, None] * n_i + inv_i
+        cos = np.take(Un @ Vn.T, flat)
+    else:
+        Ub = Un[inv_u]
+        cos = np.empty((b, k))
+        rows = max(1, GATHER_BUDGET // (k * model.d * 8))
+        for s in range(0, b, rows):
+            np.matmul(Vn[inv_i[s:s + rows]], Ub[s:s + rows, :, None], out=cos[s:s + rows, :, None])
     y = cos / model.temperature if cosine else cos
 
     bundle = ScoreBundle(y[:, 0], y[:, 1:neg_end], y[:, neg_end:])
     ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus)
 
-    # Per-score partials of the batch mean as a sparse (B x unique items)
-    # matrix R, one row per batch row, and P, the (B x unique users) indicator
-    # of each row's user.  The products run on C = R^T in CSR form: one pass
-    # over the unique item rows in order, with only the (B, d) side read or
-    # written at random, which stays in cache at any catalog width.  The
-    # sparse products sum repeated users and items.
+    # Per-score partials of the batch mean, D (B, K).  dot: dy/du = v and
+    # dy/dv = u, so each side's gradient is one product of the summed
+    # partials with the other side's rows; repeated users and items add up.
     D = np.concatenate(
         [np.reshape(ev.d_pos, (b, 1)), np.reshape(ev.d_unlabeled, (b, -1)),
          np.reshape(ev.d_extra_pos, (b, -1))],
         axis=1,
     )
     D /= b
-    R = sparse.csr_array((D.ravel(), inv_i.ravel(), np.arange(0, b * k + 1, k)),
-                         shape=(b, len(uniq_i)))
-    P = sparse.csr_array((np.ones(b), inv_u, np.arange(b + 1)), shape=(b, len(uniq_u)))
-    C = R.T.tocsr()
-    # dot: dy/du = v and dy/dv = u, so the chain rule is one sparse product each way
-    gu = P.T @ (C.T @ Vn)
-    gi = C @ Ub
+    if dense:
+        # the partials summed into one (unique users x unique items) block G,
+        # then two GEMMs: G V and G^T U; G, the largest array the batch
+        # holds, is freed before the cosine and L2 passes
+        G = np.bincount(flat.ravel(), D.ravel(), minlength=n_u * n_i).reshape(n_u, n_i)
+        gu, gi = G @ Vn, G.T @ Un
+        del G
+    else:
+        # the partials as a sparse (B x unique items) matrix R, one row per
+        # batch row, and P, the (B x unique users) indicator of each row's
+        # user.  The products run on C = R^T in CSR form: one pass over the
+        # unique item rows in order, with only the (B, d) side read or written
+        # at random, which stays in cache at any catalog width.
+        R = sparse.csr_array((D.ravel(), inv_i.ravel(), np.arange(0, b * k + 1, k)),
+                             shape=(b, n_i))
+        P = sparse.csr_array((np.ones(b), inv_u, np.arange(b + 1)), shape=(b, n_u))
+        C = R.T.tocsr()
+        gu = P.T @ (C.T @ Vn)
+        gi = C @ Ub
     if cosine:
         # dy/du = (v_hat - cos u_hat) / (t ||u||) and symmetrically for v: the
         # projection term needs only the per-row sums of D * cos.  Below the
         # norm floor the normalizer is the constant floor, so it vanishes.
-        # R, C, Un and Vn are not read again, so D and the unit rows are reused.
+        # Neither path reads D, Un or Vn again, so they are reused in place.
         D *= cos
-        su = np.bincount(inv_u, D.sum(axis=1), minlength=len(uniq_u))[:, None]
-        si = np.bincount(inv_i.ravel(), D.ravel(), minlength=len(uniq_i))[:, None]
+        su = np.bincount(inv_u, D.sum(axis=1), minlength=n_u)[:, None]
+        si = np.bincount(inv_i.ravel(), D.ravel(), minlength=n_i)[:, None]
         for g, s, small, xn, c in ((gu, su, small_u, Un, cu), (gi, si, small_v, Vn, cv)):
             s[small] = 0.0
             xn *= s
@@ -235,7 +269,7 @@ def batch_objective(
 
     value = float(np.mean(ev.value))
     if l2_weight > 0:
-        n_rows = len(uniq_u) + len(uniq_i)
+        n_rows = n_u + n_i
         value += l2_weight * (np.sum(U**2) + np.sum(V**2)) / n_rows
         gu += (2.0 * l2_weight / n_rows) * U
         gi += (2.0 * l2_weight / n_rows) * V

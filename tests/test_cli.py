@@ -304,6 +304,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: EASE Gram + lam I is not numerically positive definite")
         assert err.endswith("raise lam\n") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()  # no --output directory is left behind
 
     def test_unknown_model(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir),

@@ -309,6 +309,14 @@ class TestThreadCap:
         with pytest.raises(ConfigError, match="unknown config key 'sweep.workers'"):
             resolve_config(overrides=["sweep.workers=2"])
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_env_below_one_refused(self, monkeypatch, cap):
+        monkeypatch.setenv(THREADS_ENV_VAR, cap)
+        with pytest.raises(ConfigError, match=f"^{THREADS_ENV_VAR} must be >= 1, got {cap}$"):
+            resolve_config(overrides=["threads=4"])
+        with pytest.raises(ConfigError, match=f"^{THREADS_ENV_VAR} must be >= 1, got {cap}$"):
+            resolve_config()
+
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "lots")
         with pytest.raises(ConfigError, match="integer"):

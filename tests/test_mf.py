@@ -2,9 +2,11 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from recloss import (
     LossEvaluation,
@@ -377,6 +379,96 @@ class TestChunkedScoring:
         np.testing.assert_array_equal(got.item_rows, ref.item_rows)
         for g, r in ((got.user_grads, ref.user_grads), (got.item_grads, ref.item_grads)):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+
+def _sparse_builds(monkeypatch) -> list:
+    """Patch mf's scipy.sparse so each sparse matrix batch_objective builds
+    appends to the returned list: empty after a call means the dense block."""
+    built = []
+
+    def csr_array(*args, **kwargs):
+        built.append(1)
+        return sparse.csr_array(*args, **kwargs)
+
+    monkeypatch.setattr(mf, "sparse", SimpleNamespace(csr_array=csr_array))
+    return built
+
+
+# DENSE_BLOCK_FACTOR values that force each side of the rule
+SIDES = {"dense": math.inf, "sparse": 0}
+
+
+class TestDenseBlockRule:
+    """Both sides of the dense-block rule against the per-score reference,
+    and the side the rule picks for the benchmark's batch shapes."""
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("kind,params,mode,n_neg,m_pos,shared", ORACLE_CASES)
+    def test_oracle_cases_on_each_side(self, monkeypatch, kind, params, mode, n_neg, m_pos,
+                                       shared, l2, side):
+        monkeypatch.setattr(mf, "DENSE_BLOCK_FACTOR", SIDES[side])
+        built = _sparse_builds(monkeypatch)
+        TestBatchObjectiveMatchesReference().test_agrees_with_jacobian_chain_rule(
+            kind, params, mode, n_neg, m_pos, shared, l2)
+        assert bool(built) == (side == "sparse")
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("budget", [1, "3 rows", 1 << 30])
+    @pytest.mark.parametrize("kind,params,mode,n_neg,m_pos", CHUNK_CASES)
+    def test_chunk_cases_on_each_side(self, monkeypatch, kind, params, mode, n_neg, m_pos,
+                                      budget, side):
+        monkeypatch.setattr(mf, "DENSE_BLOCK_FACTOR", SIDES[side])
+        built = _sparse_builds(monkeypatch)
+        TestChunkedScoring().test_any_chunk_size_matches_reference(
+            monkeypatch, kind, params, mode, n_neg, m_pos, budget)
+        assert bool(built) == (side == "sparse")
+
+    @staticmethod
+    def _batch(num_users, num_items, n_neg, mode, b=512):
+        rng = np.random.default_rng(23)
+        model = ScoringModel(rng.normal(size=(num_users, 64)), rng.normal(size=(num_items, 64)),
+                             mode=mode, temperature=0.4)
+        users = rng.integers(0, num_users, size=b)
+        pos = rng.integers(0, num_items, size=b)
+        negs = rng.integers(0, num_items, size=(b, n_neg))
+        n_u = len(np.unique(users))
+        n_i = len(np.unique(np.concatenate([pos, negs.ravel()])))
+        return model, users, pos, negs, n_u * n_i / (b * (1 + n_neg))
+
+    def test_narrow_catalog_takes_the_dense_block(self, monkeypatch):
+        # train-contrastive's shape: 300 users x 1,000 items, N = 200
+        model, users, pos, negs, ratio = self._batch(300, 1000, 200, "cosine")
+        assert ratio < 3
+        built = _sparse_builds(monkeypatch)
+        batch_objective(model, users, pos, negs, None, "mine_plus", {"lambda": 1.2})
+        assert not built
+
+    def test_wide_catalog_keeps_the_sparse_products(self, monkeypatch):
+        # bpr-wide's shape: 96 users x 40,981 items, N = 10
+        model, users, pos, negs, ratio = self._batch(96, 40_981, 10, "dot")
+        assert ratio > 40
+        built = _sparse_builds(monkeypatch)
+        batch_objective(model, users, pos, negs, None, "bpr")
+        assert built
+
+    def test_dense_peak_at_the_rule_edge(self, monkeypatch):
+        # a block just inside the rule, about 4 B*K entries: the loss and the
+        # chain rule hold about 11 (B, K) arrays on either side, the block
+        # DENSE_BLOCK_FACTOR more
+        model, users, pos, negs, ratio = self._batch(300, 1650, 200, "cosine")
+        b, k = negs.shape[0], 1 + negs.shape[1]
+        assert 3.5 < ratio <= mf.DENSE_BLOCK_FACTOR
+        built = _sparse_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            batch_objective(model, users, pos, negs, None, "mine_plus", {"lambda": 1.2},
+                            l2_weight=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not built
+        assert peak <= (12 + mf.DENSE_BLOCK_FACTOR) * b * k * 8
 
 
 class TestBatchIds:
