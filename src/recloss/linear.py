@@ -27,6 +27,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
 from .data import InteractionDataset
+from .mf import GATHER_BUDGET
 from .sampling import substream
 
 __all__ = [
@@ -37,9 +38,10 @@ __all__ = [
 # the models `recloss solve` fits, as linear.model names them
 LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
 
-# gathered factor entries per chunk of ials_objective (two 8 MB float64
-# blocks) and of the iALS row solver (8 MB blocks of equal-length rows)
-_CHUNK_FLOATS = 1 << 20
+# gathered factor entries per chunk of ials_objective (two float64 blocks)
+# and of the iALS row solver (blocks of equal-length rows): the package's one
+# cache budget, GATHER_BUDGET bytes per block
+_CHUNK_FLOATS = GATHER_BUDGET // 8
 
 # rows of an EASE Gram built, of its inverse mirrored, or of M filled, per step
 _GRAM_ROWS = 64

@@ -7,8 +7,10 @@ with respect to each participating score.  All functions broadcast over a
 leading batch axis: pass ``pos_score`` of shape (B,) and score arrays of
 shape (B, N) to evaluate a whole batch in one call.
 
-Exponentials are routed through log-sum-exp / softplus so large scores do
-not overflow; hinge and clamp subgradients are taken as 0 at the kink.
+Exponentials are shifted by the row max or routed through softplus so large
+scores do not overflow; the softmax family takes one such exp pass, whose
+output becomes its partials.  Hinge and clamp subgradients are taken as 0 at
+the kink.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 __all__ = [
     "BOUND_NAMES", "CCLParams", "DEBIASED_KINDS", "DebiasParams", "InfoNCEPlusParams",
@@ -176,19 +178,27 @@ def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
     value = -(y_ui - lambda * log(epsilon * exp(y_ui) + sum_j exp(y_uj))).
     This is the one softmax-family kernel: lambda = epsilon = 1 is infonce
     (sampled softmax); epsilon = 0 is the decoupled form (dcl, mine, mine_plus).
+    It needs N >= 1 unlabeled scores.
     """
-    lse = logsumexp(b.unlabeled_scores, axis=-1)
+    _require_unlabeled(b, "infonce_plus")
+    # one exp pass, shifted by the row max (finite: the bundle refuses
+    # non-finite scores), into a fresh array that becomes d_unlabeled
+    top = b.unlabeled_scores.max(axis=-1)
+    e = b.unlabeled_scores - top[..., None]
+    np.exp(e, out=e)
+    log_den = top + np.log(e.sum(axis=-1))
     if p.epsilon > 0:
         log_pos = math.log(p.epsilon) + b.pos_score
-        log_den = np.logaddexp(lse, log_pos)
+        log_den = np.logaddexp(log_den, log_pos)
         w_pos = np.exp(log_pos - log_den)
     else:
         # the positive leaves the partition; 0 * exp(y_ui) would overflow to NaN
-        log_den, w_pos = lse, np.zeros(np.shape(b.pos_score))
+        w_pos = np.zeros(np.shape(b.pos_score))
+    e *= (p.lambda_ * np.exp(top - log_den))[..., None]
     return LossEvaluation(
         value=-b.pos_score + p.lambda_ * log_den,
         d_pos=-1.0 + p.lambda_ * w_pos,
-        d_unlabeled=p.lambda_ * np.exp(b.unlabeled_scores - log_den[..., None]),
+        d_unlabeled=e,
     )
 
 

@@ -7,17 +7,19 @@ the batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@K, K = ``eval_k``.
 
 A batch of B rows of K items, touching n_u unique users and n_i unique items,
-runs through one dense (n_u x n_i) block when n_u * n_i <=
-``DENSE_BLOCK_FACTOR`` * B * K, as on a narrow catalog: the rule bounds the
-block by the batch, never by the catalog.  A wide catalog, where that block
-would be mostly zeros and measured slower beyond a ratio near 9, keeps the
-chunked gather and sparse products.
+runs through one dense (n_u x n_i) block, which holds its scores and then
+their summed partials, when n_u * n_i <= ``DENSE_BLOCK_FACTOR`` * B * K, as
+on a narrow catalog: the rule bounds the block by the batch, never by the
+catalog.  A wide catalog, where that block would be mostly zeros and measured
+slower beyond a ratio near 9, keeps the chunked gather and sparse products.
 
-``GATHER_BUDGET`` is the one cache budget of the trainer: the sparse path
+``GATHER_BUDGET`` is the one cache budget of the package: the sparse path
 scores a batch a few rows at a time, each chunk gathering at most that many
-bytes of item rows, and Adam updates the touched rows in chunks whose four
-(rows x d) blocks fill it.  Both are module constants, not settings: no config
-key, flag or environment variable reaches them.
+bytes of item rows, Adam updates the touched rows in chunks whose four
+(rows x d) blocks fill it, and :mod:`recloss.linear` sizes each block of
+gathered iALS factors by it.  ``DENSE_BLOCK_FACTOR`` and ``GATHER_BUDGET``
+are module constants, not settings: no config key, flag or environment
+variable reaches them.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ __all__ = [
 
 NORM_FLOOR = 1e-12
 
-# Bytes per chunk, for both the gathered item rows of a scoring chunk in
-# batch_objective and the four-block workspace of adam_step, small enough that
-# a chunk's repeated passes stay in a core's L2 cache.
+# Bytes per chunk, for the gathered item rows of a scoring chunk in
+# batch_objective, the four-block workspace of adam_step and each block of
+# gathered factors in linear, small enough that a chunk's repeated passes
+# stay in a core's L2 cache.
 GATHER_BUDGET = 1 << 20
 
 # batch_objective takes the dense (unique users x unique items) block when it
@@ -175,17 +178,20 @@ def batch_objective(
     norm of the touched embedding rows, with exact gradients.
 
     With n_u unique users and n_i unique items, a batch with
-    n_u * n_i <= DENSE_BLOCK_FACTOR * B * K is scored as one (n_u x n_i) GEMM
-    and its partials summed into one such block G, so the gradients are the
-    GEMMs G V and G^T U; the block never exceeds 4 * B * K floats, whatever
-    the catalog.  A wider batch is scored GATHER_BUDGET bytes of gathered item
-    rows at a time, so it never holds a (B, K, d) block, and back-propagated
-    through sparse products.  Both paths share the loss call, the cosine
-    projection, the norm floor and the L2 term.  An id outside the model's
-    users or items raises ValueError.
+    n_u * n_i <= DENSE_BLOCK_FACTOR * B * K is scored as one (n_u x n_i) GEMM,
+    and the same block, zeroed, then sums the partials into G, so the
+    gradients are the GEMMs G V and G^T U; the batch holds that one block, of
+    at most 4 * B * K floats, whatever the catalog.  A wider batch is scored
+    GATHER_BUDGET bytes of gathered item rows at a time, so it never holds a
+    (B, K, d) block, and back-propagated through sparse products.  Both paths
+    share the loss call, the cosine projection, the norm floor and the L2
+    term.  An empty batch, or an id outside the model's users or items,
+    raises ValueError.
     """
     users = np.asarray(users)
     b = len(users)
+    if b == 0:
+        raise ValueError("batch_objective got an empty batch (users has length 0)")
     # one (B, K) item matrix: column 0 the positive, then negatives, then extra positives
     items = np.concatenate(
         [np.reshape(pos_items, (b, 1))] + [a for a in (neg_items, extra_items) if a is not None],
@@ -210,10 +216,12 @@ def batch_objective(
     n_u, n_i = len(uniq_u), len(uniq_i)
     dense = n_u * n_i <= DENSE_BLOCK_FACTOR * b * k
     if dense:
-        # one GEMM scores every (unique user, unique item) pair, and each
-        # score's flat position in that block picks the batch's scores out
+        # one GEMM scores every (unique user, unique item) pair into the one
+        # block the batch holds, and each score's flat position in that block
+        # picks the batch's scores out
         flat = inv_u[:, None] * n_i + inv_i
-        cos = np.take(Un @ Vn.T, flat)
+        block = Un @ Vn.T
+        cos = np.take(block, flat)
     else:
         Ub = Un[inv_u]
         cos = np.empty((b, k))
@@ -235,12 +243,15 @@ def batch_objective(
     )
     D /= b
     if dense:
-        # the partials summed into one (unique users x unique items) block G,
-        # then two GEMMs: G V and G^T U; G, the largest array the batch
-        # holds, is freed before the cosine and L2 passes
-        G = np.bincount(flat.ravel(), D.ravel(), minlength=n_u * n_i).reshape(n_u, n_i)
-        gu, gi = G @ Vn, G.T @ Un
-        del G
+        # the score block, read for the last time above, becomes G: zeroed,
+        # then each partial added in at its flat position in batch order,
+        # which gives the sums np.bincount gives.  Two GEMMs follow, G V and
+        # G^T U; the block, the largest array the batch holds, is freed
+        # before the cosine and L2 passes
+        block.fill(0.0)
+        np.add.at(block.ravel(), flat.ravel(), D.ravel())
+        gu, gi = block @ Vn, block.T @ Un
+        del block
     else:
         # the partials as a sparse (B x unique items) matrix R, one row per
         # batch row, and P, the (B x unique users) indicator of each row's

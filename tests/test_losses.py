@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from recloss import (
     BOUND_NAMES,
@@ -59,11 +60,14 @@ class TestScoreBundle:
 
 
 @pytest.mark.parametrize("kernel", [
+    lambda b: infonce_plus(b, InfoNCEPlusParams()),
+    lambda b: infonce_plus(b, InfoNCEPlusParams(1.0, 0.0)),
     lambda b: ccl(b, CCLParams()),
     lambda b: debiased_ccl(b, CCLParams(), DebiasParams(), 0.3),
     lambda b: debiased_mse(b, DebiasParams(), 0.3),
     lambda b: debiased_infonce(b, DebiasParams(), 0.3),
-], ids=["ccl", "debiased_ccl", "debiased_mse", "debiased_infonce"])
+], ids=["infonce_plus", "infonce_plus_decoupled", "ccl", "debiased_ccl", "debiased_mse",
+        "debiased_infonce"])
 def test_no_unlabeled_scores_rejected(kernel):
     with pytest.raises(ValueError, match=r"needs N >= 1"):
         kernel(bundle(0.4, [], [0.2]))
@@ -192,6 +196,39 @@ class TestSoftmaxAndInfoNCE:
         assert np.all(np.isfinite(ev.d_unlabeled))
 
 
+def reference_infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
+    """The softmax-family kernel as a log-sum-exp of the unlabeled scores and
+    a second exp pass for their partials: the slow form infonce_plus replaces."""
+    lse = logsumexp(b.unlabeled_scores, axis=-1)
+    if p.epsilon > 0:
+        log_pos = math.log(p.epsilon) + b.pos_score
+        log_den = np.logaddexp(lse, log_pos)
+        w_pos = np.exp(log_pos - log_den)
+    else:
+        log_den, w_pos = lse, np.zeros(np.shape(b.pos_score))
+    return LossEvaluation(
+        value=-b.pos_score + p.lambda_ * log_den,
+        d_pos=-1.0 + p.lambda_ * w_pos,
+        d_unlabeled=p.lambda_ * np.exp(b.unlabeled_scores - log_den[..., None]),
+    )
+
+
+def _assert_matches_reference(b: ScoreBundle, p: InfoNCEPlusParams) -> None:
+    """infonce_plus agrees with the reference within 1e-12 relative and
+    leaves the bundle's scores as they were.  Below the smallest normal
+    double, where the spacing of floats is absolute, the two forms round to
+    that grid apart, so a partial there is compared as if it were that
+    smallest normal."""
+    scores = b.unlabeled_scores.copy()
+    got, ref = infonce_plus(b, p), reference_infonce_plus(b, p)
+    np.testing.assert_array_equal(b.unlabeled_scores, scores)
+    for name in ("value", "d_pos", "d_unlabeled"):
+        g, r = getattr(got, name), getattr(ref, name)
+        assert np.shape(g) == np.shape(r), name
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.finfo(float).tiny,
+                                   err_msg=name)
+
+
 class TestInfoNCEPlus:
     def test_dcl_reduction_equal_scores(self):
         p = InfoNCEPlusParams(lambda_=1.0, epsilon=0.0)
@@ -223,6 +260,25 @@ class TestInfoNCEPlus:
         assert np.all(ev.d_pos == -1.0)
         assert np.allclose(ev.d_unlabeled, lam / 2)
         assert np.allclose(ev.value, -pos + lam * LOG2)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("n", [1, 200, 800])
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 300.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.1])
+    def test_matches_logsumexp_reference(self, lam, epsilon, scale, n, batched):
+        rng = np.random.default_rng([n, int(scale), int(10 * lam), int(10 * epsilon)])
+        shape = (6,) if batched else ()
+        b = bundle(scale * rng.standard_normal(shape), scale * rng.standard_normal(shape + (n,)))
+        _assert_matches_reference(b, InfoNCEPlusParams(lam, epsilon))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.1])
+    def test_matches_reference_when_positive_dominates(self, lam, epsilon, batched):
+        pos, unl = 800.0, [0.0, 0.0]
+        b = bundle([pos, pos], [unl, unl]) if batched else bundle(pos, unl)
+        _assert_matches_reference(b, InfoNCEPlusParams(lam, epsilon))
 
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):

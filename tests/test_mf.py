@@ -470,6 +470,18 @@ class TestDenseBlockRule:
         assert not built
         assert peak <= (12 + mf.DENSE_BLOCK_FACTOR) * b * k * 8
 
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("kind,m_pos", [("mine_plus", 0), ("debiased_ccl", 1)])
+    def test_empty_batch_is_refused_by_name(self, monkeypatch, kind, m_pos, side):
+        monkeypatch.setattr(mf, "DENSE_BLOCK_FACTOR", SIDES[side])
+        built = _sparse_builds(monkeypatch)
+        model = ScoringModel(np.ones((4, 2)), np.ones((7, 2)), mode="cosine")
+        extras = np.zeros((0, m_pos), dtype=int) if m_pos else None
+        with pytest.raises(ValueError, match=r"^batch_objective got an empty batch"):
+            batch_objective(model, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                            np.zeros((0, 2), dtype=int), extras, kind, tau_plus=np.zeros(0))
+        assert not built
+
 
 class TestBatchIds:
     """Ids outside the model are refused, never wrapped or merged."""
