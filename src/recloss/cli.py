@@ -131,17 +131,19 @@ def cmd_solve(cfg: dict, args) -> int:
     ds = _load_data(cfg)
     lin = cfg["linear"]
     model_kind = lin["model"]
-    if model_kind not in linear.LINEAR_MODELS:
-        raise ConfigError(f"unknown linear model {model_kind!r}; expected one of {linear.LINEAR_MODELS}")
     if model_kind.startswith("ials"):
         ials_cfg = linear.IALSConfig(
             d=lin["d"], alpha0=lin["alpha0"], lam=lin["lambda"], nu=lin["nu"],
             c_u=lin["c_u"], num_sweeps=lin["sweeps"], seed=cfg["seed"],
         )
-        scorer = linear.ials_fit(ds, ials_cfg, debiased=model_kind.endswith("debiased"))
+        debiased = model_kind.endswith("debiased")
+        scorer = linear.ials_fit(ds, ials_cfg, debiased=debiased)
         weights = mf.ScoringModel(scorer.W, scorer.H, mode="dot")
         trace = scorer.objective_trace
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
+        if trace[-1] >= linear.ials_objective(0 * scorer.W, 0 * scorer.H, ds, ials_cfg, debiased):
+            print("warning: the fit ended no lower than all-zero factors, whose scores all tie; "
+                  "lower linear.lambda", file=sys.stderr)
     else:
         if ds.num_items > lin["item_budget"]:
             _, need = linear._ease_plan(ds.num_users, ds.num_items, ds.train_interactions)

@@ -15,8 +15,8 @@ import json
 import os
 
 from .data import _atomic_write
-from .linear import IALSConfig, ease_debiased_fit
-from .losses import LOSS_KINDS, LOSS_TABLE, PARAM_DEFAULTS
+from .linear import LINEAR_MODELS, IALSConfig, ease_debiased_fit
+from .losses import PARAM_DEFAULTS, check_loss_params
 from .mf import TrainConfig
 from .sampling import SAMPLER_KINDS, SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
@@ -192,17 +192,11 @@ def validate_config(cfg: dict) -> None:
     _check_keys(cfg, DEFAULTS)
     if cfg["threads"] < 1:
         raise ConfigError(f"config key 'threads' must be >= 1, got {cfg['threads']}")
-    kind = cfg["loss"]["kind"]
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    allowed = LOSS_TABLE[kind].params
+    try:
+        check_loss_params(cfg["loss"]["kind"], cfg["loss"]["params"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for key, value in cfg["loss"]["params"].items():
-        if key not in allowed:
-            hint = "; the clamp temperature is train.temperature" if key == "temperature" else ""
-            raise ConfigError(
-                f"loss parameter {key!r} is not valid for kind {kind!r} "
-                f"(allowed: {sorted(allowed) or 'none'}){hint}"
-            )
         _check_type(f"loss.params.{key}", value, PARAM_DEFAULTS[key])
     for key in ("train", "test"):
         path = cfg["data"][key]
@@ -212,6 +206,9 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"unknown sampler kind {cfg['sampler']['kind']!r}; expected one of {SAMPLER_KINDS}"
         )
+    model = cfg["linear"]["model"]
+    if model not in LINEAR_MODELS:
+        raise ConfigError(f"unknown linear model {model!r}; expected one of {LINEAR_MODELS}")
     if cfg["data"]["synthetic"] is not None:
         _check_synthetic(cfg["data"]["synthetic"])
     _check_sweep(cfg["sweep"])

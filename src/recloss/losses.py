@@ -5,7 +5,9 @@ N unlabeled scores, optionally M extra positive scores) returning a
 :class:`LossEvaluation` holding the scalar value and the partial derivative
 with respect to each participating score.  All functions broadcast over a
 leading batch axis: pass ``pos_score`` of shape (B,) and score arrays of
-shape (B, N) to evaluate a whole batch in one call.
+shape (B, N) to evaluate a whole batch in one call.  :data:`LOSS_TABLE` owns
+each kind's rules; :func:`evaluate_loss` dispatches through it at the
+temperature the model scores with.
 
 Exponentials are shifted by the row max or routed through softplus so large
 scores do not overflow; the softmax family takes one such exp pass, whose
@@ -137,7 +139,7 @@ def _kw(p: dict, *keys: str) -> dict:
 
 def debias_params(p: dict) -> DebiasParams:
     """The debiasing settings in a loss params dict; absent keys take the defaults."""
-    return DebiasParams(**_kw(p, "tau_mode", "k", "alpha", "lambda_n", "temperature", "clamp_floor"))
+    return DebiasParams(**_kw(p, "tau_mode", "k", "alpha", "lambda_n", "clamp_floor"))
 
 
 _TAU_CEILING = 1.0 - 1e-6
@@ -447,43 +449,46 @@ _PRIOR_KEYS = ("tau_mode", "k", "alpha")
 
 
 class LossKind(NamedTuple):
-    """A loss kind: its kernel(bundle, params, tau_plus) and its loss.params keys."""
+    """A loss kind: kernel(bundle, params, tau_plus, temperature), loss.params keys,
+    default scoring mode, and whether TrainConfig gives it a sampler when none is set."""
 
-    kernel: Callable[[ScoreBundle, dict, object], LossEvaluation]
-    params: tuple[str, ...]
+    kernel: Callable[[ScoreBundle, dict, object, float], LossEvaluation]
+    params: tuple[str, ...] = ()
+    mode: str = "dot"
+    sampled: bool = True
 
 
-_SOFTMAX = LossKind(lambda b, p, tau: sampled_softmax(b), ())
-
-# The one source of what each loss kind is.  "temperature" is not a
-# loss.params key of debiased_infonce: TrainConfig passes train.temperature.
+# The one source of what each loss kind is; its first kind is the default loss.
+# debiased_infonce's clamp temperature is the model's, not a loss.params key.
 LOSS_TABLE = {
-    "bpr": LossKind(lambda b, p, tau: bpr(b), ()),
-    "softmax": _SOFTMAX,
-    "infonce": _SOFTMAX,
+    "bpr": LossKind(lambda b, p, tau, t: bpr(b)),
+    "softmax": LossKind(lambda b, p, tau, t: sampled_softmax(b)),
+    "infonce": LossKind(lambda b, p, tau, t: sampled_softmax(b)),
     "infonce_plus": LossKind(
-        lambda b, p, tau: infonce_plus(b, InfoNCEPlusParams(**_kw(p, "lambda", "epsilon"))),
+        lambda b, p, tau, t: infonce_plus(b, InfoNCEPlusParams(**_kw(p, "lambda", "epsilon"))),
         ("lambda", "epsilon"),
     ),
-    "dcl": LossKind(lambda b, p, tau: dcl(b), ()),
-    "mine": LossKind(lambda b, p, tau: mine(b, normalized=True), ()),
-    "mine_plus": LossKind(lambda b, p, tau: mine_plus(b, **_kw(p, "lambda")), ("lambda",)),
+    "dcl": LossKind(lambda b, p, tau, t: dcl(b)),
+    "mine": LossKind(lambda b, p, tau, t: mine(b, normalized=True)),
+    "mine_plus": LossKind(lambda b, p, tau, t: mine_plus(b, **_kw(p, "lambda")), ("lambda",),
+                          mode="cosine"),
     "ccl": LossKind(
-        lambda b, p, tau: ccl(b, CCLParams(**_kw(p, "negative_weight", "margin"))),
-        ("negative_weight", "margin"),
+        lambda b, p, tau, t: ccl(b, CCLParams(**_kw(p, "negative_weight", "margin"))),
+        ("negative_weight", "margin"), mode="cosine",
     ),
-    "mse": LossKind(lambda b, p, tau: mse_pointwise(b, **_kw(p, "lambda_neg")), ("lambda_neg",)),
+    "mse": LossKind(lambda b, p, tau, t: mse_pointwise(b, **_kw(p, "lambda_neg")), ("lambda_neg",),
+                    sampled=False),
     "debiased_infonce": LossKind(
-        lambda b, p, tau: debiased_infonce(b, debias_params(p), tau),
+        lambda b, p, tau, t: debiased_infonce(b, replace(debias_params(p), temperature=t), tau),
         ("lambda_n", "clamp_floor", *_PRIOR_KEYS),
     ),
     "debiased_ccl": LossKind(
-        lambda b, p, tau: debiased_ccl(b, CCLParams(**_kw(p, "margin")), debias_params(p), tau,
-                                       **_kw(p, "floor_at_zero")),
-        ("lambda_n", "margin", "floor_at_zero", *_PRIOR_KEYS),
+        lambda b, p, tau, t: debiased_ccl(b, CCLParams(**_kw(p, "margin")), debias_params(p), tau,
+                                          **_kw(p, "floor_at_zero")),
+        ("lambda_n", "margin", "floor_at_zero", *_PRIOR_KEYS), mode="cosine",
     ),
     "debiased_mse": LossKind(
-        lambda b, p, tau: debiased_mse(b, debias_params(p), tau, **_kw(p, "lambda")),
+        lambda b, p, tau, t: debiased_mse(b, debias_params(p), tau, **_kw(p, "lambda")),
         ("lambda", *_PRIOR_KEYS),
     ),
 }
@@ -509,14 +514,30 @@ def _param_defaults() -> dict:
 PARAM_DEFAULTS = _param_defaults()
 
 
-def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None) -> LossEvaluation:
+def check_loss_params(kind: str, params: dict) -> None:
+    """Refuse, by name, an unknown loss kind or a loss.params key it does not take."""
+    if kind not in LOSS_TABLE:
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    allowed = LOSS_TABLE[kind].params
+    for key in params:
+        if key not in allowed:
+            hint = "; the clamp temperature is train.temperature" if key == "temperature" else ""
+            raise ValueError(
+                f"loss parameter {key!r} is not valid for kind {kind!r} "
+                f"(allowed: {sorted(allowed) or 'none'}){hint}"
+            )
+
+
+def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None, *,
+                  temperature: float = DebiasParams.temperature) -> LossEvaluation:
     """Config-driven dispatch used by the trainer and CLI.
 
     ``params`` carries the per-kind table (see :data:`LOSS_TABLE`);
-    ``tau_plus`` is required for the debiased kinds.
+    ``tau_plus`` is required for the debiased kinds; ``temperature``, the one
+    the model scores with, puts debiased_infonce's clamp at exp(-1/t).
     """
     if kind not in LOSS_TABLE:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if tau_plus is None and kind in DEBIASED_KINDS:
         raise ValueError(f"{kind} requires tau_plus")
-    return LOSS_TABLE[kind].kernel(b, params or {}, tau_plus)
+    return LOSS_TABLE[kind].kernel(b, params or {}, tau_plus, temperature)

@@ -1,7 +1,8 @@
 """Matrix-factorization backbone: embeddings, scoring, Adam training.
 
-The trainer is loss-agnostic: it turns per-score partials from
-:mod:`recloss.losses` into embedding gradients via the chain rule (including
+The trainer is loss-agnostic: it takes each kind's default scoring mode and
+sampler from ``losses.LOSS_TABLE`` and turns per-score partials, taken at the
+model's temperature, into embedding gradients via the chain rule (including
 the cosine-normalization Jacobian), adds an L2 term over the rows touched by
 the batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@K, K = ``eval_k``.
@@ -32,7 +33,8 @@ from scipy import sparse
 
 from . import metrics
 from .data import CSRRows, InteractionDataset, _atomic_write, make_validation_split
-from .losses import DEBIASED_KINDS, LOSS_KINDS, ScoreBundle, debias_params, evaluate_loss, positive_prior_all
+from .losses import (DEBIASED_KINDS, LOSS_KINDS, LOSS_TABLE, ScoreBundle, check_loss_params,
+                     debias_params, evaluate_loss, positive_prior_all)
 from .sampling import BatchSampler, SamplerConfig, substream
 
 __all__ = [
@@ -52,9 +54,6 @@ GATHER_BUDGET = 1 << 20
 # holds at most this many times B*K entries.  The measured crossover sat near
 # 9; 4 keeps the block within a few (B, K) arrays.
 DENSE_BLOCK_FACTOR = 4
-
-# Losses trained on temperature-scaled cosine scores unless overridden.
-COSINE_DEFAULT_KINDS = ("mine_plus", "ccl", "debiased_ccl")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -231,7 +230,7 @@ def batch_objective(
     y = cos / model.temperature if cosine else cos
 
     bundle = ScoreBundle(y[:, 0], y[:, 1:neg_end], y[:, neg_end:])
-    ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus)
+    ev = evaluate_loss(kind, bundle, loss_params, tau_plus=tau_plus, temperature=model.temperature)
 
     # Per-score partials of the batch mean, D (B, K).  dot: dy/du = v and
     # dy/dv = u, so each side's gradient is one product of the summed
@@ -377,7 +376,7 @@ def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr:
 @dataclass
 class TrainConfig:
     embedding_dim: int = 64
-    loss: str = "bpr"
+    loss: str = LOSS_KINDS[0]
     loss_params: dict = field(default_factory=dict)
     sampler: SamplerConfig | None = None
     batch_size: int = 512
@@ -396,8 +395,7 @@ class TrainConfig:
     eval_k: int = 20
 
     def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSS_KINDS}")
+        check_loss_params(self.loss, self.loss_params)
         for name in ("embedding_dim", "batch_size", "max_epochs", "eval_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -407,21 +405,13 @@ class TrainConfig:
             raise ValueError("min_lr must be below initial_lr")
         if self.l2_weight < 0:
             raise ValueError("l2_weight must be non-negative")
-        if self.sampler is None and self.loss != "mse":
+        if self.sampler is None and LOSS_TABLE[self.loss].sampled:
             self.sampler = SamplerConfig(kind="uniform_all_items")
         if self.loss in DEBIASED_KINDS:
             if self.sampler is None or self.sampler.m_positives < 1:
                 raise ValueError(f"{self.loss} needs a sampler with m_positives >= 1")
         if self.mode is None:
-            self.mode = "cosine" if self.loss in COSINE_DEFAULT_KINDS else "dot"
-        if self.loss == "debiased_infonce":
-            # the clamp floor exp(-1/t) bounds e^score only at the t the model scores with
-            if self.loss_params.get("temperature", self.temperature) != self.temperature:
-                raise ValueError(
-                    "loss_params['temperature'] disagrees with the model temperature; "
-                    "debiased_infonce takes its clamp temperature from train.temperature"
-                )
-            self.loss_params = {**self.loss_params, "temperature": self.temperature}
+            self.mode = LOSS_TABLE[self.loss].mode
 
 
 def _tau_vector(ds: InteractionDataset, cfg: TrainConfig) -> np.ndarray | None:

@@ -44,11 +44,13 @@ FD_PARAMS = {
     "mine_plus": {"lambda": 1.2},
     "ccl": {"negative_weight": 0.8, "margin": 0.3},
     "mse": {"lambda_neg": 0.5},
-    "debiased_infonce": {"lambda_n": 1.5, "temperature": 0.5},
+    "debiased_infonce": {"lambda_n": 1.5},
     "debiased_ccl": {"lambda_n": 0.9, "margin": 0.2},
     "debiased_mse": {"lambda": 0.8},
 }
 FD_TAU = 0.3
+# the temperature the gradient checks pass to evaluate_loss: debiased_infonce's clamp floor
+FD_TEMPERATURE = 0.5
 
 
 def _near_kink(kind, b, params, tau):
@@ -61,7 +63,7 @@ def _near_kink(kind, b, params, tau):
     if kind == "debiased_infonce":
         g = (np.exp(b.unlabeled_scores).mean()
              - tau * np.exp(b.extra_pos_scores).mean()) / (1.0 - tau)
-        floor = np.exp(-1.0 / params.get("temperature", 1.0))
+        floor = np.exp(-1.0 / FD_TEMPERATURE)
         return abs(g - floor) < KINK_TOL
     return False
 
@@ -81,7 +83,7 @@ def fd_gradients(kind, b, params=None, tau=None, h=1e-6):
     """Analytic and central-difference gradients, flattened pos|unl|extra."""
     from recloss import evaluate_loss
 
-    ev = evaluate_loss(kind, b, params, tau)
+    ev = evaluate_loss(kind, b, params, tau, temperature=FD_TEMPERATURE)
     analytic = np.concatenate([
         np.atleast_1d(ev.d_pos).ravel(),
         np.asarray(ev.d_unlabeled).ravel(),
@@ -90,7 +92,7 @@ def fd_gradients(kind, b, params=None, tau=None, h=1e-6):
 
     def value(pos, unl, ext):
         nb = ScoreBundle(pos, unl, ext)
-        return float(evaluate_loss(kind, nb, params, tau).value)
+        return float(evaluate_loss(kind, nb, params, tau, temperature=FD_TEMPERATURE).value)
 
     p = float(b.pos_score)
     unl, ext = b.unlabeled_scores.copy(), b.extra_pos_scores.copy()

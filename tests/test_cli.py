@@ -264,6 +264,21 @@ class TestSolve:
         assert rc == 0
         assert read_eval(out / "eval.csv")[1] == "ials-debiased"
 
+    @pytest.mark.parametrize("model", ["ials", "ials-debiased"])
+    @pytest.mark.parametrize("lam, warned", [("100", True), ("0.1", False)])
+    def test_fit_at_the_all_zero_objective_warns(self, model, lam, warned, tmp_path, capsys):
+        # on 40 x 60 random data, lambda = 100 (the default, on EASE's scale)
+        # shrinks every factor to 0, where all scores tie
+        out = tmp_path / model
+        rc = main(["solve", "--model", model, "--lambda", lam, "--d", "4", "--sweeps", "3",
+                   "--c-u", "1.5", "--set", "data.synthetic.kind=random",
+                   "--set", "data.synthetic.num_users=40", "--set", "data.synthetic.num_items=60",
+                   "--set", "data.synthetic.density=0.1", "--output", str(out)])
+        assert rc == 0 and (out / "eval.csv").exists()
+        err = capsys.readouterr().err
+        assert (err.startswith("warning: ") and "linear.lambda" in err) == warned
+        assert err.count("\n") == int(warned)
+
     def test_ease_solves_on_the_sparse_matrix(self, data_dir, tmp_path, monkeypatch):
         ds = load_dataset(data_dir / "train.txt", data_dir / "test.txt")
         X = ds.train_matrix()
@@ -541,6 +556,7 @@ class TestSettingErrors:
          "config key 'loss.params.k' must be int"),
         (["stats", "--set", "data.train=123", "--set", "data.test=456"],
          "config key 'data.train' must be a path string"),
+        (["stats", "--set", "linear.model=svd"], "unknown linear model 'svd'"),
     ])
     def test_error_names_the_setting(self, command, named, tmp_path, capsys):
         out = tmp_path / "x"

@@ -715,6 +715,18 @@ class TestDispatch:
         off = evaluate_loss("debiased_infonce", b, {"lambda_n": 1.0, "clamp_floor": False}, 0.5)
         assert on.value != off.value
 
+    def test_temperature_keyword_sets_the_clamp(self):
+        # every score at -1.25: e^y = 0.29 lies below the floor e^-1 of t = 1
+        # and above the floor exp(-1/t) = 0.08 of t = 0.4
+        b = bundle(-1.25, np.full(4, -1.25), np.full(2, -1.25))
+        unclamped = evaluate_loss("debiased_infonce", b, {"clamp_floor": False}, 0.05)
+        at_model_t = evaluate_loss("debiased_infonce", b, {}, 0.05, temperature=0.4)
+        at_default_t = evaluate_loss("debiased_infonce", b, {}, 0.05)
+        assert at_model_t.value == unclamped.value and at_default_t.value != unclamped.value
+        # a "temperature" entry in params is not read
+        ignored = evaluate_loss("debiased_infonce", b, {"temperature": 0.4}, 0.05)
+        assert ignored.value == at_default_t.value
+
 
 class TestBatchedEvaluation:
     """A (B,)-leading-axis bundle must agree with row-by-row evaluation."""

@@ -753,7 +753,7 @@ class TestTrainEpoch:
         assert losses[-1] < losses[0]
 
     def test_non_finite_loss_aborts(self, monkeypatch):
-        def explode(kind, b, params=None, tau_plus=None):
+        def explode(kind, b, params=None, tau_plus=None, temperature=None):
             n = np.shape(b.pos_score)[0] if np.ndim(b.pos_score) else 1
             return LossEvaluation(
                 value=np.full(n, np.inf),
@@ -770,7 +770,7 @@ class TestTrainEpoch:
             train_epoch(model, OptimizerState.for_model(model), ds, cfg, np.random.default_rng(0))
 
     def test_non_finite_gradient_aborts_before_the_step(self, monkeypatch):
-        def nan_partials(kind, b, params=None, tau_plus=None):
+        def nan_partials(kind, b, params=None, tau_plus=None, temperature=None):
             n = np.shape(b.pos_score)[0]
             return LossEvaluation(
                 value=np.ones(n),
@@ -861,7 +861,8 @@ class TestTrainConfig:
         cfg = TrainConfig(embedding_dim=4, loss="debiased_infonce", mode="cosine",
                           temperature=0.4, sampler=SamplerConfig(n_negatives=10, m_positives=3))
         b = ScoreBundle(-2.5, np.full(10, -2.5), np.full(3, -2.5))
-        ev = evaluate_loss(cfg.loss, b, cfg.loss_params, tau_plus=0.05)
+        ev = evaluate_loss(cfg.loss, b, cfg.loss_params, tau_plus=0.05,
+                           temperature=cfg.temperature)
         assert ev.d_unlabeled == pytest.approx(np.full(10, 1.0 / 19.0))
 
     def test_debiased_infonce_temperature_mismatch_rejected(self):
@@ -869,6 +870,72 @@ class TestTrainConfig:
             TrainConfig(embedding_dim=4, loss="debiased_infonce", temperature=0.4,
                         loss_params={"temperature": 0.5},
                         sampler=SamplerConfig(n_negatives=4, m_positives=2))
+
+    def test_debiased_infonce_routes_agree_at_the_model_temperature(self):
+        # three users on axes 0-2 of d = 8; each row's two negatives sit at
+        # cosine -0.5 to its user and its positive, also its extra, at 0.3
+        t, tau = 0.4, np.full(3, 0.05)
+        items = []
+        for r in range(3):
+            for c, axis in ((-0.5, 3 + r), (-0.5, 6 + r % 2), (0.3, 3 + (r + 1) % 3)):
+                items.append(c * np.eye(8)[r] + math.sqrt(1 - c * c) * np.eye(8)[axis])
+        model = ScoringModel(2.0 * np.eye(8)[:3], np.array(items), mode="cosine", temperature=t)
+        users, pos = np.arange(3), np.arange(3) * 3 + 2
+        negs, extras = np.column_stack([pos - 2, pos - 1]), pos[:, None]
+        # the corrected partition g binds the floor exp(-1/t) at t = 1, not at the model's t
+        y = model.score_block(users)
+        unl_mean = np.exp(np.take_along_axis(y, negs, 1)).mean(1)
+        g = (unl_mean - tau * np.exp(y[users, pos])) / (1 - tau)
+        assert np.all(g < math.exp(-1.0)) and np.all(g > math.exp(-1.0 / t))
+
+        cfg = TrainConfig(embedding_dim=8, loss="debiased_infonce", loss_params={"lambda_n": 1.0},
+                          mode="cosine", temperature=t,
+                          sampler=SamplerConfig(n_negatives=2, m_positives=1))
+        direct = batch_objective(model, users, pos, negs, extras, "debiased_infonce",
+                                 {"lambda_n": 1.0}, tau)
+        routed = batch_objective(model, users, pos, negs, extras, cfg.loss, cfg.loss_params, tau)
+        unclamped = batch_objective(model, users, pos, negs, extras, "debiased_infonce",
+                                    {"lambda_n": 1.0, "clamp_floor": False}, tau)
+        for other in (routed, unclamped):
+            assert direct.value == other.value
+            assert np.array_equal(direct.user_grads, other.user_grads)
+            assert np.array_equal(direct.item_grads, other.item_grads)
+
+    @pytest.mark.parametrize("loss, key", [
+        ("mine_plus", "lamda"),
+        ("debiased_infonce", "temperature"),  # refused even when it agrees with the model's
+    ])
+    def test_key_the_kind_does_not_take_is_refused_by_name(self, loss, key):
+        with pytest.raises(ValueError, match=f"parameter '{key}' is not valid for kind '{loss}'"):
+            TrainConfig(embedding_dim=4, loss=loss, temperature=0.4, loss_params={key: 0.4},
+                        sampler=SamplerConfig(n_negatives=4, m_positives=2))
+
+    def test_loss_params_left_as_given(self):
+        params = {"lambda_n": 2.0}
+        cfg = TrainConfig(embedding_dim=4, loss="debiased_infonce", temperature=0.4,
+                          loss_params=params, sampler=SamplerConfig(n_negatives=4, m_positives=2))
+        assert cfg.loss_params is params and params == {"lambda_n": 2.0}
+
+    # each kind's default scoring mode, and whether it gets the default sampler
+    # when none is set (the debiased kinds need one with m_positives >= 1 either way)
+    DEFAULT_RULES = {
+        "bpr": ("dot", True), "softmax": ("dot", True), "infonce": ("dot", True),
+        "infonce_plus": ("dot", True), "dcl": ("dot", True), "mine": ("dot", True),
+        "mine_plus": ("cosine", True), "ccl": ("cosine", True), "mse": ("dot", False),
+        "debiased_infonce": ("dot", True), "debiased_ccl": ("cosine", True),
+        "debiased_mse": ("dot", True),
+    }
+
+    def test_default_mode_and_sampler_of_every_kind(self):
+        from recloss import DEBIASED_KINDS, LOSS_KINDS
+
+        assert set(self.DEFAULT_RULES) == set(LOSS_KINDS)
+        for kind, (mode, sampled) in self.DEFAULT_RULES.items():
+            sampler = SamplerConfig(m_positives=2) if kind in DEBIASED_KINDS else None
+            cfg = TrainConfig(embedding_dim=4, loss=kind, sampler=sampler)
+            assert cfg.mode == mode, kind
+            if kind not in DEBIASED_KINDS:
+                assert cfg.sampler == (SamplerConfig() if sampled else None), kind
 
     def test_every_field_has_a_default(self):
         cfg = TrainConfig()
