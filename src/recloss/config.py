@@ -16,7 +16,7 @@ import os
 
 from .data import _atomic_write
 from .linear import LINEAR_MODELS, IALSConfig, ease_debiased_fit
-from .losses import PARAM_DEFAULTS, check_loss_params
+from .losses import check_loss_params, type_fits
 from .mf import TrainConfig
 from .sampling import SAMPLER_KINDS, SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
@@ -120,23 +120,6 @@ def deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _type_ok(value, default) -> bool:
-    """A value fits the type of its key's default: an int passes for a
-    float, a bool only for a bool, and a None default takes anything."""
-    if default is None:
-        return True
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _check_type(key: str, value, default) -> None:
-    if not _type_ok(value, default):
-        raise ConfigError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
-
-
 def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
     for key, value in cfg.items():
         here = f"{path}{key}"
@@ -148,8 +131,8 @@ def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
                 raise ConfigError(f"config key {here!r} must be a table")
             if here != "loss.params":  # checked against the loss kind
                 _check_keys(value, default, here + ".")
-        else:
-            _check_type(here, value, default)
+        elif not type_fits(value, default):
+            raise ConfigError(f"config key {here!r} must be {type(default).__name__}, got {value!r}")
 
 
 def _check_synthetic(synth) -> None:
@@ -196,8 +179,6 @@ def validate_config(cfg: dict) -> None:
         check_loss_params(cfg["loss"]["kind"], cfg["loss"]["params"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for key, value in cfg["loss"]["params"].items():
-        _check_type(f"loss.params.{key}", value, PARAM_DEFAULTS[key])
     for key in ("train", "test"):
         path = cfg["data"][key]
         if path is not None and not isinstance(path, str):

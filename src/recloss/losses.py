@@ -514,18 +514,35 @@ def _param_defaults() -> dict:
 PARAM_DEFAULTS = _param_defaults()
 
 
+def type_fits(value, default) -> bool:
+    """A value fits the type of its key's default: an int passes for a
+    float, a bool only for a bool, and a None default takes anything."""
+    if default is None:
+        return True
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def check_loss_params(kind: str, params: dict) -> None:
-    """Refuse, by name, an unknown loss kind or a loss.params key it does not take."""
+    """Refuse, by name, an unknown loss kind, a loss.params key it does not
+    take, or a value that does not fit the type of the key's default."""
     if kind not in LOSS_TABLE:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     allowed = LOSS_TABLE[kind].params
-    for key in params:
+    for key, value in params.items():
         if key not in allowed:
             hint = "; the clamp temperature is train.temperature" if key == "temperature" else ""
             raise ValueError(
                 f"loss parameter {key!r} is not valid for kind {kind!r} "
                 f"(allowed: {sorted(allowed) or 'none'}){hint}"
             )
+        default = PARAM_DEFAULTS[key]
+        if not type_fits(value, default):
+            raise ValueError(f"config key 'loss.params.{key}' must be {type(default).__name__}, "
+                             f"got {value!r}")
 
 
 def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None, *,

@@ -6,6 +6,11 @@ num_items)``, the scores of a block of users against the whole catalog
 The block is a fresh, writable float64 array that the caller may overwrite:
 ``evaluate`` negates and masks it in place.  ``evaluate`` ranks users in
 blocks of it; ``rank_top_k`` scores one user as a block of one.
+
+Ranking sorts only the scores at or above a per-row threshold (``_top_k``),
+a little more than k per row of Gaussian scores.  Worst case, all scores tied
+at the threshold join the sort: binary or popularity scores with fewer than k
+items above their most common value cost one lexsort of that whole tie.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ __all__ = ["MetricsReport", "PopularityScorer", "evaluate", "rank_top_k"]
 
 # users scored per block by evaluate: a (1024, num_items) float64 score block
 _BLOCK_USERS = 1024
-# rows of a score block ranked per _top_k call by evaluate, so the partition's
-# (rows, num_items) index and mask arrays stay a small fraction of the block
+# rows of a score block ranked per _top_k call by evaluate, so the threshold's
+# (rows, num_items) bool mask stays a small fraction of the block
 _TOP_K_ROWS = 32
+# column groups per row whose minima set _top_k's threshold (at least k are used)
+_TOP_K_GROUPS = 64
 
 
 @dataclass
@@ -49,39 +56,30 @@ class PopularityScorer:
 
 def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
     """Per row of ``neg`` (negated scores, masked items at +inf), the indices
-    of its k smallest entries, exactly as ``np.argsort(neg, axis=1,
-    kind="stable")[:, :k]`` orders them: descending score, ties by lowest
-    index, then -inf and masked items, then NaN scores, each in index order.
+    of its k smallest entries, 1 <= k <= row width, exactly as ``np.argsort(neg,
+    axis=1, kind="stable")[:, :k]`` orders them: descending score, ties by
+    lowest index, then -inf and masked items, then NaN scores, each in index
+    order.
+
+    The NaN-skipping minima of max(_TOP_K_GROUPS, k) contiguous column groups
+    give a threshold t per row, the k-th smallest minimum.  k distinct groups
+    each hold an entry <= t, so the row's k smallest entries are all <= t, and
+    only the entries <= t are sorted.  A row narrower than the group count, or
+    whose t is NaN (fewer than k groups hold a number), is sorted whole.
     """
-    n = neg.shape[1]
-    if k < n:
-        cand = np.argpartition(neg, k - 1, axis=1)[:, :k].copy()
-        vals = np.take_along_axis(neg, cand, axis=1)
-        bound = vals[:, k - 1:]
-        nan_bound = np.isnan(bound[:, 0])
-        # argpartition takes any of the items tied at the boundary value (NaN
-        # ones included): fix the rows with tied items left out of the candidates
-        tied = neg == bound
-        fix = np.flatnonzero(nan_bound | (np.count_nonzero(tied, axis=1)
-                                          > np.count_nonzero(vals == bound, axis=1)))
-        tied, nan_fix = tied[fix], nan_bound[fix]
-        tied[nan_fix] = np.isnan(neg[fix[nan_fix]])
-        t, v = bound[fix], vals[fix]
-        above = (v < t) | (np.isnan(t) & ~np.isnan(v))
-        # keep the candidates above the boundary; the lowest-index tied items,
-        # found by partitioning their indices, fill the remaining slots
-        key = np.where(tied, np.arange(n, dtype=np.int32), n)
-        key.partition(k - 1, axis=1)
-        lowest = np.sort(key[:, :k], axis=1)
-        fixed = cand[fix]
-        fixed[~above] = lowest[np.arange(k) < k - np.count_nonzero(above, axis=1)[:, None]]
-        cand[fix] = fixed
-        cand.sort(axis=1)
-    else:
-        cand = np.broadcast_to(np.arange(n), neg.shape)
-    # candidates in index order, so a stable sort of their values breaks ties by index
-    order = np.argsort(np.take_along_axis(neg, cand, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1)
+    rows, n = neg.shape
+    groups = max(_TOP_K_GROUPS, k)
+    t = np.full(rows, np.nan)
+    if n >= groups:
+        mins = np.fmin.reduceat(neg, np.arange(groups) * n // groups, axis=1)
+        t = np.partition(mins, k - 1, axis=1)[:, k - 1]
+    keep = neg <= t[:, None]
+    keep[np.isnan(t)] = True
+    cand = np.flatnonzero(keep)
+    # lexsort is stable and cand rises, so tied values stay in index order
+    order = cand[np.lexsort((neg.take(cand), cand // n))]
+    first = np.searchsorted(cand, np.arange(rows) * n)
+    return order[first[:, None] + np.arange(k)] % n
 
 
 def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarray:

@@ -52,6 +52,42 @@ def reference_top_k(scores, k):
     return np.argsort(-np.asarray(scores, dtype=float), axis=1, kind="stable")[:, :k]
 
 
+def partition_top_k(neg, k):
+    """The argpartition kernel the threshold kernel replaced: k candidates per
+    row of negated scores, with the rows whose boundary ties were cut (or whose
+    boundary is NaN) mended from the lowest-index tied items, then a stable
+    sort of the k survivors in index order."""
+    n = neg.shape[1]
+    if k < n:
+        cand = np.argpartition(neg, k - 1, axis=1)[:, :k].copy()
+        vals = np.take_along_axis(neg, cand, axis=1)
+        bound = vals[:, k - 1:]
+        nan_bound = np.isnan(bound[:, 0])
+        # argpartition takes any of the items tied at the boundary value (NaN
+        # ones included): fix the rows with tied items left out of the candidates
+        tied = neg == bound
+        fix = np.flatnonzero(nan_bound | (np.count_nonzero(tied, axis=1)
+                                          > np.count_nonzero(vals == bound, axis=1)))
+        tied, nan_fix = tied[fix], nan_bound[fix]
+        tied[nan_fix] = np.isnan(neg[fix[nan_fix]])
+        t, v = bound[fix], vals[fix]
+        above = (v < t) | (np.isnan(t) & ~np.isnan(v))
+        # keep the candidates above the boundary; the lowest-index tied items,
+        # found by partitioning their indices, fill the remaining slots
+        key = np.where(tied, np.arange(n, dtype=np.int32), n)
+        key.partition(k - 1, axis=1)
+        lowest = np.sort(key[:, :k], axis=1)
+        fixed = cand[fix]
+        fixed[~above] = lowest[np.arange(k) < k - np.count_nonzero(above, axis=1)[:, None]]
+        cand[fix] = fixed
+        cand.sort(axis=1)
+    else:
+        cand = np.broadcast_to(np.arange(n), neg.shape)
+    # candidates in index order, so a stable sort of their values breaks ties by index
+    order = np.argsort(np.take_along_axis(neg, cand, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def tie_cases(rng, b=6, n=300):
     """Score blocks whose rankings hinge on the tie rule, by name."""
     mostly_masked = rng.normal(size=(b, n))
@@ -181,6 +217,44 @@ class TestTopKKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * b * n * 8
+
+
+class TestThresholdKernel:
+    """The threshold kernel against the argpartition kernel it replaced and
+    the full stable sort, bit for bit."""
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    @pytest.mark.parametrize("n, ks", [
+        # a multiple of the 64 groups, k below, at and above the group count
+        (320, (1, 20, 63, 64, 65, 150, 299, 300)),
+        # not a multiple of the group count, so the groups differ in width
+        (1037, (1, 20, 63, 64, 65, 150, 299, 300)),
+        # rows narrower than the group count are sorted whole
+        (40, (1, 20, 39, 40)),
+    ])
+    def test_kernel_matches_both_oracles(self, name, n, ks):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            scores = tie_cases(rng, n=n)[name]
+            for k in ks:
+                got = metrics._top_k(-scores, k)
+                np.testing.assert_array_equal(got, partition_top_k(-scores, k))
+                np.testing.assert_array_equal(got, reference_top_k(scores, k))
+
+    def test_evaluate_peak_holds_a_mask_not_an_index(self):
+        # the block's scores plus one slice's 1-byte mask; argpartition's
+        # (rows, n) int64 index put the peak at 1.126 x the block
+        b, n = 256, 20_000
+        rng = np.random.default_rng(31)
+        ds = build_dataset([[u] for u in range(b)], [[b + u] for u in range(b)], n)
+        scorer = FixedScorer(rng.normal(size=(b, n)))
+        tracemalloc.start()
+        try:
+            evaluate(scorer, ds, k=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * b * n * 8
 
 
 class TestTopKSlices:

@@ -119,7 +119,7 @@ FD_CASES = [
     ("mse", {"lambda_neg": 0.5}, "dot", 1.0, 0.1, 2, 0),
     ("mine_plus", {"lambda": 1.1}, "cosine", 0.4, 0.0, 3, 0),
     ("ccl", {"negative_weight": 0.8, "margin": 0.1}, "cosine", 0.5, 0.0, 3, 0),
-    ("debiased_infonce", {"lambda_n": 1.2, "temperature": 0.5}, "cosine", 0.5, 0.0, 3, 2),
+    ("debiased_infonce", {"lambda_n": 1.2}, "cosine", 0.5, 0.0, 3, 2),
     ("debiased_ccl", {"lambda_n": 0.9, "margin": 0.05}, "cosine", 0.5, 0.3, 3, 2),
     ("debiased_mse", {"lambda": 0.7}, "cosine", 0.5, 0.2, 3, 2),
 ]
@@ -219,7 +219,8 @@ def reference_batch_objective(model, users, pos_items, neg_items, extra_items,
             items = np.empty((b, 0), dtype=int)
         parts.append((items, *_reference_scores(model, users, items)))
     (pos, y_pos, du_pos, dv_pos), (neg, y_neg, du_neg, dv_neg), (ext, y_ext, du_ext, dv_ext) = parts
-    ev = evaluate_loss(kind, ScoreBundle(y_pos[:, 0], y_neg, y_ext), loss_params, tau_plus=tau_plus)
+    ev = evaluate_loss(kind, ScoreBundle(y_pos[:, 0], y_neg, y_ext), loss_params, tau_plus=tau_plus,
+                       temperature=model.temperature)
     d_pos = np.asarray(ev.d_pos).reshape(b, 1)
     d_unl = np.asarray(ev.d_unlabeled).reshape(b, -1)
     d_ext = np.asarray(ev.d_extra_pos).reshape(b, -1)
@@ -254,6 +255,10 @@ def reference_batch_objective(model, users, pos_items, neg_items, extra_items,
     return GradBundle(value, uniq_u, gu, uniq_i, gi)
 
 
+# debiased_infonce's clamp binds on one row of this batch at the model's t = 0.5
+# (and on two at t = 1, so an oracle clamping at another t disagrees)
+CLAMP_CASE = ("debiased_infonce", {"lambda_n": 1.2}, "cosine", 4, 1, False)
+
 ORACLE_CASES = [
     # kind, params, mode, n_neg, m_pos, shared negatives
     ("bpr", {}, "dot", 4, 0, False),
@@ -263,11 +268,40 @@ ORACLE_CASES = [
     ("mine_plus", {"lambda": 1.1}, "cosine", 6, 0, False),
     ("mine_plus", {"lambda": 1.2}, "cosine", 6, 0, True),
     ("ccl", {"negative_weight": 0.8, "margin": 0.1}, "cosine", 5, 0, False),
-    ("debiased_infonce", {"lambda_n": 1.2, "temperature": 0.5}, "cosine", 5, 3, False),
+    ("debiased_infonce", {"lambda_n": 1.2}, "cosine", 5, 3, False),
     ("debiased_infonce", {"lambda_n": 1.2}, "dot", 5, 3, True),
     ("debiased_ccl", {"lambda_n": 0.9, "margin": 0.05}, "cosine", 6, 3, False),
     ("debiased_mse", {"lambda": 0.7}, "dot", 4, 2, False),
+    CLAMP_CASE,
 ]
+
+
+def oracle_batch(mode, n_neg, m_pos, shared):
+    """An ORACLE_CASES model and batch: (model, users, pos, negs, extras)."""
+    rng = np.random.default_rng(11)
+    model = ScoringModel(
+        rng.normal(0, 0.5, size=(7, 5)), rng.normal(0, 0.5, size=(9, 5)),
+        mode=mode, temperature=0.5,
+    )
+    # rows below the norm floor: zero, and nonzero but shorter than NORM_FLOOR
+    model.user_embeddings[2] = 0.0
+    model.user_embeddings[4] *= 1e-14
+    model.item_embeddings[3] = 0.0
+    model.item_embeddings[5] *= 1e-14
+    users = np.array([0, 1, 1, 2, 4, 0, 6, 1])
+    b = len(users)
+    pos = np.array([3, 0, 5, 1, 3, 3, 8, 2])
+    negs = None
+    if n_neg:
+        negs = rng.integers(0, 9, size=(1 if shared else b, n_neg))
+        negs[0, 0] = negs[0, 1] = 3  # repeated within a row and shared with pos
+        negs = np.repeat(negs, b, axis=0) if shared else negs
+    extras = np.column_stack([pos, rng.integers(0, 9, size=(b, m_pos - 1))]) if m_pos else None
+    return model, users, pos, negs, extras
+
+
+# the positive prior of the debiased ORACLE_CASES
+ORACLE_TAU = 0.2
 
 
 class TestBatchObjectiveMatchesReference:
@@ -276,26 +310,8 @@ class TestBatchObjectiveMatchesReference:
     @pytest.mark.parametrize("l2", [0.0, 0.3])
     @pytest.mark.parametrize("kind,params,mode,n_neg,m_pos,shared", ORACLE_CASES)
     def test_agrees_with_jacobian_chain_rule(self, kind, params, mode, n_neg, m_pos, shared, l2):
-        rng = np.random.default_rng(11)
-        model = ScoringModel(
-            rng.normal(0, 0.5, size=(7, 5)), rng.normal(0, 0.5, size=(9, 5)),
-            mode=mode, temperature=0.5,
-        )
-        # rows below the norm floor: zero, and nonzero but shorter than NORM_FLOOR
-        model.user_embeddings[2] = 0.0
-        model.user_embeddings[4] *= 1e-14
-        model.item_embeddings[3] = 0.0
-        model.item_embeddings[5] *= 1e-14
-        users = np.array([0, 1, 1, 2, 4, 0, 6, 1])
-        b = len(users)
-        pos = np.array([3, 0, 5, 1, 3, 3, 8, 2])
-        negs = None
-        if n_neg:
-            negs = rng.integers(0, 9, size=(1 if shared else b, n_neg))
-            negs[0, 0] = negs[0, 1] = 3  # repeated within a row and shared with pos
-            negs = np.repeat(negs, b, axis=0) if shared else negs
-        extras = np.column_stack([pos, rng.integers(0, 9, size=(b, m_pos - 1))]) if m_pos else None
-        tau = np.full(b, 0.2) if kind.startswith("debiased") else None
+        model, users, pos, negs, extras = oracle_batch(mode, n_neg, m_pos, shared)
+        tau = np.full(len(users), ORACLE_TAU) if kind.startswith("debiased") else None
 
         got = batch_objective(model, users, pos, negs, extras, kind, params, tau, l2)
         ref = reference_batch_objective(model, users, pos, negs, extras, kind, params, tau, l2)
@@ -306,6 +322,16 @@ class TestBatchObjectiveMatchesReference:
         for g, r in ((got.user_grads, ref.user_grads), (got.item_grads, ref.item_grads)):
             assert np.all(np.isfinite(r))
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+    def test_clamp_binds_in_its_case(self):
+        # debiased_infonce's clamped mask, g < exp(-1/t), from the oracle's scores
+        _, _, mode, n_neg, m_pos, shared = CLAMP_CASE
+        model, users, pos, negs, extras = oracle_batch(mode, n_neg, m_pos, shared)
+        y_neg, y_ext = (_reference_scores(model, users, items)[0] for items in (negs, extras))
+        g = (np.exp(y_neg).mean(axis=1) - ORACLE_TAU * np.exp(y_ext).mean(axis=1)) / (1 - ORACLE_TAU)
+        clamped = g < np.exp(-1.0 / model.temperature)
+        assert clamped.any()
+        assert not np.array_equal(clamped, g < np.exp(-1.0))
 
     def test_peak_memory_has_no_per_score_jacobians(self):
         # the dense Jacobians alone are 2 * B*K*d floats; one gathered (B, K, d)
@@ -909,6 +935,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"parameter '{key}' is not valid for kind '{loss}'"):
             TrainConfig(embedding_dim=4, loss=loss, temperature=0.4, loss_params={key: 0.4},
                         sampler=SamplerConfig(n_negatives=4, m_positives=2))
+
+    @pytest.mark.parametrize("loss, key, value, expected", [
+        ("mine_plus", "lambda", "1.2", "float"),
+        ("debiased_ccl", "floor_at_zero", 1, "bool"),
+        ("debiased_ccl", "k", 2.5, "int"),
+    ])
+    def test_mistyped_param_is_refused_by_name(self, loss, key, value, expected):
+        with pytest.raises(ValueError, match=f"'loss.params.{key}' must be {expected}, got"):
+            TrainConfig(embedding_dim=4, loss=loss, loss_params={key: value},
+                        sampler=SamplerConfig(n_negatives=4, m_positives=2))
+
+    def test_int_param_accepted_for_float(self):
+        cfg = TrainConfig(embedding_dim=4, loss="mine_plus", loss_params={"lambda": 1})
+        assert cfg.loss_params == {"lambda": 1}
 
     def test_loss_params_left_as_given(self):
         params = {"lambda_n": 2.0}
