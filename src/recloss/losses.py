@@ -26,11 +26,10 @@ import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "BOUND_NAMES", "CCLParams", "DEBIASED_KINDS", "DebiasParams", "InfoNCEPlusParams",
-    "LOSS_KINDS", "LossEvaluation", "ScoreBundle", "bound_chain_slacks", "bpr", "ccl", "dcl",
-    "debiased_ccl", "debiased_infonce", "debiased_mse", "evaluate_loss", "infonce",
-    "infonce_plus", "mine", "mine_plus", "mse_pointwise", "positive_prior_all",
-    "sampled_softmax",
+    "BOUND_NAMES", "DEBIASED_KINDS", "DebiasParams", "LOSS_KINDS", "LossEvaluation",
+    "ScoreBundle", "bound_chain_slacks", "bpr", "ccl", "dcl", "debiased_ccl", "debiased_infonce",
+    "debiased_mse", "evaluate_loss", "infonce", "infonce_plus", "mine", "mine_plus",
+    "mse_pointwise", "positive_prior_all", "sampled_softmax",
 ]
 
 
@@ -73,30 +72,6 @@ class LossEvaluation:
     d_pos: float | np.ndarray
     d_unlabeled: np.ndarray
     d_extra_pos: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-@dataclass
-class InfoNCEPlusParams:
-    """Noise weight on the log-partition term and positive coefficient inside it."""
-
-    lambda_: float = 1.0
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_ < 0 or self.epsilon < 0:
-            raise ValueError("lambda_ and epsilon must be non-negative")
-
-
-@dataclass
-class CCLParams:
-    negative_weight: float = 1.0
-    margin: float = 0.0
-
-    def __post_init__(self):
-        if self.negative_weight < 0:
-            raise ValueError("negative_weight must be non-negative")
-        if not -1.0 <= self.margin <= 1.0:
-            raise ValueError("margin must lie in [-1, 1] (cosine range)")
 
 
 @dataclass
@@ -174,7 +149,7 @@ def bpr(b: ScoreBundle) -> LossEvaluation:
     )
 
 
-def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
+def infonce_plus(b: ScoreBundle, lambda_: float = 1.0, epsilon: float = 1.0) -> LossEvaluation:
     """Generalized contrastive loss with noise weight and positive coefficient.
 
     value = -(y_ui - lambda * log(epsilon * exp(y_ui) + sum_j exp(y_uj))).
@@ -182,6 +157,8 @@ def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
     (sampled softmax); epsilon = 0 is the decoupled form (dcl, mine, mine_plus).
     It needs N >= 1 unlabeled scores.
     """
+    if lambda_ < 0 or epsilon < 0:
+        raise ValueError("lambda_ and epsilon must be non-negative")
     _require_unlabeled(b, "infonce_plus")
     # one exp pass, shifted by the row max (finite: the bundle refuses
     # non-finite scores), into a fresh array that becomes d_unlabeled
@@ -189,17 +166,17 @@ def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
     e = b.unlabeled_scores - top[..., None]
     np.exp(e, out=e)
     log_den = top + np.log(e.sum(axis=-1))
-    if p.epsilon > 0:
-        log_pos = math.log(p.epsilon) + b.pos_score
+    if epsilon > 0:
+        log_pos = math.log(epsilon) + b.pos_score
         log_den = np.logaddexp(log_den, log_pos)
         w_pos = np.exp(log_pos - log_den)
     else:
         # the positive leaves the partition; 0 * exp(y_ui) would overflow to NaN
         w_pos = np.zeros(np.shape(b.pos_score))
-    e *= (p.lambda_ * np.exp(top - log_den))[..., None]
+    e *= (lambda_ * np.exp(top - log_den))[..., None]
     return LossEvaluation(
-        value=-b.pos_score + p.lambda_ * log_den,
-        d_pos=-1.0 + p.lambda_ * w_pos,
+        value=-b.pos_score + lambda_ * log_den,
+        d_pos=-1.0 + lambda_ * w_pos,
         d_unlabeled=e,
     )
 
@@ -207,7 +184,7 @@ def infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
 def sampled_softmax(b: ScoreBundle) -> LossEvaluation:
     """-log of the positive's share of exp mass among {positive} + sampled
     items: the one-positive-vs-N-noise InfoNCE, also named infonce."""
-    return infonce_plus(b, InfoNCEPlusParams(1.0, 1.0))
+    return infonce_plus(b, lambda_=1.0, epsilon=1.0)
 
 
 infonce = sampled_softmax
@@ -218,7 +195,7 @@ def dcl(b: ScoreBundle) -> LossEvaluation:
 
     value = -(y_ui - log sum_j exp(y_uj)).
     """
-    return infonce_plus(b, InfoNCEPlusParams(1.0, 0.0))
+    return infonce_plus(b, lambda_=1.0, epsilon=0.0)
 
 
 def mine(b: ScoreBundle, normalized: bool = False) -> LossEvaluation:
@@ -238,7 +215,7 @@ def mine_plus(b: ScoreBundle, lambda_: float = 1.0) -> LossEvaluation:
     value = -(y_ui - lambda * log sum_j exp(y_uj)).  Intended for cosine
     scores scaled by a temperature.
     """
-    return infonce_plus(b, InfoNCEPlusParams(lambda_, 0.0))
+    return infonce_plus(b, lambda_=lambda_, epsilon=0.0)
 
 
 def _phi(y: np.ndarray, square: bool, margin: float):
@@ -258,9 +235,12 @@ def _pointwise(b: ScoreBundle, square: bool, weight: float, margin: float = 0.0,
         value = w * psi(y_ui) + weight * (mean_j phi(y_uj) - tau+ * mean_k phi(y_uk))
 
     w is 1 and the tau+ term absent without ``tau_plus``, w = tau+ with it.
+    The hinge's margin must lie in the cosine range [-1, 1].
     ``floor_at_zero`` floors the bracket at 0 and zeroes its partials on those
     rows.  A mean over no scores is 0.
     """
+    if not square and not -1.0 <= margin <= 1.0:
+        raise ValueError("margin must lie in [-1, 1] (cosine range)")
     total, base, scale = _phi(b.unlabeled_scores, square, margin)
     bracket = total / max(b.n, 1)
     w = 1.0
@@ -283,13 +263,15 @@ def _pointwise(b: ScoreBundle, square: bool, weight: float, margin: float = 0.0,
     return ev
 
 
-def ccl(b: ScoreBundle, p: CCLParams) -> LossEvaluation:
+def ccl(b: ScoreBundle, negative_weight: float = 1.0, margin: float = 0.0) -> LossEvaluation:
     """Cosine contrastive loss: pull the positive to 1, hinge negatives at a margin.
 
-    value = (1 - y_ui) + (w / N) * sum_j max(0, y_uj - margin).
+    value = (1 - y_ui) + (negative_weight / N) * sum_j max(0, y_uj - margin).
     """
+    if negative_weight < 0:
+        raise ValueError("negative_weight must be non-negative")
     _require_unlabeled(b, "ccl")
-    return _pointwise(b, False, p.negative_weight, p.margin)
+    return _pointwise(b, False, negative_weight, margin)
 
 
 def mse_pointwise(b: ScoreBundle, lambda_neg: float = 1.0) -> LossEvaluation:
@@ -373,13 +355,8 @@ def debiased_infonce(b: ScoreBundle, d: DebiasParams, tau_plus) -> LossEvaluatio
     )
 
 
-def debiased_ccl(
-    b: ScoreBundle,
-    p: CCLParams,
-    d: DebiasParams,
-    tau_plus,
-    floor_at_zero: bool = False,
-) -> LossEvaluation:
+def debiased_ccl(b: ScoreBundle, tau_plus, lambda_n: float = 1.0, margin: float = 0.0,
+                 floor_at_zero: bool = False) -> LossEvaluation:
     """Margin loss with the false-negative hinge mass subtracted.
 
     value = tau+ * (1 - y_ui)
@@ -391,10 +368,10 @@ def debiased_ccl(
     """
     _require_extra(b, "debiased_ccl")
     _require_unlabeled(b, "debiased_ccl")
-    return _pointwise(b, False, d.lambda_n, p.margin, tau_plus, floor_at_zero)
+    return _pointwise(b, False, lambda_n, margin, tau_plus, floor_at_zero)
 
 
-def debiased_mse(b: ScoreBundle, d: DebiasParams, tau_plus, lambda_: float = 1.0) -> LossEvaluation:
+def debiased_mse(b: ScoreBundle, tau_plus, lambda_: float = 1.0) -> LossEvaluation:
     """Pointwise squared loss with the false-negative mass subtracted.
 
     value = tau+ * (1 - y_ui)^2
@@ -464,18 +441,14 @@ LOSS_TABLE = {
     "bpr": LossKind(lambda b, p, tau, t: bpr(b)),
     "softmax": LossKind(lambda b, p, tau, t: sampled_softmax(b)),
     "infonce": LossKind(lambda b, p, tau, t: sampled_softmax(b)),
-    "infonce_plus": LossKind(
-        lambda b, p, tau, t: infonce_plus(b, InfoNCEPlusParams(**_kw(p, "lambda", "epsilon"))),
-        ("lambda", "epsilon"),
-    ),
+    "infonce_plus": LossKind(lambda b, p, tau, t: infonce_plus(b, **_kw(p, "lambda", "epsilon")),
+                             ("lambda", "epsilon")),
     "dcl": LossKind(lambda b, p, tau, t: dcl(b)),
     "mine": LossKind(lambda b, p, tau, t: mine(b, normalized=True)),
     "mine_plus": LossKind(lambda b, p, tau, t: mine_plus(b, **_kw(p, "lambda")), ("lambda",),
                           mode="cosine"),
-    "ccl": LossKind(
-        lambda b, p, tau, t: ccl(b, CCLParams(**_kw(p, "negative_weight", "margin"))),
-        ("negative_weight", "margin"), mode="cosine",
-    ),
+    "ccl": LossKind(lambda b, p, tau, t: ccl(b, **_kw(p, "negative_weight", "margin")),
+                    ("negative_weight", "margin"), mode="cosine"),
     "mse": LossKind(lambda b, p, tau, t: mse_pointwise(b, **_kw(p, "lambda_neg")), ("lambda_neg",),
                     sampled=False),
     "debiased_infonce": LossKind(
@@ -483,14 +456,11 @@ LOSS_TABLE = {
         ("lambda_n", "clamp_floor", *_PRIOR_KEYS),
     ),
     "debiased_ccl": LossKind(
-        lambda b, p, tau, t: debiased_ccl(b, CCLParams(**_kw(p, "margin")), debias_params(p), tau,
-                                          **_kw(p, "floor_at_zero")),
+        lambda b, p, tau, t: debiased_ccl(b, tau, **_kw(p, "lambda_n", "margin", "floor_at_zero")),
         ("lambda_n", "margin", "floor_at_zero", *_PRIOR_KEYS), mode="cosine",
     ),
-    "debiased_mse": LossKind(
-        lambda b, p, tau, t: debiased_mse(b, debias_params(p), tau, **_kw(p, "lambda")),
-        ("lambda", *_PRIOR_KEYS),
-    ),
+    "debiased_mse": LossKind(lambda b, p, tau, t: debiased_mse(b, tau, **_kw(p, "lambda")),
+                             ("lambda", *_PRIOR_KEYS)),
 }
 
 LOSS_KINDS = tuple(LOSS_TABLE)
@@ -500,11 +470,11 @@ DEBIASED_KINDS = tuple(k for k, kind in LOSS_TABLE.items() if set(_PRIOR_KEYS) <
 
 
 def _param_defaults() -> dict:
-    """Each loss.params key with the default of the dataclass field or kernel
+    """Each loss.params key with the default of the DebiasParams field or kernel
     keyword that it sets through ``_kw``'s renames."""
     declared = {}
-    for source in (InfoNCEPlusParams, CCLParams, DebiasParams, mine_plus, mse_pointwise,
-                   debiased_ccl, debiased_mse):
+    for source in (DebiasParams, infonce_plus, mine_plus, ccl, mse_pointwise, debiased_ccl,
+                   debiased_mse):
         declared.update((name, p.default) for name, p in inspect.signature(source).parameters.items()
                         if p.default is not p.empty)
     return {key: declared[_KEYWORDS.get(key, key)] for kind in LOSS_TABLE.values() for key in kind.params}
@@ -528,7 +498,9 @@ def type_fits(value, default) -> bool:
 
 def check_loss_params(kind: str, params: dict) -> None:
     """Refuse, by name, an unknown loss kind, a loss.params key it does not
-    take, or a value that does not fit the type of the key's default."""
+    take, a value that does not fit the type of the key's default, a float
+    that is not finite, or a value outside the range that the kind's kernel
+    or DebiasParams accepts."""
     if kind not in LOSS_TABLE:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     allowed = LOSS_TABLE[kind].params
@@ -543,6 +515,16 @@ def check_loss_params(kind: str, params: dict) -> None:
         if not type_fits(value, default):
             raise ValueError(f"config key 'loss.params.{key}' must be {type(default).__name__}, "
                              f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key 'loss.params.{key}' must be finite, got {value!r}")
+    # the kernels own the ranges: one call on a one-score bundle at tau+ = 0.5 applies them
+    try:
+        if kind in DEBIASED_KINDS:
+            debias_params(params)
+        LOSS_TABLE[kind].kernel(ScoreBundle(0.0, np.zeros(1), np.zeros(1)), params, 0.5,
+                                DebiasParams.temperature)
+    except ValueError as exc:
+        raise ValueError(f"loss.params out of range for kind {kind!r}: {exc}") from None
 
 
 def evaluate_loss(kind: str, b: ScoreBundle, params: dict | None = None, tau_plus=None, *,

@@ -2,10 +2,9 @@
 
 A scorer is anything with one method, ``score_block(users) -> (B,
 num_items)``, the scores of a block of users against the whole catalog
-(embedding models, iALS factors, EASE weights, the popularity baseline).
-The block is a fresh, writable float64 array that the caller may overwrite:
-``evaluate`` negates and masks it in place.  ``evaluate`` ranks users in
-blocks of it; ``rank_top_k`` scores one user as a block of one.
+(embedding models, iALS factors, EASE weights).  The block is a fresh,
+writable float64 array that the caller may overwrite: ``evaluate`` negates
+and masks it in place, and ranks users in blocks of it.
 
 Ranking sorts only the scores at or above a per-row threshold (``_top_k``),
 a little more than k per row of Gaussian scores.  Worst case, all scores tied
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data import CSRRows, sorted_member
 
-__all__ = ["MetricsReport", "PopularityScorer", "evaluate", "rank_top_k"]
+__all__ = ["MetricsReport", "evaluate"]
 
 # users scored per block by evaluate: a (1024, num_items) float64 score block
 _BLOCK_USERS = 1024
@@ -42,16 +41,6 @@ class MetricsReport:
     def __post_init__(self):
         if not (0.0 <= self.recall <= 1.0 and 0.0 <= self.ndcg <= 1.0):
             raise ValueError("recall and ndcg must lie in [0, 1]")
-
-
-class PopularityScorer:
-    """Ranks every item by its train interaction count, identically for all users."""
-
-    def __init__(self, ds):
-        self.scores = ds.item_popularity.astype(float)
-
-    def score_block(self, users: np.ndarray) -> np.ndarray:
-        return np.tile(self.scores, (len(users), 1))
 
 
 def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
@@ -80,20 +69,6 @@ def _top_k(neg: np.ndarray, k: int) -> np.ndarray:
     order = cand[np.lexsort((neg.take(cand), cand // n))]
     first = np.searchsorted(cand, np.arange(rows) * n)
     return order[first[:, None] + np.arange(k)] % n
-
-
-def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarray:
-    """Top-k item indices for user u over the full catalog.
-
-    Train positives are masked to -inf so they can never be recommended;
-    k is clamped to the catalog size.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    neg = -scorer.score_block(np.array([u]))[0]
-    if mask_train:
-        neg[ds.train_positives[u]] = np.inf
-    return _top_k(neg[None], min(k, ds.num_items))[0]
 
 
 def evaluate(scorer, ds, test_positives=None, *, k: int) -> MetricsReport:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from recloss import InteractionDataset, ScoreBundle
+from recloss import InteractionDataset, ScoreBundle, metrics
 
 
 def list_pairs(lists):
@@ -18,6 +18,31 @@ def build_dataset(train_lists, test_lists, num_items):
     return InteractionDataset.from_pairs(
         len(train_lists), num_items, list_pairs(train_lists), list_pairs(test_lists)
     )
+
+
+class PopularityScorer:
+    """Ranks every item by its train interaction count, identically for all users."""
+
+    def __init__(self, ds):
+        self.scores = ds.item_popularity.astype(float)
+
+    def score_block(self, users: np.ndarray) -> np.ndarray:
+        return np.tile(self.scores, (len(users), 1))
+
+
+def rank_top_k(scorer, ds, u: int, k: int, mask_train: bool = True) -> np.ndarray:
+    """Top-k item indices for user u over the full catalog, through the
+    kernel ``metrics.evaluate`` ranks with.
+
+    Train positives are masked to -inf so they can never be recommended;
+    k is clamped to the catalog size.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    neg = -scorer.score_block(np.array([u]))[0]
+    if mask_train:
+        neg[ds.train_positives[u]] = np.inf
+    return metrics._top_k(neg[None], min(k, ds.num_items))[0]
 
 
 def random_bundle(rng, n=None, m=0, low=-4.0, high=4.0):

@@ -20,8 +20,6 @@ from recloss import (
     DebiasParams,
     EASEScorer,
     IALSConfig,
-    InfoNCEPlusParams,
-    PopularityScorer,
     ScoreBundle,
     ease_debiased_fit,
     ease_fit,
@@ -34,7 +32,6 @@ from recloss import (
     make_planted_blocks,
     mine,
     mine_plus,
-    rank_top_k,
     sampled_softmax,
     verify_bound_chain,
     verify_theorem1,
@@ -44,7 +41,8 @@ from recloss.config import resolve_config
 from recloss.losses import debiased_infonce
 from recloss.mf import TrainConfig
 from recloss.sampling import SamplerConfig
-from conftest import FD_PARAMS, FD_TAU, fd_max_rel_err, smooth_bundle
+from conftest import (FD_PARAMS, FD_TAU, PopularityScorer, fd_max_rel_err, rank_top_k,
+                      smooth_bundle)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:
@@ -99,10 +97,10 @@ class TestAcceptance:
                 rng.uniform(-3, 3, size=3),
             )
             # unit-parameter collapse onto the softmax family
-            ip11 = infonce_plus(b, InfoNCEPlusParams(1.0, 1.0))
+            ip11 = infonce_plus(b, lambda_=1.0, epsilon=1.0)
             worst = max(worst, gap(ip11, infonce(b)), gap(ip11, sampled_softmax(b)))
             # epsilon=0 collapse onto the unlabeled-only family
-            ip10 = infonce_plus(b, InfoNCEPlusParams(1.0, 0.0))
+            ip10 = infonce_plus(b, lambda_=1.0, epsilon=0.0)
             worst = max(worst, gap(ip10, mine(b)), gap(ip10, mine_plus(b, 1.0)))
             # zero positive prior with lambda_n=N turns the debiased estimator
             # back into plain InfoNCE; non-negative scores keep the floor inert

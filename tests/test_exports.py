@@ -10,11 +10,11 @@ import pytest
 import recloss
 
 EXPORTED = {
-    "BOUND_NAMES", "BatchSampler", "CCLParams", "CSRRows", "CheckpointFormatError",
+    "BOUND_NAMES", "BatchSampler", "CSRRows", "CheckpointFormatError",
     "DEBIASED_KINDS", "DatasetFormatError", "DatasetStats", "DebiasParams", "EASEScorer",
-    "IALSConfig", "IALSState", "InfoNCEPlusParams", "InteractionDataset",
+    "IALSConfig", "IALSState", "InteractionDataset",
     "LOSS_KINDS", "LossEvaluation", "MetricsReport", "OptimizerState", "PlateauSchedule",
-    "PopularitySampler", "PopularityScorer", "PropertyReport", "SAMPLER_KINDS", "SamplerConfig",
+    "PopularitySampler", "PropertyReport", "SAMPLER_KINDS", "SamplerConfig",
     "ScoreBundle", "ScoringModel", "TrainConfig", "TrainingDivergedError", "TrainingHistory",
     "__version__", "adam_step", "batch_objective", "bound_chain_slacks", "bpr", "ccl",
     "check_theorem1", "check_theorem2", "dataset_stats", "dcl", "debiased_ccl",
@@ -22,7 +22,7 @@ EXPORTED = {
     "evaluate_loss", "fit", "ials_fit", "ials_objective", "infonce", "infonce_plus", "init_model",
     "load_checkpoint", "load_dataset", "make_planted_blocks", "make_random_dataset",
     "make_validation_split", "mine", "mine_plus", "mse_pointwise", "positive_prior_all",
-    "rank_top_k", "run_verification", "sampled_softmax", "save_checkpoint",
+    "run_verification", "sampled_softmax", "save_checkpoint",
     "substream", "train_epoch", "verify_bound_chain", "verify_theorem1", "verify_theorem2",
     "write_report",
 }

@@ -9,10 +9,8 @@ from scipy.special import logsumexp
 
 from recloss import (
     BOUND_NAMES,
-    CCLParams,
     DEBIASED_KINDS,
     DebiasParams,
-    InfoNCEPlusParams,
     LOSS_KINDS,
     ScoreBundle,
     bound_chain_slacks,
@@ -54,17 +52,17 @@ class TestScoreBundle:
 
     def test_gradient_shapes_match(self, rng):
         b = random_bundle(rng, n=5, m=2)
-        ev = debiased_mse(b, DebiasParams(), 0.3)
+        ev = debiased_mse(b, 0.3)
         assert np.shape(ev.d_unlabeled) == (5,)
         assert np.shape(ev.d_extra_pos) == (2,)
 
 
 @pytest.mark.parametrize("kernel", [
-    lambda b: infonce_plus(b, InfoNCEPlusParams()),
-    lambda b: infonce_plus(b, InfoNCEPlusParams(1.0, 0.0)),
-    lambda b: ccl(b, CCLParams()),
-    lambda b: debiased_ccl(b, CCLParams(), DebiasParams(), 0.3),
-    lambda b: debiased_mse(b, DebiasParams(), 0.3),
+    lambda b: infonce_plus(b),
+    lambda b: infonce_plus(b, epsilon=0.0),
+    lambda b: ccl(b),
+    lambda b: debiased_ccl(b, 0.3),
+    lambda b: debiased_mse(b, 0.3),
     lambda b: debiased_infonce(b, DebiasParams(), 0.3),
 ], ids=["infonce_plus", "infonce_plus_decoupled", "ccl", "debiased_ccl", "debiased_mse",
         "debiased_infonce"])
@@ -196,31 +194,32 @@ class TestSoftmaxAndInfoNCE:
         assert np.all(np.isfinite(ev.d_unlabeled))
 
 
-def reference_infonce_plus(b: ScoreBundle, p: InfoNCEPlusParams) -> LossEvaluation:
+def reference_infonce_plus(b: ScoreBundle, lambda_: float, epsilon: float) -> LossEvaluation:
     """The softmax-family kernel as a log-sum-exp of the unlabeled scores and
     a second exp pass for their partials: the slow form infonce_plus replaces."""
     lse = logsumexp(b.unlabeled_scores, axis=-1)
-    if p.epsilon > 0:
-        log_pos = math.log(p.epsilon) + b.pos_score
+    if epsilon > 0:
+        log_pos = math.log(epsilon) + b.pos_score
         log_den = np.logaddexp(lse, log_pos)
         w_pos = np.exp(log_pos - log_den)
     else:
         log_den, w_pos = lse, np.zeros(np.shape(b.pos_score))
     return LossEvaluation(
-        value=-b.pos_score + p.lambda_ * log_den,
-        d_pos=-1.0 + p.lambda_ * w_pos,
-        d_unlabeled=p.lambda_ * np.exp(b.unlabeled_scores - log_den[..., None]),
+        value=-b.pos_score + lambda_ * log_den,
+        d_pos=-1.0 + lambda_ * w_pos,
+        d_unlabeled=lambda_ * np.exp(b.unlabeled_scores - log_den[..., None]),
     )
 
 
-def _assert_matches_reference(b: ScoreBundle, p: InfoNCEPlusParams) -> None:
+def _assert_matches_reference(b: ScoreBundle, lambda_: float, epsilon: float) -> None:
     """infonce_plus agrees with the reference within 1e-12 relative and
     leaves the bundle's scores as they were.  Below the smallest normal
     double, where the spacing of floats is absolute, the two forms round to
     that grid apart, so a partial there is compared as if it were that
     smallest normal."""
     scores = b.unlabeled_scores.copy()
-    got, ref = infonce_plus(b, p), reference_infonce_plus(b, p)
+    got = infonce_plus(b, lambda_=lambda_, epsilon=epsilon)
+    ref = reference_infonce_plus(b, lambda_, epsilon)
     np.testing.assert_array_equal(b.unlabeled_scores, scores)
     for name in ("value", "d_pos", "d_unlabeled"):
         g, r = getattr(got, name), getattr(ref, name)
@@ -231,21 +230,19 @@ def _assert_matches_reference(b: ScoreBundle, p: InfoNCEPlusParams) -> None:
 
 class TestInfoNCEPlus:
     def test_dcl_reduction_equal_scores(self):
-        p = InfoNCEPlusParams(lambda_=1.0, epsilon=0.0)
-        assert infonce_plus(bundle(0.0, [0.0, 0.0]), p).value == pytest.approx(LOG2)
+        ev = infonce_plus(bundle(0.0, [0.0, 0.0]), lambda_=1.0, epsilon=0.0)
+        assert ev.value == pytest.approx(LOG2)
 
     def test_closed_form_example(self):
-        p = InfoNCEPlusParams(lambda_=1.1, epsilon=0.0)
-        ev = infonce_plus(bundle(1.0, [0.0, 0.0]), p)
+        ev = infonce_plus(bundle(1.0, [0.0, 0.0]), lambda_=1.1, epsilon=0.0)
         assert ev.value == pytest.approx(-(1 - 1.1 * LOG2), abs=5e-6)
         assert ev.value == pytest.approx(-0.237538, abs=5e-6)
 
     def test_unit_params_recover_infonce(self, rng):
-        p = InfoNCEPlusParams(1.0, 1.0)
         for _ in range(20):
             b = random_bundle(rng)
             ref = infonce(b)
-            got = infonce_plus(b, p)
+            got = infonce_plus(b, lambda_=1.0, epsilon=1.0)
             assert abs(got.value - ref.value) < 1e-12
             assert abs(got.d_pos - ref.d_pos) < 1e-12
             assert np.max(np.abs(got.d_unlabeled - ref.d_unlabeled)) < 1e-12
@@ -256,7 +253,7 @@ class TestInfoNCEPlus:
         # y_pos - max y_neg > 710: exp(y_pos) overflows, and 0 * inf must not leak
         pos, unl = 800.0, [0.0, 0.0]
         b = bundle([pos, pos], [unl, unl]) if batched else bundle(pos, unl)
-        ev = infonce_plus(b, InfoNCEPlusParams(lam, 0.0))
+        ev = infonce_plus(b, lambda_=lam, epsilon=0.0)
         assert np.all(ev.d_pos == -1.0)
         assert np.allclose(ev.d_unlabeled, lam / 2)
         assert np.allclose(ev.value, -pos + lam * LOG2)
@@ -270,7 +267,7 @@ class TestInfoNCEPlus:
         rng = np.random.default_rng([n, int(scale), int(10 * lam), int(10 * epsilon)])
         shape = (6,) if batched else ()
         b = bundle(scale * rng.standard_normal(shape), scale * rng.standard_normal(shape + (n,)))
-        _assert_matches_reference(b, InfoNCEPlusParams(lam, epsilon))
+        _assert_matches_reference(b, lam, epsilon)
 
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
@@ -278,13 +275,13 @@ class TestInfoNCEPlus:
     def test_matches_reference_when_positive_dominates(self, lam, epsilon, batched):
         pos, unl = 800.0, [0.0, 0.0]
         b = bundle([pos, pos], [unl, unl]) if batched else bundle(pos, unl)
-        _assert_matches_reference(b, InfoNCEPlusParams(lam, epsilon))
+        _assert_matches_reference(b, lam, epsilon)
 
     def test_negative_params_rejected(self):
         with pytest.raises(ValueError):
-            InfoNCEPlusParams(lambda_=-0.1)
+            infonce_plus(bundle(0.0, [0.0]), lambda_=-0.1)
         with pytest.raises(ValueError):
-            InfoNCEPlusParams(epsilon=-0.1)
+            infonce_plus(bundle(0.0, [0.0]), epsilon=-0.1)
 
 
 class TestMine:
@@ -293,10 +290,9 @@ class TestMine:
         assert mine(bundle(0.7, [0.7] * n)).value == pytest.approx(math.log(n))
 
     def test_equals_infonce_plus_zero_epsilon(self, rng):
-        p = InfoNCEPlusParams(1.0, 0.0)
         for _ in range(20):
             b = random_bundle(rng)
-            assert abs(mine(b).value - infonce_plus(b, p).value) < 1e-12
+            assert abs(mine(b).value - infonce_plus(b, lambda_=1.0, epsilon=0.0).value) < 1e-12
 
     def test_normalized_shift_is_log_n(self, rng):
         for _ in range(10):
@@ -325,11 +321,11 @@ class TestMinePlus:
         assert ev.value == pytest.approx(-0.168224, abs=5e-6)
 
 
-def reference_ccl(b, p):
+def reference_ccl(b, negative_weight, margin):
     """ccl as written out before the shared pointwise kernel, as an oracle."""
-    over = b.unlabeled_scores - p.margin
+    over = b.unlabeled_scores - margin
     active = over > 0
-    scale = p.negative_weight / b.n
+    scale = negative_weight / b.n
     return LossEvaluation(
         value=(1.0 - b.pos_score) + scale * np.where(active, over, 0.0).sum(axis=-1),
         d_pos=np.full(np.shape(b.pos_score), -1.0)[()],
@@ -351,11 +347,11 @@ def reference_mse(b, lambda_neg=1.0):
     )
 
 
-def reference_debiased_ccl(b, p, d, tau_plus, floor_at_zero=False):
+def reference_debiased_ccl(b, tau_plus, lambda_n, margin, floor_at_zero=False):
     """debiased_ccl as written out before the shared kernel, as an oracle."""
     tau_plus = np.asarray(tau_plus, dtype=float)
-    over_unl = b.unlabeled_scores - p.margin
-    over_ext = b.extra_pos_scores - p.margin
+    over_unl = b.unlabeled_scores - margin
+    over_ext = b.extra_pos_scores - margin
     act_unl = over_unl > 0
     act_ext = over_ext > 0
     correction = (
@@ -369,14 +365,14 @@ def reference_debiased_ccl(b, p, d, tau_plus, floor_at_zero=False):
         floored = np.zeros(np.shape(correction), dtype=bool)
     live = (~floored).astype(float)
     return LossEvaluation(
-        value=tau_plus * (1.0 - b.pos_score) + d.lambda_n * correction,
+        value=tau_plus * (1.0 - b.pos_score) + lambda_n * correction,
         d_pos=-tau_plus * np.ones(np.shape(b.pos_score))[()],
-        d_unlabeled=(live * d.lambda_n / b.n)[..., None] * act_unl.astype(float),
-        d_extra_pos=(-live * d.lambda_n * tau_plus / b.m)[..., None] * act_ext.astype(float),
+        d_unlabeled=(live * lambda_n / b.n)[..., None] * act_unl.astype(float),
+        d_extra_pos=(-live * lambda_n * tau_plus / b.m)[..., None] * act_ext.astype(float),
     )
 
 
-def reference_debiased_mse(b, d, tau_plus, lambda_=1.0):
+def reference_debiased_mse(b, tau_plus, lambda_=1.0):
     """debiased_mse as written out before the shared kernel, as an oracle."""
     tau_plus = np.asarray(tau_plus, dtype=float)
     return LossEvaluation(
@@ -389,18 +385,18 @@ def reference_debiased_mse(b, d, tau_plus, lambda_=1.0):
 
 
 # each pointwise kind as (public function, its oracle), both called (bundle, tau+)
-_HINGE, _DEBIAS = CCLParams(margin=0.2), DebiasParams(lambda_n=0.6)
 POINTWISE_CASES = {
-    "ccl": (lambda b, tau: ccl(b, CCLParams(0.8, 0.2)),
-            lambda b, tau: reference_ccl(b, CCLParams(0.8, 0.2))),
+    "ccl": (lambda b, tau: ccl(b, negative_weight=0.8, margin=0.2),
+            lambda b, tau: reference_ccl(b, 0.8, 0.2)),
     "mse": (lambda b, tau: mse_pointwise(b, 0.7),
             lambda b, tau: reference_mse(b, 0.7)),
-    "debiased_ccl": (lambda b, tau: debiased_ccl(b, _HINGE, _DEBIAS, tau),
-                     lambda b, tau: reference_debiased_ccl(b, _HINGE, _DEBIAS, tau)),
-    "debiased_ccl_floor": (lambda b, tau: debiased_ccl(b, _HINGE, _DEBIAS, tau, floor_at_zero=True),
-                           lambda b, tau: reference_debiased_ccl(b, _HINGE, _DEBIAS, tau, True)),
-    "debiased_mse": (lambda b, tau: debiased_mse(b, DebiasParams(), tau, 1.3),
-                     lambda b, tau: reference_debiased_mse(b, DebiasParams(), tau, 1.3)),
+    "debiased_ccl": (lambda b, tau: debiased_ccl(b, tau, lambda_n=0.6, margin=0.2),
+                     lambda b, tau: reference_debiased_ccl(b, tau, 0.6, 0.2)),
+    "debiased_ccl_floor": (lambda b, tau: debiased_ccl(b, tau, lambda_n=0.6, margin=0.2,
+                                                       floor_at_zero=True),
+                           lambda b, tau: reference_debiased_ccl(b, tau, 0.6, 0.2, True)),
+    "debiased_mse": (lambda b, tau: debiased_mse(b, tau, 1.3),
+                     lambda b, tau: reference_debiased_mse(b, tau, 1.3)),
 }
 
 
@@ -483,25 +479,22 @@ class TestPointwiseKernel:
 
 class TestCCL:
     def test_perfect_separation(self):
-        p = CCLParams(negative_weight=1.0, margin=0.9)
-        assert ccl(bundle(1.0, [0.5, -0.3]), p).value == 0.0
+        assert ccl(bundle(1.0, [0.5, -0.3]), negative_weight=1.0, margin=0.9).value == 0.0
 
     def test_closed_form_example(self):
-        p = CCLParams(negative_weight=1.0, margin=0.9)
-        ev = ccl(bundle(0.5, [0.95, 0.2]), p)
+        ev = ccl(bundle(0.5, [0.95, 0.2]), negative_weight=1.0, margin=0.9)
         assert ev.value == pytest.approx(0.525)
 
     def test_kink_subgradient_zero(self):
-        p = CCLParams(negative_weight=2.0, margin=0.4)
-        ev = ccl(bundle(0.5, [0.4, 0.6]), p)
+        ev = ccl(bundle(0.5, [0.4, 0.6]), negative_weight=2.0, margin=0.4)
         assert ev.d_unlabeled[0] == 0.0
         assert ev.d_unlabeled[1] == pytest.approx(1.0)  # w / N = 2 / 2
 
     def test_margin_range_enforced(self):
         with pytest.raises(ValueError):
-            CCLParams(margin=1.5)
+            ccl(bundle(0.0, [0.0]), margin=1.5)
         with pytest.raises(ValueError):
-            CCLParams(negative_weight=-1.0)
+            ccl(bundle(0.0, [0.0]), negative_weight=-1.0)
 
 
 class TestMSE:
@@ -582,60 +575,55 @@ class TestDebiasedInfoNCE:
 class TestDebiasedCCL:
     def test_closed_form_example(self):
         b = bundle(1.0, [0.5], [0.5])
-        ev = debiased_ccl(b, CCLParams(margin=0.0), DebiasParams(lambda_n=1.0), 0.5)
+        ev = debiased_ccl(b, 0.5, lambda_n=1.0, margin=0.0)
         assert ev.value == pytest.approx(0.25)
 
     def test_zero_prior_matches_ccl_negative_term(self, rng):
-        p = CCLParams(negative_weight=0.7, margin=0.2)
-        d = DebiasParams(lambda_n=0.7)
         for _ in range(10):
             b = random_bundle(rng, m=2, low=-1, high=1)
-            got = debiased_ccl(b, CCLParams(margin=0.2), d, tau_plus=0.0)
-            ref = ccl(b, p)
+            got = debiased_ccl(b, tau_plus=0.0, lambda_n=0.7, margin=0.2)
+            ref = ccl(b, negative_weight=0.7, margin=0.2)
             # with tau=0 the positive term drops; the hinge terms coincide
             assert got.value == pytest.approx(ref.value - (1 - float(b.pos_score)), abs=1e-12)
 
     def test_value_may_go_negative(self):
         b = bundle(1.0, [-1.0], [0.9])
-        ev = debiased_ccl(b, CCLParams(margin=0.0), DebiasParams(lambda_n=1.0), 0.5)
+        ev = debiased_ccl(b, 0.5, lambda_n=1.0, margin=0.0)
         assert ev.value < 0.0
 
     def test_floor_at_zero_flag(self):
         b = bundle(1.0, [-1.0], [0.9])
-        ev = debiased_ccl(
-            b, CCLParams(margin=0.0), DebiasParams(lambda_n=1.0), 0.5,
-            floor_at_zero=True,
-        )
+        ev = debiased_ccl(b, 0.5, lambda_n=1.0, margin=0.0, floor_at_zero=True)
         assert ev.value == pytest.approx(0.0)
         assert np.all(ev.d_unlabeled == 0.0)
         assert np.all(ev.d_extra_pos == 0.0)
 
     def test_missing_extra_positives_rejected(self, rng):
         with pytest.raises(ValueError, match="biased"):
-            debiased_ccl(random_bundle(rng), CCLParams(), DebiasParams(), 0.3)
+            debiased_ccl(random_bundle(rng), 0.3)
 
 
 class TestDebiasedMSE:
     def test_zero_prior_keeps_unlabeled_term(self):
         b = bundle(0.3, [0.5, 0.1], [0.2])
-        ev = debiased_mse(b, DebiasParams(), tau_plus=0.0, lambda_=2.0)
+        ev = debiased_mse(b, tau_plus=0.0, lambda_=2.0)
         assert ev.value == pytest.approx(2.0 * (0.25 + 0.01) / 2)
 
     def test_full_prior_cancellation(self, rng):
         for _ in range(10):
             unl = rng.uniform(-1, 1, size=4)
             b = ScoreBundle(rng.uniform(-1, 1), unl, unl.copy())
-            ev = debiased_mse(b, DebiasParams(), tau_plus=1.0)
+            ev = debiased_mse(b, tau_plus=1.0)
             assert ev.value == pytest.approx((1 - float(b.pos_score)) ** 2, abs=1e-12)
             assert ev.d_unlabeled + ev.d_extra_pos == pytest.approx(np.zeros(4), abs=1e-12)
 
     def test_closed_form_example(self):
         b = bundle(1.0, [1.0], [1.0])
-        assert debiased_mse(b, DebiasParams(), 0.5, 1.0).value == pytest.approx(0.5)
+        assert debiased_mse(b, 0.5, 1.0).value == pytest.approx(0.5)
 
     def test_missing_extra_positives_rejected(self, rng):
         with pytest.raises(ValueError, match="biased"):
-            debiased_mse(random_bundle(rng), DebiasParams(), 0.3)
+            debiased_mse(random_bundle(rng), 0.3)
 
 
 class TestBoundChain:
@@ -692,7 +680,7 @@ class TestDispatch:
     def test_param_table_reaches_function(self, rng):
         b = random_bundle(rng, n=4)
         via_table = evaluate_loss("infonce_plus", b, {"lambda": 1.3, "epsilon": 0.2})
-        direct = infonce_plus(b, InfoNCEPlusParams(1.3, 0.2))
+        direct = infonce_plus(b, lambda_=1.3, epsilon=0.2)
         assert via_table.value == direct.value
 
     @pytest.mark.parametrize("kind, explicit", [

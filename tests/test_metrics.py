@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from recloss import metrics
-from recloss import (
-    MetricsReport,
-    PopularityScorer,
-    evaluate,
-    rank_top_k,
-)
+from recloss import MetricsReport, evaluate
 from recloss.data import CSRRows
-from conftest import build_dataset
+from conftest import PopularityScorer, build_dataset, rank_top_k
 
 
 class FixedScorer:
