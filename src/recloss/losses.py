@@ -235,10 +235,13 @@ def _pointwise(b: ScoreBundle, square: bool, weight: float, margin: float = 0.0,
         value = w * psi(y_ui) + weight * (mean_j phi(y_uj) - tau+ * mean_k phi(y_uk))
 
     w is 1 and the tau+ term absent without ``tau_plus``, w = tau+ with it.
-    The hinge's margin must lie in the cosine range [-1, 1].
+    The weight must be >= 0 (a negative one leaves the value unbounded below),
+    and the hinge's margin must lie in the cosine range [-1, 1].
     ``floor_at_zero`` floors the bracket at 0 and zeroes its partials on those
     rows.  A mean over no scores is 0.
     """
+    if weight < 0:
+        raise ValueError(f"the weight on the negative terms must be >= 0, got {weight}")
     if not square and not -1.0 <= margin <= 1.0:
         raise ValueError("margin must lie in [-1, 1] (cosine range)")
     total, base, scale = _phi(b.unlabeled_scores, square, margin)
@@ -268,8 +271,6 @@ def ccl(b: ScoreBundle, negative_weight: float = 1.0, margin: float = 0.0) -> Lo
 
     value = (1 - y_ui) + (negative_weight / N) * sum_j max(0, y_uj - margin).
     """
-    if negative_weight < 0:
-        raise ValueError("negative_weight must be non-negative")
     _require_unlabeled(b, "ccl")
     return _pointwise(b, False, negative_weight, margin)
 

@@ -4,7 +4,12 @@ A scorer is anything with one method, ``score_block(users) -> (B,
 num_items)``, the scores of a block of users against the whole catalog
 (embedding models, iALS factors, EASE weights).  The block is a fresh,
 writable float64 array that the caller may overwrite: ``evaluate`` negates
-and masks it in place, and ranks users in blocks of it.
+and masks it in place.  A scorer may also have ``for_ranking()``, which
+``evaluate`` calls once per pass for the scorer it then ranks with: a cosine
+embedding model returns a dot model over its normalised rows, so no block
+normalises again.  ``evaluate`` scores blocks of at most ``_BLOCK_BYTES``
+and drops each one before it scores the next, so one block is alive at a
+time.
 
 Ranking sorts only the scores at or above a per-row threshold (``_top_k``),
 a little more than k per row of Gaussian scores.  Worst case, all scores tied
@@ -22,8 +27,11 @@ from .data import CSRRows, sorted_member
 
 __all__ = ["MetricsReport", "evaluate"]
 
-# users scored per block by evaluate: a (1024, num_items) float64 score block
-_BLOCK_USERS = 1024
+# bytes of the float64 score block evaluate holds, with one _top_k slice's
+# mask (at least _TOP_K_ROWS rows).
+# 16 MiB is below glibc's 32 MiB cap on the dynamic mmap threshold, so a freed
+# block is reused from the heap by the next one instead of faulting in again.
+_BLOCK_BYTES = 16 << 20
 # rows of a score block ranked per _top_k call by evaluate, so the threshold's
 # (rows, num_items) bool mask stays a small fraction of the block
 _TOP_K_ROWS = 32
@@ -94,22 +102,32 @@ def evaluate(scorer, ds, test_positives=None, *, k: int) -> MetricsReport:
     if len(users) == 0:
         raise ValueError("no user has a non-empty test list")
     test_keys = tests.keys(ds.num_items)
-    train = ds.train_csr()
+    train = ds.train_positives
     k_eff = min(k, ds.num_items)
     discounts = 1.0 / np.log2(np.arange(k_eff) + 2.0)
     ideal_cum = np.cumsum(discounts)
 
+    prepare = getattr(scorer, "for_ranking", None)
+    if prepare is not None:
+        scorer = prepare()
+    # the block and one slice's one-byte mask in _top_k share the budget
+    rows = max(_TOP_K_ROWS, (_BLOCK_BYTES - _TOP_K_ROWS * ds.num_items) // (8 * ds.num_items))
+
     recall_sum = ndcg_sum = 0.0
-    for start in range(0, len(users), _BLOCK_USERS):
-        us = users[start:start + _BLOCK_USERS]
+    for start in range(0, len(users), rows):
+        us = users[start:start + rows]
         neg = scorer.score_block(us)
         if neg.shape != (len(us), ds.num_items):
             raise ValueError(f"scorer gave a {neg.shape} score block for {len(us)} users "
                              f"and a catalog of {ds.num_items} items")
         np.negative(neg, out=neg)
-        neg[train[us].nonzero()] = np.inf
+        # the block users' train positives, gathered from their CSR rows
+        lo, n_train = train.indptr[us], train.indptr[us + 1] - train.indptr[us]
+        at = np.arange(n_train.sum()) + np.repeat(lo - np.cumsum(n_train) + n_train, n_train)
+        neg[np.repeat(np.arange(len(us)), n_train), train.indices[at]] = np.inf
         topk = np.concatenate([_top_k(neg[s:s + _TOP_K_ROWS], k_eff)
                                for s in range(0, len(us), _TOP_K_ROWS)])
+        del neg  # before the next block is scored
         hits = sorted_member(test_keys, us[:, None] * ds.num_items + topk)
         counts = test_counts[us]
         recall_sum += float((hits.sum(axis=1) / counts).sum())

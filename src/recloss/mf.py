@@ -96,9 +96,18 @@ class ScoringModel:
         U = self.user_embeddings[users]
         if self.mode == "dot":
             return U @ self.item_embeddings.T
-        un = U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), NORM_FLOOR)
-        norms = np.maximum(np.linalg.norm(self.item_embeddings, axis=1), NORM_FLOOR)
-        return (un @ self.item_embeddings.T) / (norms * self.temperature)
+        un, vs = _cosine_rows(U, self.item_embeddings, self.temperature)
+        return un @ vs.T
+
+    def for_ranking(self) -> "ScoringModel":
+        """The model a ranking pass scores with: this one in dot mode; in
+        cosine mode, a dot model over the unit user rows and the item rows
+        divided by ||v|| * temperature, prepared once for the pass.  This
+        model's arrays are not written."""
+        if self.mode == "dot":
+            return self
+        return ScoringModel(*_cosine_rows(self.user_embeddings, self.item_embeddings,
+                                          self.temperature))
 
     def copy(self) -> "ScoringModel":
         return ScoringModel(
@@ -134,6 +143,14 @@ def _unit_rows(x: np.ndarray):
     norms = np.sqrt(np.einsum("...d,...d->...", x, x))[..., None]
     clamped = np.maximum(norms, NORM_FLOOR)
     return x / clamped, clamped, norms <= NORM_FLOOR
+
+
+def _cosine_rows(U: np.ndarray, V: np.ndarray, temperature: float):
+    """The unit rows of U and the unit rows of V over the temperature, fresh
+    arrays whose products are the cosine scores a cosine model ranks by."""
+    vs = _unit_rows(V)[0]
+    vs /= temperature
+    return _unit_rows(U)[0], vs
 
 
 @dataclass

@@ -235,12 +235,14 @@ OUT_OF_RANGE = [
     ("debiased_ccl", "margin", -1.5), ("debiased_ccl", "lambda_n", 0.0),
     ("debiased_ccl", "k", -1), ("debiased_mse", "alpha", -0.5),
     ("debiased_infonce", "tau_mode", "fancy"), ("debiased_infonce", "lambda_n", -1.0),
+    ("mse", "lambda_neg", -1.0), ("debiased_mse", "lambda", -2.0),
 ]
 # the edges of the same ranges, which are accepted
 AT_THE_EDGE = [
     ("infonce_plus", "lambda", 0.0), ("infonce_plus", "epsilon", 0.0), ("ccl", "margin", 1.0),
     ("ccl", "margin", -1.0), ("ccl", "negative_weight", 0.0), ("debiased_ccl", "k", 0),
     ("debiased_mse", "alpha", 0.0), ("debiased_infonce", "clamp_floor", False),
+    ("mse", "lambda_neg", 0.0), ("debiased_mse", "lambda", 0.0),
 ]
 
 

@@ -71,6 +71,20 @@ def test_no_unlabeled_scores_rejected(kernel):
         kernel(bundle(0.4, [], [0.2]))
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda b, w: ccl(b, negative_weight=w),
+    lambda b, w: mse_pointwise(b, lambda_neg=w),
+    lambda b, w: debiased_ccl(b, 0.3, lambda_n=w),
+    lambda b, w: debiased_mse(b, 0.3, lambda_=w),
+], ids=["ccl", "mse", "debiased_ccl", "debiased_mse"])
+def test_negative_pointwise_weight_rejected(kernel):
+    # a negative weight on the negatives' term leaves the loss unbounded below
+    b = bundle(0.4, [0.5], [0.2])
+    with pytest.raises(ValueError, match="must be >= 0"):
+        kernel(b, -1.0)
+    kernel(b, 0.0)
+
+
 class TestPositivePrior:
     def test_topk_formula(self):
         ds = build_dataset([list(range(5))], [[]], 100)

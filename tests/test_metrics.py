@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from recloss import metrics
-from recloss import MetricsReport, evaluate
+from recloss import MetricsReport, ScoringModel, evaluate
 from recloss.data import CSRRows
 from conftest import PopularityScorer, build_dataset, rank_top_k
 
@@ -109,6 +109,8 @@ def tie_cases(rng, b=6, n=300):
         "mostly_nan": mostly_nan,
         "nan_and_masked": nan_and_masked,
         "signed_zeros": signed_zeros,
+        # about 3 ones per row, fewer than most k: the top k is mostly tied zeros
+        "sparse_binary": (rng.random((b, n)) < 3.0 / n).astype(float),
     }
 
 
@@ -277,6 +279,99 @@ class TestTopKSlices:
             report = evaluate(FixedScorer(scores), ds, k=10)
             assert report.recall == pytest.approx(recall, abs=1e-12)
             assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
+
+
+class RecordingScorer(FixedScorer):
+    """A FixedScorer that records the size of every block it scores."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.blocks = []
+
+    def score_block(self, users):
+        self.blocks.append(len(users))
+        return super().score_block(users)
+
+
+class TestScoreBlocks:
+    """evaluate scores blocks of at most _BLOCK_BYTES, one alive at a time."""
+
+    def test_peak_is_one_block(self):
+        b, n = 600, 20_000
+        rng = np.random.default_rng(47)
+        ds = build_dataset([[u] for u in range(b)], [[b + u] for u in range(b)], n)
+        scorer = RecordingScorer(rng.normal(size=(b, n)))
+        tracemalloc.start()
+        try:
+            evaluate(scorer, ds, k=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the block and one _top_k slice's one-byte mask fit the budget together
+        assert max(scorer.blocks) * n * 8 + metrics._TOP_K_ROWS * n <= metrics._BLOCK_BYTES
+        assert peak <= 1.1 * metrics._BLOCK_BYTES
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_blocks_rank_as_one(self, monkeypatch, name):
+        # 20 users: 3 rows and their slice's mask fill 3 * 9 * n bytes, and blocks
+        # of 3 leave a short last one; 1 << 40 bytes holds them all
+        rng = np.random.default_rng(53)
+        b, n = 20, 60
+        scores = tie_cases(rng, b=b, n=n)[name]
+        train = [rng.choice(n, size=int(rng.integers(0, 30)), replace=False).tolist()
+                 for _ in range(b)]
+        test = [rng.choice(np.setdiff1d(np.arange(n), t), size=2, replace=False).tolist()
+                for t in train]
+        ds = build_dataset(train, test, n)
+        masked = scores.copy()
+        for u, items in enumerate(train):
+            masked[u, items] = -np.inf
+        order = reference_top_k(masked, 10)
+        recall = np.mean([recall_at_k(order[u], test[u]) for u in range(b)])
+        ndcg = np.mean([ndcg_at_k(order[u], test[u]) for u in range(b)])
+        for rows, block_bytes, blocks in ((3, 3 * 9 * n, [3] * 6 + [2]), (32, 1 << 40, [20])):
+            monkeypatch.setattr(metrics, "_TOP_K_ROWS", rows)
+            monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+            scorer = RecordingScorer(scores)
+            report = evaluate(scorer, ds, k=10)
+            assert scorer.blocks == blocks
+            assert report.recall == pytest.approx(recall, abs=1e-12)
+            assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
+
+    def test_ranks_with_the_prepared_scorer(self):
+        ds = build_dataset([[0], [1]], [[2], [3]], 4)
+
+        class Prepared(RecordingScorer):
+            def for_ranking(self):
+                return self.ranked
+
+        scorer = Prepared(np.zeros((2, 4)))
+        scorer.ranked = RecordingScorer(np.eye(4)[[2, 3]])
+        report = evaluate(scorer, ds, k=1)
+        assert scorer.blocks == [] and scorer.ranked.blocks == [2]
+        assert report.recall == 1.0
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3])
+    def test_cosine_matches_brute_force(self, rng, temperature):
+        n_users, n_items, k = 9, 40, 7
+        model = ScoringModel(rng.normal(size=(n_users, 5)), rng.normal(size=(n_items, 5)),
+                             mode="cosine", temperature=temperature)
+        model.user_embeddings[3] = 0.0  # a zero-norm user scores 0 against every item
+        train = [rng.choice(n_items, size=4, replace=False).tolist() for _ in range(n_users)]
+        test = [rng.choice(np.setdiff1d(np.arange(n_items), t), size=3, replace=False).tolist()
+                for t in train]
+        ds = build_dataset(train, test, n_items)
+        recalls, ndcgs = [], []
+        for u in range(n_users):
+            uu = model.user_embeddings[u]
+            scores = [float(uu @ v) / (max(math.sqrt(uu @ uu), 1e-12) * math.sqrt(v @ v))
+                      / temperature for v in model.item_embeddings]
+            _, recall, ndcg = brute_force_metrics(scores, train[u], set(test[u]), k)
+            recalls.append(recall)
+            ndcgs.append(ndcg)
+        report = evaluate(model, ds, k=k)
+        assert report.recall == pytest.approx(np.mean(recalls), abs=1e-12)
+        assert report.ndcg == pytest.approx(np.mean(ndcgs), abs=1e-12)
 
 
 class TestRecall:

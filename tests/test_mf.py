@@ -69,6 +69,40 @@ class TestScoringModel:
                 np.einsum("bd,kd->bk", U, V) / m.temperature, block, atol=1e-12
             )
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.07])
+    def test_prepared_scores_match_score_block(self, rng, temperature):
+        m = ScoringModel(rng.normal(size=(30, 8)), rng.normal(size=(50, 8)) * 3.0,
+                         mode="cosine", temperature=temperature)
+        m.user_embeddings[4] = 0.0
+        m.item_embeddings[7] = 0.0
+        prepared = m.for_ranking()
+        assert prepared.mode == "dot"
+        users = np.array([0, 4, 29, 11, 4])
+        got, want = prepared.score_block(users), m.score_block(users)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the per-block formula this replaced divided the scores by ||v|| * t
+        U = m.user_embeddings[users]
+        un = U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), NORM_FLOOR)
+        norms = np.maximum(np.linalg.norm(m.item_embeddings, axis=1), NORM_FLOOR)
+        old = (un @ m.item_embeddings.T) / (norms * temperature)
+        assert np.max(np.abs(got - old)) <= 1e-14 * np.max(np.abs(old))
+
+    def test_dot_model_ranks_as_itself(self, rng):
+        m = ScoringModel(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+        assert m.for_ranking() is m
+
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_evaluate_leaves_the_model_unchanged(self, mode):
+        ds = make_random_dataset(60, 300, 0.05, seed=2)
+        model = init_model(60, 300, 8, seed=3, mode=mode, temperature=0.2)
+        arrays = (model.user_embeddings, model.item_embeddings)
+        kept = [a.copy() for a in arrays]
+        evaluate(model, ds, k=10)
+        assert model.user_embeddings is arrays[0] and model.item_embeddings is arrays[1]
+        for got, want in zip(arrays, kept):
+            np.testing.assert_array_equal(got, want)
+        assert (model.mode, model.temperature) == (mode, 0.2)
+
     def test_zero_norm_user_stays_finite(self):
         m = ScoringModel(np.zeros((1, 3)), np.ones((2, 3)), mode="cosine")
         assert np.all(np.isfinite(m.score_block(np.array([0]))))
@@ -598,6 +632,22 @@ class TestAdam:
                               (state.m_item, ref_state.m_item), (state.v_item, ref_state.v_item)):
                 np.testing.assert_array_equal(got, want)
             assert state.step == ref_state.step == i + 1
+
+    def test_step_after_evaluate_is_unchanged(self):
+        # a ranking pass leaves nothing behind that a later step reads
+        ds = make_random_dataset(40, 200, 0.05, seed=4)
+        model = init_model(40, 200, 6, seed=5, mode="cosine", temperature=0.3)
+        ranked = model.copy()
+        for m in (model, ranked):
+            state = OptimizerState.for_model(m)
+            for _ in range(3):
+                if m is ranked:
+                    evaluate(m, ds, k=10)
+                grads = batch_objective(m, np.arange(10), np.arange(10, 20),
+                                        np.arange(60).reshape(10, 6), None, "mine_plus")
+                adam_step(m, state, grads, lr=0.05)
+        np.testing.assert_array_equal(model.user_embeddings, ranked.user_embeddings)
+        np.testing.assert_array_equal(model.item_embeddings, ranked.item_embeddings)
 
     def test_zero_gradient_is_noop(self):
         model = ScoringModel(np.ones((2, 3)), np.ones((4, 3)))
