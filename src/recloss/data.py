@@ -3,7 +3,9 @@
 The on-disk format is the usual benchmark text layout: one line per user,
 whitespace-separated 0-indexed integers, first token the user id and the
 rest the items that user interacted with.  A data directory holds
-``train.txt`` and ``test.txt``.
+``train.txt`` and ``test.txt``.  One C pass (``np.fromstring``) reads a file
+unless a token is signed, overflows or is not a plain integer; then
+``bytes.split()`` and int() do, which accept ``1_000`` and name a bad line.
 
 In memory each partition is one pair of CSR arrays (:class:`CSRRows`):
 user u's items are ``indices[indptr[u]:indptr[u + 1]]``, sorted and
@@ -15,6 +17,7 @@ from __future__ import annotations
 import logging
 import os
 import secrets
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,15 +205,25 @@ def _parse_interaction_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndar
     starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
     # \n and \r both end a line; \r\n only skips a line id
     line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), starts)
-    try:
-        values = np.array(raw.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        for lineno, text in enumerate(raw.splitlines(), start=1):
-            try:
-                np.array(text.split(), dtype=np.int64)
-            except (ValueError, OverflowError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
-        raise
+    with warnings.catch_warnings():
+        # on a token it cannot read NumPy 1.x warns and stops, 2.x raises
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(raw, dtype=np.int64, sep=" ")
+        except ValueError:
+            values = None
+    # an overflowing token reads as the int64 maximum, a lone "-" as 0
+    if (values is None or len(values) != len(starts) or np.isin(buf[starts], tuple(b"+-")).any()
+            or (values == np.iinfo(np.int64).max).any()):
+        try:
+            values = np.array(raw.split(), dtype=np.int64)
+        except (ValueError, OverflowError):
+            for lineno, text in enumerate(raw.splitlines(), start=1):
+                try:
+                    np.array(text.split(), dtype=np.int64)
+                except (ValueError, OverflowError) as exc:
+                    raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
+            raise
     negative = np.flatnonzero(values < 0)
     if negative.size:
         # the token's 1-based line, counted as text mode counts lines

@@ -5,7 +5,7 @@ The debiased variants reweight known positives by c_u (= 1 + alpha); the
 checks at the bottom verify numerically that each debiased solution equals
 a rescaled original solution with mapped hyperparameters — one comparison
 runs the two closed forms side by side, the other pits the closed form
-against a general-purpose constrained optimizer.
+against scipy.optimize's L-BFGS-B, imported only inside that oracle.
 
 iALS reads one binary scipy CSR (its transpose is the item side).  One row
 solver serves both half-sweeps and both sides of Theorem 1: it rotates the
@@ -14,7 +14,8 @@ rows of each length together, a row of L <= d entries through an L x L
 system.  The objective sums its observed terms over the CSR entries in
 fixed-size chunks.
 EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
-the item Gram otherwise (_ease_plan); it returns only the weights W.
+the item Gram otherwise (_ease_plan), by LAPACK potrf + potri imported in
+_inverse_gram; it returns only the weights W.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotri
-from scipy.optimize import minimize
 
 from .data import InteractionDataset
 from .mf import GATHER_BUDGET
@@ -251,6 +250,7 @@ def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float) -> np.ndarray
     in one C-ordered k x k buffer: the Gram built from A's nonzeros
     _GRAM_ROWS rows at a time, then inverted in place by Cholesky (potrf +
     potri, about k^3 flops against 2k^3 for LU) and mirrored."""
+    from scipy.linalg.lapack import dpotrf, dpotri
     k = A.shape[0]
     P = np.zeros((k, k))
     # toarray adds the block into out, so out must start at zero
@@ -409,6 +409,7 @@ def check_theorem1(
 def _debiased_ease_oracle(X: np.ndarray, lam: float, alpha: float) -> np.ndarray:
     """Minimize the debiased objective over the off-diagonal entries with a
     quasi-Newton solver (analytic gradient); independent of the closed form."""
+    from scipy.optimize import minimize
     X = np.asarray(X, dtype=float)
     n = X.shape[1]
     G = X.T @ X

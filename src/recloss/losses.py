@@ -12,7 +12,7 @@ temperature the model scores with.
 Exponentials are shifted by the row max or routed through softplus so large
 scores do not overflow; the softmax family takes one such exp pass, whose
 output becomes its partials.  Hinge and clamp subgradients are taken as 0 at
-the kink.
+the kink.  ``bpr`` imports scipy.special's expit only when it is called.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "BOUND_NAMES", "DEBIASED_KINDS", "DebiasParams", "LOSS_KINDS", "LossEvaluation",
@@ -140,6 +139,7 @@ def bpr(b: ScoreBundle) -> LossEvaluation:
 
     value = sum_j log(1 + exp(y_uj - y_ui)), via the stable softplus.
     """
+    from scipy.special import expit
     gaps = b.unlabeled_scores - b.pos_score[..., None]
     sig = expit(gaps)
     return LossEvaluation(

@@ -27,8 +27,8 @@ from .data import CSRRows, sorted_member
 
 __all__ = ["MetricsReport", "evaluate"]
 
-# bytes of the float64 score block evaluate holds, with one _top_k slice's
-# mask (at least _TOP_K_ROWS rows).
+# bytes of the float64 score block evaluate holds (at least one row), with the
+# one-byte mask of one _top_k slice of min(_TOP_K_ROWS, block rows) rows.
 # 16 MiB is below glibc's 32 MiB cap on the dynamic mmap threshold, so a freed
 # block is reused from the heap by the next one instead of faulting in again.
 _BLOCK_BYTES = 16 << 20
@@ -110,8 +110,9 @@ def evaluate(scorer, ds, test_positives=None, *, k: int) -> MetricsReport:
     prepare = getattr(scorer, "for_ranking", None)
     if prepare is not None:
         scorer = prepare()
-    # the block and one slice's one-byte mask in _top_k share the budget
-    rows = max(_TOP_K_ROWS, (_BLOCK_BYTES - _TOP_K_ROWS * ds.num_items) // (8 * ds.num_items))
+    # the larger row count that fits: _TOP_K_ROWS-row slices, or one slice of the block
+    width = ds.num_items
+    rows = max(1, (_BLOCK_BYTES - _TOP_K_ROWS * width) // (8 * width), _BLOCK_BYTES // (9 * width))
 
     recall_sum = ndcg_sum = 0.0
     for start in range(0, len(users), rows):

@@ -14,7 +14,7 @@ from recloss import (
     load_dataset,
     make_validation_split,
 )
-from recloss.data import _atomic_write
+from recloss.data import _atomic_write, _parse_interaction_file
 from conftest import build_dataset
 
 
@@ -125,6 +125,10 @@ PARSER_CASES = {
     "bare user id": ("0 1\n1\n2 0 3\n4\n", "3\n1 2\n"),
     "tabs, CRLF and no final newline": ("0\t1  2\r\n1 0\r\n2 3", "0 3\r\n1 2"),
     "lone CR line ends": ("0 1 2\r1 0\r\r2 3\r", "1 4\r0 3"),
+    "whitespace-only lines and test file": ("0 1\n \t \n1 0 2\n\v\f\n", " \n\t\r\n  "),
+    "vertical tab and form feed separators": ("0\v1\f2\n1\f\v0\n", "0\v3\f4\n"),
+    "signed tokens": ("0 +5 2\n+1 2\n", "1 7\n+0 7\n"),
+    "underscored tokens": ("0 1_000 2\n1 3\n", "1 1_001\n"),
 }
 
 
@@ -138,11 +142,20 @@ class TestParserOracle:
         assert [row.tolist() for row in ds.train_positives] == train_lists
         assert [row.tolist() for row in ds.test_positives] == test_lists
 
+    def test_parse_keeps_the_largest_int64_id(self, tmp_path):
+        # load_dataset cannot hold 2^63 items, so the parsed arrays are checked
+        big = np.iinfo(np.int64).max
+        train, test = write_pair(tmp_path, f"0 {big} 1\n1 2\n", f"{big}\n")
+        assert [a.tolist() for a in _parse_interaction_file(train)] == [[0, 1], [0, 0, 1], [big, 1, 2]]
+        assert [a.tolist() for a in _parse_interaction_file(test)] == [[big], [], []]
+
     @pytest.mark.parametrize("which", ["train", "test"])
     @pytest.mark.parametrize("text,lineno", [
         ("0 1\n\n1 x 2\n", 3),
         ("0 1\n1 2.5\n", 2),
         ("0 1\n1 2\n2 99999999999999999999\n", 3),
+        ("0 1\n1 9223372036854775808\n", 2),
+        ("0 1\n1 2 -\n", 2),
     ])
     def test_malformed_token_reports_path_and_line(self, tmp_path, which, text, lineno):
         texts = (text, "0 9\n") if which == "train" else ("0 1\n", text)

@@ -3,6 +3,10 @@ in its own ``__all__``, and the package exports their union."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,41 @@ def test_module_exports_only_what_it_defines(name):
     assert set(module.__all__) <= top_level_names(Path(module.__file__))
     for export in module.__all__:
         assert getattr(recloss, export) is getattr(module, export)
+
+
+# SciPy modules that load at their one call site, not when the package is imported
+DEFERRED = ("scipy.optimize", "scipy.special", "scipy.linalg")
+
+IMPORT_THEN_CALL = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    import recloss
+    import recloss.cli
+
+    deferred = sys.argv[1].split(",")
+    assert [m for m in deferred if m in sys.modules] == [], sorted(sys.modules)
+
+    # each call site still imports what it calls
+    rng = np.random.default_rng(5)
+    X = (rng.random((6, 8)) < 0.4).astype(float)
+    scale_dev, oracle_dev = recloss.check_theorem2(X, lam=0.5, alpha=0.4, run_oracle=True)
+    assert scale_dev < 1e-10 and oracle_dev < 1e-4, (scale_dev, oracle_dev)
+    b = recloss.ScoreBundle(np.array([0.5, -1.0]), np.array([[0.2, 1.5], [-2.0, 0.0]]))
+    ev = recloss.evaluate_loss("bpr", b)
+    gaps = b.unlabeled_scores - b.pos_score[:, None]
+    assert np.allclose(ev.value, np.log1p(np.exp(gaps)).sum(axis=1), rtol=1e-14, atol=0)
+    assert np.allclose(ev.d_unlabeled, 1 / (1 + np.exp(-gaps)), rtol=1e-14, atol=0)
+    W = recloss.ease_fit(X, 0.5).W
+    assert W.shape == (8, 8) and not np.diag(W).any()
+    assert [m for m in deferred if m not in sys.modules] == []
+""")
+
+
+def test_import_defers_scipy_optimize_special_and_linalg():
+    src = str(Path(recloss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_THEN_CALL, ",".join(DEFERRED)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -311,6 +311,36 @@ class TestScoreBlocks:
         assert max(scorer.blocks) * n * 8 + metrics._TOP_K_ROWS * n <= metrics._BLOCK_BYTES
         assert peak <= 1.1 * metrics._BLOCK_BYTES
 
+    def test_wide_catalog_keeps_the_budget(self):
+        # at Amazon-Books' 91,599 items fewer than _TOP_K_ROWS users fit the
+        # budget, so each block is one _top_k slice and its mask counts too
+        b, n, k = 64, 91_599, 20
+        rng = np.random.default_rng(59)
+        train = [[u] for u in range(b)]
+        test = [rng.choice(np.arange(b, n), size=5, replace=False).tolist() for _ in range(b)]
+        ds = build_dataset(train, test, n)
+        scores = rng.normal(size=(b, n))
+        scores[np.arange(b)[:, None], test] += 3.0  # some test items rank, some do not
+        masked = scores.copy()
+        masked[np.arange(b), np.arange(b)] = -np.inf
+        order = reference_top_k(masked, k)
+        del masked
+        recall = np.mean([recall_at_k(order[u], test[u]) for u in range(b)])
+        ndcg = np.mean([ndcg_at_k(order[u], test[u]) for u in range(b)])
+        assert 0 < recall < 1
+        scorer = RecordingScorer(scores)
+        tracemalloc.start()
+        try:
+            report = evaluate(scorer, ds, k=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(scorer.blocks) < metrics._TOP_K_ROWS
+        assert max(scorer.blocks) * n * 9 <= metrics._BLOCK_BYTES
+        assert peak <= 1.1 * metrics._BLOCK_BYTES
+        assert report.recall == pytest.approx(recall, abs=1e-12)
+        assert report.ndcg == pytest.approx(ndcg, abs=1e-12)
+
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_blocks_rank_as_one(self, monkeypatch, name):
         # 20 users: 3 rows and their slice's mask fill 3 * 9 * n bytes, and blocks
