@@ -183,6 +183,12 @@ def validate_config(cfg: dict) -> None:
         path = cfg["data"][key]
         if path is not None and not isinstance(path, str):
             raise ConfigError(f"config key 'data.{key}' must be a path string or null, got {path!r}")
+    data = cfg["data"]
+    if data["synthetic"] is not None and (data["train"] is not None or data["test"] is not None):
+        raise ConfigError("data.synthetic and data.train/data.test are two data sources; set one")
+    if (data["train"] is None) != (data["test"] is None):
+        missing = "data.test" if data["test"] is None else "data.train"
+        raise ConfigError(f"data.train and data.test are set together; {missing} is missing")
     if cfg["sampler"]["kind"] not in SAMPLER_KINDS:
         raise ConfigError(
             f"unknown sampler kind {cfg['sampler']['kind']!r}; expected one of {SAMPLER_KINDS}"
@@ -190,8 +196,8 @@ def validate_config(cfg: dict) -> None:
     model = cfg["linear"]["model"]
     if model not in LINEAR_MODELS:
         raise ConfigError(f"unknown linear model {model!r}; expected one of {LINEAR_MODELS}")
-    if cfg["data"]["synthetic"] is not None:
-        _check_synthetic(cfg["data"]["synthetic"])
+    if data["synthetic"] is not None:
+        _check_synthetic(data["synthetic"])
     _check_sweep(cfg["sweep"])
 
 

@@ -3,9 +3,9 @@
 The on-disk format is the usual benchmark text layout: one line per user,
 whitespace-separated 0-indexed integers, first token the user id and the
 rest the items that user interacted with.  A data directory holds
-``train.txt`` and ``test.txt``.  One C pass (``np.fromstring``) reads a file
-unless a token is signed, overflows or is not a plain integer; then
-``bytes.split()`` and int() do, which accept ``1_000`` and name a bad line.
+``train.txt`` and ``test.txt``.  A token is 1 to 18 ASCII digits; one byte
+scan checks that and names the line of the first byte that breaks it, and
+then one C pass (``np.fromstring``) reads every token.  There is no fallback.
 
 In memory each partition is one pair of CSR arrays (:class:`CSRRows`):
 user u's items are ``indices[indptr[u]:indptr[u + 1]]``, sorted and
@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import os
 import secrets
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +62,8 @@ class CSRRows:
     @classmethod
     def from_pairs(cls, rows, cols, num_rows: int, width: int) -> "CSRRows":
         """Rows holding the given (row, col) pairs, sorted and de-duplicated."""
+        if int(num_rows) * int(width) > np.iinfo(np.int64).max:
+            raise DatasetFormatError(f"{num_rows} users x {width} items overflow the int64 pair keys")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= num_rows
                           or cols.min() < 0 or cols.max() >= width):
@@ -202,33 +203,24 @@ def _parse_interaction_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndar
     buf = np.frombuffer(raw, dtype=np.uint8)
     # the whitespace of bytes.split(): space and \t \n \v \f \r
     space = (buf == 32) | ((buf >= 9) & (buf <= 13))
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    # the edges of the whitespace pair up into each token's [start, stop)
+    starts, stops = np.flatnonzero(np.diff(np.concatenate(([True], space, [True])))).reshape(-1, 2).T
+    # the rule: every byte but whitespace is an ASCII digit, and a token has at
+    # most 18, so fromstring reads one value per token and cannot overflow
+    broken = np.flatnonzero(~space & ((buf < 48) | (buf > 57)))[:1]
+    broken = np.concatenate((broken, starts[stops - starts > 18][:1] + 18))  # a token's 19th byte
+    if broken.size:
+        token = starts.searchsorted(broken.min(), side="right") - 1
+        text = raw[starts[token]:stops[token]]
+        # the token's 1-based line, counted as text mode counts lines
+        lineno = len((raw[:starts[token]] + b"x").splitlines())
+        if text[:1] == b"-" and text[1:].isdigit():
+            raise DatasetFormatError(f"{path}:{lineno}: negative index")
+        raise DatasetFormatError(f"{path}:{lineno}: malformed token {text[:40]!r}, not 1 to 18 ASCII digits")
+    # fromstring reads a text with no token as [0]
+    values = np.fromstring(raw, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
     # \n and \r both end a line; \r\n only skips a line id
     line = np.searchsorted(np.flatnonzero((buf == 10) | (buf == 13)), starts)
-    with warnings.catch_warnings():
-        # on a token it cannot read NumPy 1.x warns and stops, 2.x raises
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            values = np.fromstring(raw, dtype=np.int64, sep=" ")
-        except ValueError:
-            values = None
-    # an overflowing token reads as the int64 maximum, a lone "-" as 0
-    if (values is None or len(values) != len(starts) or np.isin(buf[starts], tuple(b"+-")).any()
-            or (values == np.iinfo(np.int64).max).any()):
-        try:
-            values = np.array(raw.split(), dtype=np.int64)
-        except (ValueError, OverflowError):
-            for lineno, text in enumerate(raw.splitlines(), start=1):
-                try:
-                    np.array(text.split(), dtype=np.int64)
-                except (ValueError, OverflowError) as exc:
-                    raise DatasetFormatError(f"{path}:{lineno}: malformed token ({exc})") from None
-            raise
-    negative = np.flatnonzero(values < 0)
-    if negative.size:
-        # the token's 1-based line, counted as text mode counts lines
-        lineno = len((raw[:starts[negative[0]]] + b"x").splitlines())
-        raise DatasetFormatError(f"{path}:{lineno}: negative index")
     first = np.diff(line, prepend=-1) != 0
     owner = np.flatnonzero(first)[np.cumsum(first) - 1]
     return values[first], values[owner[~first]], values[~first]
@@ -242,12 +234,8 @@ def load_dataset(train_path: str | Path, test_path: str | Path) -> InteractionDa
     (user, item) pairs are dropped with a logged count.  Items found in both
     partitions for the same user are rejected.
     """
-    train_path, test_path = Path(train_path), Path(test_path)
-    for p in (train_path, test_path):
-        if not p.exists():
-            raise FileNotFoundError(f"interaction file not found: {p}")
-    train_lines, train_users, train_items = _parse_interaction_file(train_path)
-    test_lines, test_users, test_items = _parse_interaction_file(test_path)
+    train_lines, train_users, train_items = _parse_interaction_file(Path(train_path))
+    test_lines, test_users, test_items = _parse_interaction_file(Path(test_path))
     if train_items.size == 0:
         raise DatasetFormatError(f"{train_path}: no training interactions")
     num_users = int(max(train_lines.max(), test_lines.max(initial=-1))) + 1

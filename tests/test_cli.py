@@ -90,6 +90,22 @@ class TestStats:
         assert main(["stats", "--train", "123", "--test", "456"]) == 0
         assert "train_interactions,9" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, named", [
+        (["stats", *random_data(5, 7), "--train", "/nonexistent/train.txt",
+          "--test", "/nonexistent/test.txt"], "data.synthetic and data.train/data.test"),
+        (["stats", "--train", "t1.txt"], "data.test is missing"),
+    ])
+    def test_data_sources_that_disagree_are_refused(self, command, named, capsys):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_malformed_token_names_file_and_line(self, data_dir, capsys):
+        (data_dir / "train.txt").write_text("0 1\n1 1_000\n")
+        assert main(["stats", "--data-dir", str(data_dir)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: .*train\.txt:2: malformed token", err)
+
     def test_no_dataset_configured(self, capsys):
         assert main(["stats"]) == 1
         assert "no dataset" in capsys.readouterr().err

@@ -185,6 +185,23 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match=f"'data.{key}' must be a path string or null"):
             validate_config(deep_merge(DEFAULTS, {"data": {key: value}}))
 
+    @pytest.mark.parametrize("sources, named", [
+        (["synthetic", "train", "test"], "data.synthetic and data.train/data.test"),
+        (["synthetic", "train"], "data.synthetic and data.train/data.test"),
+        (["synthetic", "test"], "data.synthetic and data.train/data.test"),
+        (["train"], "data.test is missing"),
+        (["test"], "data.train is missing"),
+    ])
+    def test_data_sources_must_agree(self, sources, named):
+        overrides = {
+            "synthetic": ["data.synthetic.kind=random", "data.synthetic.num_users=5",
+                          "data.synthetic.num_items=7"],
+            "train": ["data.train=train.txt"],
+            "test": ["data.test=test.txt"],
+        }
+        with pytest.raises(ConfigError, match=named):
+            resolve_config(overrides=[o for source in sources for o in overrides[source]])
+
     def test_unknown_loss_kind(self):
         with pytest.raises(ConfigError, match="unknown loss kind"):
             validate_config(deep_merge(DEFAULTS, {"loss": {"kind": "triplet"}}))

@@ -127,9 +127,60 @@ PARSER_CASES = {
     "lone CR line ends": ("0 1 2\r1 0\r\r2 3\r", "1 4\r0 3"),
     "whitespace-only lines and test file": ("0 1\n \t \n1 0 2\n\v\f\n", " \n\t\r\n  "),
     "vertical tab and form feed separators": ("0\v1\f2\n1\f\v0\n", "0\v3\f4\n"),
-    "signed tokens": ("0 +5 2\n+1 2\n", "1 7\n+0 7\n"),
-    "underscored tokens": ("0 1_000 2\n1 3\n", "1 1_001\n"),
 }
+
+
+def random_lines(rng, lo, hi):
+    """Token lists for a file: blank lines, bare user ids, and users with
+    items drawn from [lo, hi), some of them repeated."""
+    lines = []
+    for _ in range(rng.integers(1, 12)):
+        kind = rng.random()
+        length = 0 if kind < 0.15 else 1 if kind < 0.3 else int(rng.integers(2, 8))
+        lines.append([int(rng.integers(20))] + rng.integers(lo, hi, size=length - 1).tolist()
+                     if length else [])
+    return lines
+
+
+def render(rng, lines):
+    """The text of the token lists, with separators mixed from space, tab,
+    vertical tab and form feed, line ends from \\n, \\r\\n and \\r, and
+    sometimes no final line end; a token may carry leading zeros."""
+    def ws(least):
+        return "".join(rng.choice([" ", "\t", "\v", "\f"], size=rng.integers(least, 3)))
+
+    text, end = [], ""
+    for tokens in lines:
+        tokens = [t if not isinstance(t, int) or rng.random() > 0.1 else f"0{t}" for t in tokens]
+        line = ws(0) + "".join(f"{t}{ws(1)}" for t in tokens)
+        if not line and end == "\r":
+            line = " "  # "\r" then "\n" would be one line end, not two
+        end = str(rng.choice(["\n", "\r\n", "\r"]))
+        text.append(line + end)
+    if rng.random() < 0.3:
+        text[-1] = text[-1].rstrip("\r\n") or " "
+    return "".join(text)
+
+
+def plant(rng, tokens, refused):
+    """The token list with one refused token put at a random place."""
+    tokens = list(tokens) or [int(rng.integers(20))]
+    at = int(rng.integers(len(tokens)))
+    digits = str(tokens[at])
+    cut = int(rng.integers(len(digits) + 1))
+    bad = {
+        "letter": digits[:cut] + str(rng.choice(list("abexzXE"))) + digits[cut:],
+        "dot": digits[:cut] + "." + digits[cut:],
+        "underscore": digits[:cut] + "_" + digits[cut:],
+        "plus": "+" + digits,
+        "lone minus": "-",
+        "19 digits": "".join(rng.choice(list("0123456789"), size=19)),
+        "byte order mark": "\xef\xbb\xbf" + digits,
+        "minus and digits": "-" + digits,
+    }[refused]
+    if refused in ("lone minus", "19 digits"):
+        return tokens[:at] + [bad] + tokens[at:]
+    return tokens[:at] + [bad] + tokens[at + 1:]
 
 
 class TestParserOracle:
@@ -142,12 +193,66 @@ class TestParserOracle:
         assert [row.tolist() for row in ds.train_positives] == train_lists
         assert [row.tolist() for row in ds.test_positives] == test_lists
 
-    def test_parse_keeps_the_largest_int64_id(self, tmp_path):
-        # load_dataset cannot hold 2^63 items, so the parsed arrays are checked
-        big = np.iinfo(np.int64).max
+    def test_load_matches_line_parser_on_random_files(self, tmp_path):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            lines = random_lines(rng, 0, 30)
+            # at least one train pair
+            lines[rng.integers(len(lines))] = [int(rng.integers(20)), int(rng.integers(30))]
+            texts = (render(rng, lines), render(rng, random_lines(rng, 30, 45)))
+            train, test = write_pair(tmp_path, *texts)
+            num_users, num_items, train_lists, test_lists = reference_load(train, test)
+            ds = load_dataset(train, test)
+            assert (ds.num_users, ds.num_items) == (num_users, num_items), texts
+            assert [row.tolist() for row in ds.train_positives] == train_lists, texts
+            assert [row.tolist() for row in ds.test_positives] == test_lists, texts
+
+    def test_parse_keeps_an_18_digit_id(self, tmp_path):
+        big = 10**18 - 1  # the largest id of at most 18 digits
         train, test = write_pair(tmp_path, f"0 {big} 1\n1 2\n", f"{big}\n")
         assert [a.tolist() for a in _parse_interaction_file(train)] == [[0, 1], [0, 0, 1], [big, 1, 2]]
         assert [a.tolist() for a in _parse_interaction_file(test)] == [[big], [], []]
+
+    def test_parse_refuses_the_largest_int64_id(self, tmp_path):
+        big = np.iinfo(np.int64).max
+        train, test = write_pair(tmp_path, f"0 1\n\n1 {big} 1\n1 2\n", f"{big}\n")
+        with pytest.raises(DatasetFormatError, match=f"{train}:3: malformed token"):
+            _parse_interaction_file(train)
+        with pytest.raises(DatasetFormatError, match=f"{test}:1: malformed token"):
+            _parse_interaction_file(test)
+
+    @pytest.mark.parametrize("refused, message", [
+        ("letter", "malformed token"),
+        ("dot", "malformed token"),
+        ("underscore", "malformed token"),
+        ("plus", "malformed token"),
+        ("lone minus", "malformed token"),
+        ("19 digits", "malformed token"),
+        ("byte order mark", "malformed token"),
+        ("minus and digits", "negative index"),
+    ])
+    def test_refused_token_names_its_line(self, tmp_path, refused, message):
+        rng = np.random.default_rng(list(map(ord, refused)))
+        for _ in range(40):
+            lines = random_lines(rng, 0, 30)
+            lineno = int(rng.integers(len(lines))) + 1
+            lines[lineno - 1] = plant(rng, lines[lineno - 1], refused)
+            train, test = write_pair(tmp_path, "0 1\n", "")
+            train.write_bytes(render(rng, lines).encode("latin-1"))
+            with pytest.raises(DatasetFormatError, match=f"{train}:{lineno}: {message}"):
+                load_dataset(train, test)
+
+    def test_pair_key_space_must_fit_int64(self, tmp_path):
+        # 10 users x 10^18 items need keys up to 10^19 - 1, past the int64 maximum
+        train, test = write_pair(tmp_path, "0 1\n9 999999999999999999\n")
+        match = "10 users x 1000000000000000000 items overflow"
+        with pytest.raises(DatasetFormatError, match=match):
+            load_dataset(train, test)
+        with pytest.raises(DatasetFormatError, match=match):
+            InteractionDataset.from_pairs(10, 10**18, ([0, 9], [1, 10**18 - 1]), ([], []))
+        # one user fewer fits
+        train, test = write_pair(tmp_path, "0 1\n8 999999999999999999\n")
+        assert load_dataset(train, test).num_users == 9
 
     @pytest.mark.parametrize("which", ["train", "test"])
     @pytest.mark.parametrize("text,lineno", [
@@ -156,6 +261,9 @@ class TestParserOracle:
         ("0 1\n1 2\n2 99999999999999999999\n", 3),
         ("0 1\n1 9223372036854775808\n", 2),
         ("0 1\n1 2 -\n", 2),
+        ("0 +5 2\n+1 2\n", 1),
+        ("1 7\n+0 7\n", 2),
+        ("0 1\n1 1_000 2\n1 3\n", 2),
     ])
     def test_malformed_token_reports_path_and_line(self, tmp_path, which, text, lineno):
         texts = (text, "0 9\n") if which == "train" else ("0 1\n", text)
