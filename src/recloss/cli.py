@@ -28,6 +28,8 @@ from .synthetic import synthetic_dataset
 
 EVAL_HEADER = "dataset,model,loss,k,recall,ndcg,users_evaluated"
 BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the commands whose artifacts are their result
+OUTPUT_REQUIRED = ("train", "solve", "sweep")
 
 
 def _load_data(cfg: dict):
@@ -89,8 +91,6 @@ def train_and_evaluate(cfg: dict):
 
 def cmd_train(cfg: dict, args) -> int:
     """Train an embedding model."""
-    if not args.output:
-        raise ConfigError("train requires --output for its artifacts")
     model, history, report = train_and_evaluate(cfg)
     os.makedirs(args.output, exist_ok=True)
     ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), model)
@@ -126,8 +126,6 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_solve(cfg: dict, args) -> int:
     """Fit a closed-form linear model."""
-    if not args.output:
-        raise ConfigError("solve requires --output for its artifacts")
     ds = _load_data(cfg)
     lin = cfg["linear"]
     model_kind = lin["model"]
@@ -196,23 +194,10 @@ def _sweep_point(cfg_json: str) -> dict:
 
 def cmd_sweep(cfg: dict, args) -> int:
     """Train and evaluate across a hyperparameter grid."""
-    if not args.output:
-        raise ConfigError("sweep requires --output for its artifacts")
     axis = cfg["sweep"]["axis"]
     if not axis:
         raise ConfigError("sweep needs an axis (--axis key.path)")
     values, log_range = cfg["sweep"]["values"], cfg["sweep"]["log_range"]
-    keys = ("sweep.values", "sweep.log_range")
-    if args.values or args.log_range:  # a flag outranks the config
-        values, log_range = args.values, args.log_range
-        keys = ("--values", "--log-range")
-        if values:
-            values = [cfgmod._parse_override_value(v) for v in values.split(",")]
-        if log_range:
-            log_range = [cfgmod._parse_override_value(v) for v in log_range]
-            cfgmod.check_log_range("--log-range", log_range)
-    if values and log_range:
-        raise ConfigError(f"the sweep grid is set twice, by {keys[0]} and by {keys[1]}; keep one")
     if not values:
         if not log_range:
             raise ConfigError("sweep needs --values or --log-range")
@@ -305,10 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--model-label")
     p.add_argument("--loss-label", default="-")
-    p = sub.choices["sweep"]
-    p.add_argument("--values", help="comma-separated grid values")
-    p.add_argument("--log-range", nargs=3, metavar=("LO", "HI", "COUNT"),
-                   help="geometric grid from LO to HI with COUNT points")
+    grid = sub.choices["sweep"].add_mutually_exclusive_group()
+    grid.add_argument("--values", type=lambda text: text.split(","),
+                      help="comma-separated grid values; sets sweep.values")
+    grid.add_argument("--log-range", nargs=3, metavar=("LO", "HI", "COUNT"),
+                      help="geometric grid from LO to HI with COUNT points; sets sweep.log_range")
     return parser
 
 
@@ -322,6 +308,12 @@ def _flag_overrides(args) -> list[str]:
     for _, _, key in FLAGS:
         if getattr(args, key, None) is not None:
             sets.append(f"{key}={json.dumps(getattr(args, key))}")
+    for key, other in (("values", "log_range"), ("log_range", "values")):
+        # a grid flag sets its key and clears the other, so it outranks a grid
+        # from a preset or file; each item is parsed as a --set value is
+        if getattr(args, key, None):
+            items = [cfgmod._parse_override_value(item) for item in getattr(args, key)]
+            sets += [f"sweep.{key}={json.dumps(items)}", f"sweep.{other}=null"]
     return sets
 
 
@@ -333,10 +325,13 @@ def main(argv=None) -> int:
             preset=args.preset,
             overrides=_flag_overrides(args) + list(args.sets),
         )
+        if args.command in OUTPUT_REQUIRED and not args.output:
+            raise ConfigError(f"{args.command} requires --output for its artifacts")
         return _HANDLERS[args.command](cfg, args)
-    except (ValueError, FileNotFoundError, FloatingPointError, mf.TrainingDivergedError) as exc:
+    except (ValueError, OSError, FloatingPointError, mf.TrainingDivergedError) as exc:
         # ValueError covers ConfigError, the data and checkpoint format errors and
-        # the settings the config dataclasses reject; FloatingPointError a refused solve
+        # the settings the config dataclasses reject; OSError a path that cannot be
+        # read, such as a missing file or a directory; FloatingPointError a refused solve
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from .data import _atomic_write
 from .linear import LINEAR_MODELS, IALSConfig, ease_debiased_fit
 from .losses import check_loss_params, type_fits
 from .mf import TrainConfig
-from .sampling import SAMPLER_KINDS, SamplerConfig
+from .sampling import SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
 from .verify import run_verification
 
@@ -150,25 +150,24 @@ def _check_synthetic(synth) -> None:
             raise ConfigError(f"synthetic data kind {kind!r} requires data.synthetic.{key}")
 
 
-def check_log_range(key: str, log_range) -> None:
-    """A geometric sweep grid is [lo, hi, count]: two positive numbers and
-    an integer count of at least 1."""
-    numbers = isinstance(log_range, list) and len(log_range) == 3 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in log_range)
-    if not (numbers and log_range[0] > 0 and log_range[1] > 0
-            and isinstance(log_range[2], int) and log_range[2] >= 1):
-        raise ConfigError(f"{key} must be [lo, hi, count] with lo, hi > 0 and an integer "
-                          f"count >= 1, got {log_range!r}")
-
-
 def _check_sweep(sweep: dict) -> None:
-    axis, values = sweep["axis"], sweep["values"]
+    axis, values, log_range = sweep["axis"], sweep["values"], sweep["log_range"]
     if axis is not None and not isinstance(axis, str):
         raise ConfigError(f"config key 'sweep.axis' must be a dotted key string, got {axis!r}")
     if values is not None and not (isinstance(values, list) and values):
         raise ConfigError(f"config key 'sweep.values' must be a non-empty list, got {values!r}")
-    if sweep["log_range"] is not None:
-        check_log_range("sweep.log_range", sweep["log_range"])
+    if log_range is not None:
+        # a geometric sweep grid is [lo, hi, count]: two positive numbers and
+        # an integer count of at least 1
+        numbers = isinstance(log_range, list) and len(log_range) == 3 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in log_range)
+        if not (numbers and log_range[0] > 0 and log_range[1] > 0
+                and isinstance(log_range[2], int) and log_range[2] >= 1):
+            raise ConfigError("sweep.log_range must be [lo, hi, count] with lo, hi > 0 and an "
+                              f"integer count >= 1, got {log_range!r}")
+        if values is not None:
+            raise ConfigError("the sweep grid is set twice, by sweep.values and by "
+                              "sweep.log_range; keep one")
 
 
 def validate_config(cfg: dict) -> None:
@@ -177,6 +176,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"config key 'threads' must be >= 1, got {cfg['threads']}")
     try:
         check_loss_params(cfg["loss"]["kind"], cfg["loss"]["params"])
+        SamplerConfig(**cfg["sampler"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for key in ("train", "test"):
@@ -189,10 +189,6 @@ def validate_config(cfg: dict) -> None:
     if (data["train"] is None) != (data["test"] is None):
         missing = "data.test" if data["test"] is None else "data.train"
         raise ConfigError(f"data.train and data.test are set together; {missing} is missing")
-    if cfg["sampler"]["kind"] not in SAMPLER_KINDS:
-        raise ConfigError(
-            f"unknown sampler kind {cfg['sampler']['kind']!r}; expected one of {SAMPLER_KINDS}"
-        )
     model = cfg["linear"]["model"]
     if model not in LINEAR_MODELS:
         raise ConfigError(f"unknown linear model {model!r}; expected one of {LINEAR_MODELS}")

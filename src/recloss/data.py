@@ -45,6 +45,12 @@ def sorted_member(sorted_keys: np.ndarray, queries) -> np.ndarray:
     return sorted_keys[pos] == queries
 
 
+def _check_pair_keys(num_users: int, num_items: int) -> None:
+    """Refuse a shape whose ``user * num_items + item`` keys overflow int64."""
+    if int(num_users) * int(num_items) > np.iinfo(np.int64).max:
+        raise DatasetFormatError(f"{num_users} users x {num_items} items overflow the int64 pair keys")
+
+
 class CSRRows:
     """Rows of column indices in CSR form: row r is ``indices[indptr[r]:indptr[r + 1]]``.
 
@@ -62,8 +68,7 @@ class CSRRows:
     @classmethod
     def from_pairs(cls, rows, cols, num_rows: int, width: int) -> "CSRRows":
         """Rows holding the given (row, col) pairs, sorted and de-duplicated."""
-        if int(num_rows) * int(width) > np.iinfo(np.int64).max:
-            raise DatasetFormatError(f"{num_rows} users x {width} items overflow the int64 pair keys")
+        _check_pair_keys(num_rows, width)
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= num_rows
                           or cols.min() < 0 or cols.max() >= width):
@@ -155,6 +160,7 @@ class InteractionDataset:
     def validate(self) -> None:
         """Check the CSR invariants of both partitions and that they are
         disjoint; raise DatasetFormatError on violation."""
+        _check_pair_keys(self.num_users, self.num_items)
         keys = {}
         for name, rows in (("train", self.train_positives), ("test", self.test_positives)):
             indptr, indices = rows.indptr, rows.indices

@@ -83,6 +83,12 @@ class TestStats:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_as_data_file(self, data_dir, capsys):
+        rc = main(["stats", "--train", str(data_dir), "--test", str(data_dir / "test.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data_dir) in err and "Traceback" not in err
+
     def test_numeric_file_names_stay_paths(self, data_dir, monkeypatch, capsys):
         (data_dir / "123").write_text(TRAIN_TEXT)
         (data_dir / "456").write_text(TEST_TEXT)
@@ -112,10 +118,6 @@ class TestStats:
 
 
 class TestTrain:
-    def test_requires_output(self, data_dir, capsys):
-        assert main(["train", "--data-dir", str(data_dir)]) == 1
-        assert "--output" in capsys.readouterr().err
-
     def test_artifacts_and_determinism(self, tmp_path, capsys):
         outs = []
         for name in ("a", "b"):
@@ -236,10 +238,6 @@ class TestEval:
 
 
 class TestSolve:
-    def test_requires_output(self, data_dir, capsys):
-        assert main(["solve", "--data-dir", str(data_dir), "--model", "ease"]) == 1
-        assert "--output" in capsys.readouterr().err
-
     def test_ease(self, data_dir, tmp_path, capsys):
         out = tmp_path / "ease"
         rc = main(["solve", "--data-dir", str(data_dir), "--model", "ease",
@@ -459,7 +457,7 @@ class TestSweep:
          "lo, hi > 0 and an integer count >= 1, got [0, 0.1, 3]"),
         (["--set", "sweep.log_range=[0.01,0.1,2.5]"], "sweep.log_range must be [lo, hi, count] "
          "with lo, hi > 0 and an integer count >= 1, got [0.01, 0.1, 2.5]"),
-        (["--log-range", "0.01", "a", "2"], "--log-range must be [lo, hi, count] with "
+        (["--log-range", "0.01", "a", "2"], "sweep.log_range must be [lo, hi, count] with "
          "lo, hi > 0 and an integer count >= 1, got [0.01, 'a', 2]"),
     ])
     def test_mistyped_grid_is_refused(self, grid, shown, tmp_path, capsys):
@@ -500,22 +498,29 @@ class TestSweep:
         assert "OMP_NUM_THREADS" not in os.environ
 
     @pytest.mark.parametrize("grid, keys", [
-        (["--values", "0.05,0.1", "--log-range", "1e-3", "1e-1", "3"], "--values and by --log-range"),
+        (["--values", "0.05,0.1", "--log-range", "1e-3", "1e-1", "3"], None),
         (["--set", "sweep.values=[0.05,0.1]", "--set", "sweep.log_range=[0.001,0.1,3]"],
          "sweep.values and by sweep.log_range"),
     ])
     def test_grid_set_twice_is_an_error(self, grid, keys, tmp_path, capsys):
         out = tmp_path / "x"
-        rc = main(["sweep", *SYNTH, "--axis", "train.initial_lr", *grid, "--output", str(out)])
-        assert rc == 1
-        assert f"the sweep grid is set twice, by {keys}" in capsys.readouterr().err
+        command = ["sweep", *SYNTH, "--axis", "train.initial_lr", *grid, "--output", str(out)]
+        if keys is None:  # argparse refuses the two grid flags together
+            with pytest.raises(SystemExit) as exc:
+                main(command)
+            assert exc.value.code == 2
+            assert ("argument --log-range: not allowed with argument --values"
+                    in capsys.readouterr().err)
+        else:
+            assert main(command) == 1
+            assert f"the sweep grid is set twice, by {keys}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_outranks_config_grid(self, tmp_path):
-        out = tmp_path / "sweep"
-        rc = main(["sweep", *SYNTH, *FAST, "--axis", "train.l2_weight",
-                   "--set", "sweep.values=[0.5]", "--log-range", "1e-3", "1e-1", "3",
-                   "--output", str(out)])
+        config, out = tmp_path / "grid.json", tmp_path / "sweep"
+        config.write_text(json.dumps({"sweep": {"values": [0.5]}}))
+        rc = main(["sweep", *SYNTH, *FAST, "--axis", "train.l2_weight", "--config", str(config),
+                   "--log-range", "1e-3", "1e-1", "3", "--output", str(out)])
         assert rc == 0
         assert len((out / "sweep.csv").read_text().strip().split("\n")) == 4
 
@@ -542,6 +547,22 @@ class TestSweep:
 
 
 class TestSettingErrors:
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["solve", "--model", "ease"],
+        ["sweep", "--axis", "seed", "--values", "1,2"],
+    ])
+    def test_requires_output(self, command, data_dir, capsys):
+        assert main([*command, "--data-dir", str(data_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {command[0]} requires --output for its artifacts\n"
+
+    def test_every_command_refuses_both_grids(self, capsys):
+        rc = main(["stats", *SYNTH, "--set", "sweep.values=[0.05,0.1]",
+                   "--set", "sweep.log_range=[0.001,0.1,3]"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: the sweep grid is set twice, by sweep.values "
+                                           "and by sweep.log_range; keep one\n")
+
     @pytest.mark.parametrize("command", [
         ["train", "--set", "sampler.n_negatives=0"],
         ["train", "--set", "train.plateau_factor=2"],

@@ -1,10 +1,11 @@
 """Config resolution: precedence, strict keys, presets, env thread cap."""
 
 import json
+import re
 
 import pytest
 
-from recloss.cli import _train_config
+from recloss.cli import _flag_overrides, _train_config, build_parser
 from recloss.config import (
     DEFAULTS,
     PRESETS,
@@ -266,6 +267,66 @@ class TestPrecedence:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
             resolve_config(config_path=str(bad))
+
+
+def sweep_overrides(*argv) -> list[str]:
+    """The overrides of a sweep command line, in the order the CLI applies them."""
+    args = build_parser().parse_args(["sweep", *argv])
+    return _flag_overrides(args) + args.sets
+
+
+class TestSweepGrid:
+    SET_TWICE = "the sweep grid is set twice, by sweep.values and by sweep.log_range; keep one"
+
+    def test_both_grids_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(self.SET_TWICE)):
+            resolve_config(overrides=["sweep.values=[0.5]", "sweep.log_range=[0.001,0.1,3]"])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"sweep": {"values": [0.5], "log_range": [0.001, 0.1, 3]}}))
+        with pytest.raises(ConfigError, match=re.escape(self.SET_TWICE)):
+            resolve_config(config_path=str(path))
+
+    @pytest.mark.parametrize("file_grid, flags, grid", [
+        ({"values": [0.5]}, ["--log-range", "1e-3", "1e-1", "3"],
+         {"values": None, "log_range": [0.001, 0.1, 3]}),
+        ({"log_range": [1, 2, 2]}, ["--values", "0.1,abc,[2]"],
+         {"values": [0.1, "abc", [2]], "log_range": None}),
+    ])
+    def test_flag_grid_outranks_file_grid(self, file_grid, flags, grid, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"sweep": file_grid}))
+        cfg = resolve_config(config_path=str(path), overrides=sweep_overrides(*flags))
+        assert {k: cfg["sweep"][k] for k in grid} == grid
+
+    @pytest.mark.parametrize("argv", [
+        ["--log-range", "1e-3", "1e-1", "3", "--set", "sweep.values=[0.5]"],
+        ["--values", "0.5", "--set", "sweep.log_range=[0.001,0.1,3]"],
+    ])
+    def test_later_set_grid_with_flag_grid_is_set_twice(self, argv):
+        with pytest.raises(ConfigError, match=re.escape(self.SET_TWICE)):
+            resolve_config(overrides=sweep_overrides(*argv))
+
+    def test_both_flags_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sweep_overrides("--values", "0.5", "--log-range", "1e-3", "1e-1", "3")
+        assert exc.value.code == 2
+        assert "argument --log-range: not allowed with argument --values" in capsys.readouterr().err
+
+
+class TestSamplerTable:
+    @pytest.mark.parametrize("override, message", [
+        ("sampler.n_negatives=0", "n_negatives must be >= 1"),
+        ("sampler.m_positives=-1", "m_positives must be >= 0"),
+        ("sampler.kind=nope", "unknown sampler kind 'nope'"),
+    ])
+    def test_checked_at_resolve(self, override, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(overrides=[override])
+
+    def test_share_batch_checked_against_kind(self):
+        with pytest.raises(ConfigError, match="share_batch cannot exclude"):
+            resolve_config(overrides=["sampler.kind=uniform_excluding_user_positives",
+                                      "sampler.share_batch=true"])
 
 
 class TestPresets:

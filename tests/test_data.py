@@ -373,6 +373,13 @@ class TestValidateCSR:
         with pytest.raises(DatasetFormatError, match="train indptr"):
             ds.validate()
 
+    def test_pair_key_space_must_fit_int64(self):
+        # users 0 and 9 with one item each; user 9's keys would pass 9 * 10^18
+        ds = csr_dataset([0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2], [1, 10**18 - 1], num_items=10**18)
+        with pytest.raises(DatasetFormatError,
+                           match="10 users x 1000000000000000000 items overflow the int64 pair keys"):
+            ds.validate()
+
     def test_unsorted_test_row_rejected(self):
         with pytest.raises(DatasetFormatError, match="user 1: test list not strictly sorted"):
             csr_dataset([0, 1, 1], [0], test_indptr=[0, 0, 2], test_indices=[4, 3]).validate()
