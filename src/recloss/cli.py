@@ -11,10 +11,8 @@ import argparse
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -207,6 +205,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     workers = min(cfg["threads"], len(values))
     points = [json.dumps(cfgmod.apply_override(cfg, axis, value)) for value in values]
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # spawned workers load BLAS afresh and read these counts, threads // workers each
         saved = dict(os.environ)
         os.environ.update(dict.fromkeys(BLAS_ENV_VARS, str(cfg["threads"] // workers)))

@@ -9,7 +9,9 @@ then one C pass (``np.fromstring``) reads every token.  There is no fallback.
 
 In memory each partition is one pair of CSR arrays (:class:`CSRRows`):
 user u's items are ``indices[indptr[u]:indptr[u + 1]]``, sorted and
-duplicate-free.  Every consumer reads those two arrays.
+duplicate-free.  Every consumer reads those two arrays; the linear models
+take them as a scipy CSR matrix (``train_csr``), the one call that imports
+scipy.sparse here.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "CSRRows", "DatasetFormatError", "DatasetStats", "InteractionDataset", "dataset_stats",
@@ -146,6 +151,7 @@ class InteractionDataset:
 
     def train_csr(self) -> sp.csr_matrix:
         """Binary interaction matrix (num_users x num_items) in scipy CSR form."""
+        import scipy.sparse as sp
         rows = self.train_positives
         return sp.csr_matrix(
             (np.ones(len(rows.indices)), rows.indices, rows.indptr),

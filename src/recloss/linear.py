@@ -15,19 +15,24 @@ system.  The objective sums its observed terms over the CSR entries in
 fixed-size chunks.
 EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
 the item Gram otherwise (_ease_plan), by LAPACK potrf + potri imported in
-_inverse_gram; it returns only the weights W.
+_inverse_gram; it returns only the weights W.  scipy.sparse, too, is imported
+only where a CSR is built: in _interactions and _ease_solve (and in the
+dataset's train_csr).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import InteractionDataset
 from .mf import GATHER_BUDGET
 from .sampling import substream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "EASEScorer", "IALSConfig", "IALSState", "check_theorem1", "check_theorem2",
@@ -54,6 +59,7 @@ def _interactions(source) -> sp.csr_matrix:
         return source.train_csr()
     if np.ndim(source) != 2:
         raise ValueError("interaction matrix must be 2-d")
+    import scipy.sparse as sp
     X = sp.csr_matrix(source, dtype=float, copy=True)
     X.sum_duplicates()
     _refuse_entries(X, np.isfinite(X.data) & (X.data >= 0), "finite and non-negative")
@@ -301,6 +307,7 @@ def _ease_solve(X, lam: float, alpha: float) -> EASESolution:
         raise ValueError("lam must be positive")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1); convexity requires c_u < 2 here")
+    import scipy.sparse as sp
     lam = lam / (1.0 - alpha)
     Xs = sp.csr_matrix(X, dtype=float)
     _refuse_entries(Xs, np.isfinite(Xs.data), "finite")

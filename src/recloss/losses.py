@@ -501,7 +501,8 @@ def check_loss_params(kind: str, params: dict) -> None:
     """Refuse, by name, an unknown loss kind, a loss.params key it does not
     take, a value that does not fit the type of the key's default, a float
     that is not finite, or a value outside the range that the kind's kernel
-    or DebiasParams accepts."""
+    or DebiasParams accepts.  Empty params are the kernel's own defaults, so
+    they are not probed, and checking the default config calls no kernel."""
     if kind not in LOSS_TABLE:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     allowed = LOSS_TABLE[kind].params
@@ -518,6 +519,8 @@ def check_loss_params(kind: str, params: dict) -> None:
                              f"got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config key 'loss.params.{key}' must be finite, got {value!r}")
+    if not params:
+        return
     # the kernels own the ranges: one call on a one-score bundle at tau+ = 0.5 applies them
     try:
         if kind in DEBIASED_KINDS:

@@ -12,7 +12,9 @@ runs through one dense (n_u x n_i) block, which holds its scores and then
 their summed partials, when n_u * n_i <= ``DENSE_BLOCK_FACTOR`` * B * K, as
 on a narrow catalog: the rule bounds the block by the batch, never by the
 catalog.  A wide catalog, where that block would be mostly zeros and measured
-slower beyond a ratio near 9, keeps the chunked gather and sparse products.
+slower beyond a ratio near 9, keeps the chunked gather and sparse products;
+only that path imports scipy.sparse, so a narrow-catalog fit runs on NumPy
+alone.
 
 ``GATHER_BUDGET`` is the one cache budget of the package: the sparse path
 scores a batch a few rows at a time, each chunk gathering at most that many
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import metrics
 from .data import CSRRows, InteractionDataset, _atomic_write, make_validation_split
@@ -274,6 +275,7 @@ def batch_objective(
         # user.  The products run on C = R^T in CSR form: one pass over the
         # unique item rows in order, with only the (B, d) side read or written
         # at random, which stays in cache at any catalog width.
+        from scipy import sparse
         R = sparse.csr_array((D.ravel(), inv_i.ravel(), np.arange(0, b * k + 1, k)),
                              shape=(b, n_i))
         P = sparse.csr_array((np.ones(b), inv_u, np.arange(b + 1)), shape=(b, n_u))

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on tiny datasets."""
 
+import concurrent.futures
 import json
 import os
 import re
@@ -486,7 +487,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(recloss.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("RECLOSS_THREADS", raising=False)

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -442,15 +441,17 @@ class TestChunkedScoring:
 
 
 def _sparse_builds(monkeypatch) -> list:
-    """Patch mf's scipy.sparse so each sparse matrix batch_objective builds
-    appends to the returned list: empty after a call means the dense block."""
+    """Wrap scipy.sparse.csr_array, which batch_objective imports in its
+    sparse branch, so each sparse matrix it builds appends to the returned
+    list: empty after a call means the dense block."""
     built = []
+    original = sparse.csr_array
 
     def csr_array(*args, **kwargs):
         built.append(1)
-        return sparse.csr_array(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(mf, "sparse", SimpleNamespace(csr_array=csr_array))
+    monkeypatch.setattr(sparse, "csr_array", csr_array)
     return built
 
 
