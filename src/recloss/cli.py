@@ -21,7 +21,6 @@ from . import config as cfgmod
 from . import linear, metrics, mf, verify
 from .config import ConfigError
 from .data import _atomic_write, dataset_stats, load_dataset
-from .sampling import SamplerConfig
 from .synthetic import synthetic_dataset
 
 EVAL_HEADER = "dataset,model,loss,k,recall,ndcg,users_evaluated"
@@ -38,18 +37,6 @@ def _load_data(cfg: dict):
     if train is None:
         raise ConfigError("no dataset: set data.train/data.test or data.synthetic")
     return load_dataset(train, test)
-
-
-def _train_config(cfg: dict) -> mf.TrainConfig:
-    # the sampler and train tables hold exactly the SamplerConfig/TrainConfig fields
-    return mf.TrainConfig(
-        **cfg["train"],
-        loss=cfg["loss"]["kind"],
-        loss_params=dict(cfg["loss"]["params"]),
-        sampler=SamplerConfig(**cfg["sampler"]),
-        seed=cfg["seed"],
-        eval_k=cfg["eval"]["k"],
-    )
 
 
 def _eval_row(cfg: dict, model_label: str, loss_label: str, report) -> str:
@@ -80,9 +67,9 @@ def cmd_stats(cfg: dict, args) -> int:
 
 
 def train_and_evaluate(cfg: dict):
-    """Shared by `train` and each sweep grid point."""
-    ds = _load_data(cfg)
-    model, history = mf.fit(ds, _train_config(cfg))
+    """Shared by `train` and each sweep grid point; settings are checked before data is read."""
+    train_cfg, ds = cfgmod.train_config(cfg), _load_data(cfg)
+    model, history = mf.fit(ds, train_cfg)
     report = metrics.evaluate(model, ds, k=cfg["eval"]["k"])
     return model, history, report
 
@@ -124,20 +111,17 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_solve(cfg: dict, args) -> int:
     """Fit a closed-form linear model."""
-    ds = _load_data(cfg)
     lin = cfg["linear"]
     model_kind = lin["model"]
-    if model_kind.startswith("ials"):
-        ials_cfg = linear.IALSConfig(
-            d=lin["d"], alpha0=lin["alpha0"], lam=lin["lambda"], nu=lin["nu"],
-            c_u=lin["c_u"], num_sweeps=lin["sweeps"], seed=cfg["seed"],
-        )
+    ials_cfg = cfgmod.ials_config(cfg) if model_kind.startswith("ials") else None
+    ds = _load_data(cfg)
+    if ials_cfg is not None:
         debiased = model_kind.endswith("debiased")
-        scorer = linear.ials_fit(ds, ials_cfg, debiased=debiased)
-        weights = mf.ScoringModel(scorer.W, scorer.H, mode="dot")
-        trace = scorer.objective_trace
+        fit = linear.ials_fit(ds, ials_cfg, debiased=debiased)
+        scorer = weights = mf.ScoringModel(fit.W, fit.H, mode="dot")
+        trace = fit.objective_trace
         print(f"objective: {trace[0]:.6g} -> {trace[-1]:.6g} over {len(trace) - 1} sweeps")
-        if trace[-1] >= linear.ials_objective(0 * scorer.W, 0 * scorer.H, ds, ials_cfg, debiased):
+        if trace[-1] >= linear.ials_objective(0 * fit.W, 0 * fit.H, ds, ials_cfg, debiased):
             print("warning: the fit ended no lower than all-zero factors, whose scores all tie; "
                   "lower linear.lambda", file=sys.stderr)
     else:

@@ -36,9 +36,7 @@ def _keyword_defaults(fn) -> dict:
 
 
 # A default that a dataclass or function signature holds is read from it;
-# the literals below have no other home.  TrainConfig's loss, loss_params,
-# sampler, seed and eval_k are set from the loss, sampler, top-level and
-# eval tables.
+# the literals below have no other home.  train_config and ials_config invert this.
 _TRAIN = _keyword_defaults(TrainConfig)
 _IALS = _keyword_defaults(IALSConfig)
 
@@ -66,6 +64,26 @@ DEFAULTS = {
     "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},
     "sweep": {"axis": None, "values": None, "log_range": None},
 }
+
+
+def train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig of a resolved config: DEFAULTS' train and sampler derivation inverted."""
+    return TrainConfig(**cfg["train"], sampler=SamplerConfig(**cfg["sampler"]),
+                       loss=cfg["loss"]["kind"], loss_params=dict(cfg["loss"]["params"]),
+                       seed=cfg["seed"], eval_k=cfg["eval"]["k"])
+
+
+def ials_config(cfg: dict) -> IALSConfig:
+    """The IALSConfig of the linear table and seed; a refusal names the linear.* keys."""
+    # each IALSConfig field with the linear key that sets it; two are renamed
+    keys = {{"lambda": "lam", "sweeps": "num_sweeps"}.get(key, key): key for key in cfg["linear"]}
+    fields = {name: cfg["linear"][key] for name, key in keys.items() if name in _IALS}
+    try:
+        return IALSConfig(**fields, seed=cfg["seed"])
+    except ValueError as exc:
+        words = [f"linear.{keys[w]}" if w in fields else w for w in str(exc).split(" ")]
+        raise ConfigError(" ".join(words)) from None
+
 
 # The repro tables, verbatim.  "regularization: -9" in the debiased-CCL
 # table is exponent notation for 1e-9 (the search range is 1e-9..1, ratio

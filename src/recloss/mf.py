@@ -202,13 +202,16 @@ def batch_objective(
     GATHER_BUDGET bytes of gathered item rows at a time, so it never holds a
     (B, K, d) block, and back-propagated through sparse products.  Both paths
     share the loss call, the cosine projection, the norm floor and the L2
-    term.  An empty batch, or an id outside the model's users or items,
-    raises ValueError.
+    term.  An empty batch, an id outside the model's users or items, or
+    extra_items for a kind outside DEBIASED_KINDS raises ValueError.
     """
     users = np.asarray(users)
     b = len(users)
     if b == 0:
         raise ValueError("batch_objective got an empty batch (users has length 0)")
+    if extra_items is not None and kind not in DEBIASED_KINDS:
+        raise ValueError(f"batch_objective got extra_items for {kind!r}, which reads none; "
+                         f"only {', '.join(DEBIASED_KINDS)} score extra positives")
     # one (B, K) item matrix: column 0 the positive, then negatives, then extra positives
     items = np.concatenate(
         [np.reshape(pos_items, (b, 1))] + [a for a in (neg_items, extra_items) if a is not None],
@@ -429,6 +432,10 @@ class TrainConfig:
         if self.loss in DEBIASED_KINDS:
             if self.sampler is None or self.sampler.m_positives < 1:
                 raise ValueError(f"{self.loss} needs a sampler with m_positives >= 1")
+        elif self.sampler is not None and self.sampler.m_positives > 0:
+            raise ValueError(f"{self.loss} reads no extra positives; set sampler.m_positives to "
+                             f"0 (got {self.sampler.m_positives}) or use one of "
+                             f"{', '.join(DEBIASED_KINDS)}")
         if self.mode is None:
             self.mode = LOSS_TABLE[self.loss].mode
 

@@ -301,7 +301,7 @@ class TestAcceptance:
                "directory holding gowalla/ and amazon-books/ to enable",
     )
     def test_c10_full_dataset_targets(self):
-        from recloss.cli import _train_config
+        from recloss.config import train_config
 
         root = Path(os.environ["RECLOSS_FULL_DATA"])
 
@@ -314,7 +314,7 @@ class TestAcceptance:
             if loss_override:
                 cfg["loss"] = loss_override
             ds = load_dataset(cfg["data"]["train"], cfg["data"]["test"])
-            model, _ = fit(ds, _train_config(cfg))
+            model, _ = fit(ds, train_config(cfg))
             return evaluate(model, ds, k=20)
 
         gowalla = run("mine+/gowalla", "gowalla")

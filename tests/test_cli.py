@@ -13,8 +13,9 @@ import recloss.verify
 from recloss.checkpoint import load_checkpoint
 from recloss.cli import BLAS_ENV_VARS, EVAL_HEADER, main
 from recloss.data import InteractionDataset, load_dataset
-from recloss.linear import EASEScorer, ease_debiased_fit, ease_fit
+from recloss.linear import EASEScorer, IALSConfig, ease_debiased_fit, ease_fit, ials_fit
 from recloss.metrics import evaluate
+from recloss.synthetic import synthetic_dataset
 
 TRAIN_TEXT = "0 1 2 3\n1 0 2\n2 3 4\n3 0 4\n"
 TEST_TEXT = "0 4\n1 3\n2 0\n3 1\n"
@@ -312,6 +313,20 @@ class TestSolve:
             assert row[4:] == [f"{report.recall:.6f}", f"{report.ndcg:.6f}",
                                str(report.users_evaluated)]
 
+    @pytest.mark.parametrize("model", ["ials", "ials-debiased"])
+    def test_ials_ranks_as_its_fit(self, model, tmp_path):
+        # the row comes from the checkpointed dot model; it must equal the
+        # ranking of the fit's own W[users] @ H.T
+        out = tmp_path / model
+        assert main(["solve", "--model", model, "--lambda", "0.1", "--d", "4", "--sweeps", "3",
+                     "--c-u", "1.5", *random_data(40, 60), "--output", str(out)]) == 0
+        ds = synthetic_dataset(kind="random", num_users=40, num_items=60, density=0.3, seed=0)
+        fit = ials_fit(ds, IALSConfig(d=4, alpha0=0.1, lam=0.1, c_u=1.5, num_sweeps=3),
+                       debiased=model == "ials-debiased")
+        report = evaluate(fit, ds, k=20)
+        assert read_eval(out / "eval.csv")[4:] == [f"{report.recall:.6f}", f"{report.ndcg:.6f}",
+                                                   str(report.users_evaluated)]
+
     def test_item_budget_guard(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir), "--model", "ease",
                    "--item-budget", "3", "--output", str(tmp_path / "x")])
@@ -603,6 +618,43 @@ class TestSettingErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not (out / "eval.csv").exists()
+
+
+    @pytest.mark.parametrize("command, named", [
+        (["train", "--set", "train.batch_size=0"], "batch_size must be >= 1"),
+        (["sweep", "--axis", "train.batch_size", "--values", "0"], "batch_size must be >= 1"),
+        (["solve", "--model", "ials", "--lambda", "-1"], "linear.lambda"),
+    ])
+    def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
+                                                          capsys):
+        # neither data path exists, so naming the setting means it was checked first
+        out = tmp_path / "x"
+        rc = main([*command, "--train", "missing/t.txt", "--test", "missing/s.txt",
+                   "--output", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        # a sweep reports each failed point on its own line
+        line = "sweep point train.batch_size=0 failed: " if command[0] == "sweep" else "error: "
+        assert err.startswith(line) and named in err
+        assert "missing" not in err and "Traceback" not in err
+        assert not (out / "eval.csv").exists()
+
+    def test_extra_positives_for_a_plain_kind(self, tmp_path, capsys):
+        rc = main(["train", *random_data(40, 60), "--set", "sampler.m_positives=2",
+                   "--output", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bpr reads no extra positives") and "sampler.m_positives" in err
+        assert "Traceback" not in err
+
+    def test_sweep_base_outside_the_grid_may_be_out_of_range(self, tmp_path):
+        # debiased_ccl refuses the base's m_positives = 0; every grid point sets it
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *SYNTH, *FAST, "--set", "loss.kind=debiased_ccl",
+                   "--axis", "sampler.m_positives", "--values", "5,10", "--output", str(out)])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().strip().split("\n")
+        assert len(lines) == 3 and all(line.endswith(",ok") for line in lines[1:])
 
 
 class TestConfigPlumbing:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from recloss.cli import _flag_overrides, _train_config, build_parser
+from recloss.cli import _flag_overrides, build_parser
 from recloss.config import (
     DEFAULTS,
     PRESETS,
@@ -13,10 +13,13 @@ from recloss.config import (
     ConfigError,
     apply_override,
     deep_merge,
+    ials_config,
     resolve_config,
+    train_config,
     validate_config,
     write_resolved,
 )
+from recloss.linear import IALSConfig
 from recloss.mf import TrainConfig
 from recloss.sampling import SamplerConfig
 
@@ -82,9 +85,46 @@ class TestDerivedDefaults:
         assert (lin["d"], lin["alpha0"], lin["nu"], lin["lambda"]) == (64, 0.1, 1.0, 100.0)
 
     def test_cli_configs_equal_library_defaults(self):
-        cfg = _train_config(resolve_config())
+        cfg = train_config(resolve_config())
         assert cfg == TrainConfig()
         assert cfg.sampler == SamplerConfig()
+
+
+class TestRunBuilders:
+    """train_config and ials_config turn a resolved document into run objects."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_train_config_builds_for_every_preset(self, name):
+        doc = resolve_config(preset=name)
+        cfg = train_config(doc)
+        assert (cfg.loss, cfg.loss_params) == (doc["loss"]["kind"], doc["loss"]["params"])
+        assert cfg.sampler == SamplerConfig(**doc["sampler"])
+        assert (cfg.seed, cfg.eval_k) == (doc["seed"], doc["eval"]["k"])
+        assert all(getattr(cfg, key) == value for key, value in doc["train"].items())
+
+    def test_ials_config_builds_for_the_defaults(self):
+        assert ials_config(resolve_config()) == IALSConfig(
+            d=64, alpha0=0.1, lam=100.0, nu=1.0, c_u=1.0, num_sweeps=10, seed=0)
+        cfg = ials_config(resolve_config(overrides=["linear.lambda=0.1", "linear.sweeps=3",
+                                                     "seed=7"]))
+        assert (cfg.lam, cfg.num_sweeps, cfg.seed) == (0.1, 3, 7)
+
+    @pytest.mark.parametrize("override, keys", [
+        ("linear.lambda=-1", ["linear.lambda"]),
+        ("linear.lambda=0", ["linear.lambda"]),
+        ("linear.alpha0=-0.5", ["linear.alpha0"]),
+        ("linear.sweeps=0", ["linear.sweeps", "linear.d"]),
+        ("linear.d=0", ["linear.d", "linear.sweeps"]),
+        ("linear.c_u=0", ["linear.c_u"]),
+    ])
+    def test_ials_config_refusals_name_the_keys(self, override, keys):
+        cfg = resolve_config(overrides=[override])  # linear.* ranges are left to the run
+        with pytest.raises(ConfigError) as info:
+            ials_config(cfg)
+        message = str(info.value)
+        assert all(key in message for key in keys)
+        # no IALSConfig field name is left bare
+        assert not re.search(r"(?<![.\w])(lam|num_sweeps|d|alpha0|c_u)\b", message)
 
 
 class TestValueTypes:

@@ -8,6 +8,8 @@ import pytest
 from scipy import sparse
 
 from recloss import (
+    DEBIASED_KINDS,
+    LOSS_KINDS,
     LossEvaluation,
     OptimizerState,
     PlateauSchedule,
@@ -542,6 +544,37 @@ class TestDenseBlockRule:
             batch_objective(model, np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                             np.zeros((0, 2), dtype=int), extras, kind, tau_plus=np.zeros(0))
         assert not built
+
+
+# the kinds whose kernels score no extra positives
+PLAIN_KINDS = [kind for kind in LOSS_KINDS if kind not in DEBIASED_KINDS]
+
+
+class TestExtrasRefused:
+    """Extra positives reach only the kinds that score them."""
+
+    @pytest.mark.parametrize("num_items, side", [(7, "dense"), (5000, "sparse")])
+    @pytest.mark.parametrize("kind", PLAIN_KINDS)
+    def test_batch_objective_refuses_extras_before_scoring(self, monkeypatch, kind, num_items,
+                                                           side):
+        built = _sparse_builds(monkeypatch)
+        rng = np.random.default_rng(5)
+        model = ScoringModel(rng.normal(size=(8, 4)), rng.normal(size=(num_items, 4)))
+        users = np.arange(8)
+        items = np.arange(40).reshape(8, 5) % num_items
+        pos, negs, extras = items[:, 0], items[:, 1:3], items[:, 3:]
+        with pytest.raises(ValueError, match=rf"^batch_objective got extra_items for '{kind}'"):
+            batch_objective(model, users, pos, negs, extras, kind)
+        assert not built
+        # the same batch without extras scores on the side named
+        assert np.isfinite(batch_objective(model, users, pos, negs, None, kind).value)
+        assert bool(built) == (side == "sparse")
+
+    @pytest.mark.parametrize("kind", PLAIN_KINDS)
+    def test_train_config_refuses_extra_positives(self, kind):
+        with pytest.raises(ValueError, match=rf"^{kind} reads no extra positives; "
+                                             r"set sampler\.m_positives to 0 \(got 1\)"):
+            TrainConfig(loss=kind, sampler=SamplerConfig(m_positives=1))
 
 
 class TestBatchIds:
