@@ -22,8 +22,6 @@ from .sampling import SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
 from .verify import run_verification
 
-THREADS_ENV_VAR = "RECLOSS_THREADS"
-
 
 class ConfigError(ValueError):
     pass
@@ -74,11 +72,14 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def ials_config(cfg: dict) -> IALSConfig:
-    """The IALSConfig of the linear table and seed; a refusal names the linear.* keys."""
+    """The IALSConfig of the linear table and seed; a refusal names the linear.* keys.
+    linear.model = "ials-debiased" also needs alpha0 < 1, as linear.ials_fit does."""
     # each IALSConfig field with the linear key that sets it; two are renamed
     keys = {{"lambda": "lam", "sweeps": "num_sweeps"}.get(key, key): key for key in cfg["linear"]}
     fields = {name: cfg["linear"][key] for name, key in keys.items() if name in _IALS}
     try:
+        if cfg["linear"]["model"] == "ials-debiased" and fields["alpha0"] >= 1:
+            raise ValueError(f"ials-debiased requires alpha0 < 1, got {fields['alpha0']}")
         return IALSConfig(**fields, seed=cfg["seed"])
     except ValueError as exc:
         words = [f"linear.{keys[w]}" if w in fields else w for w in str(exc).split(" ")]
@@ -259,15 +260,6 @@ def resolve_config(
         dotted, _, raw = item.partition("=")
         cfg = apply_override(cfg, dotted.strip(), _parse_override_value(raw.strip()))
     validate_config(cfg)
-    env_cap = os.environ.get(THREADS_ENV_VAR)
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env_cap!r}")
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-        cfg["threads"] = min(int(cfg["threads"]), cap)
     return cfg
 
 

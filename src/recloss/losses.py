@@ -427,13 +427,12 @@ _PRIOR_KEYS = ("tau_mode", "k", "alpha")
 
 
 class LossKind(NamedTuple):
-    """A loss kind: kernel(bundle, params, tau_plus, temperature), loss.params keys,
-    default scoring mode, and whether TrainConfig gives it a sampler when none is set."""
+    """A loss kind: kernel(bundle, params, tau_plus, temperature), loss.params keys
+    and default scoring mode."""
 
     kernel: Callable[[ScoreBundle, dict, object, float], LossEvaluation]
     params: tuple[str, ...] = ()
     mode: str = "dot"
-    sampled: bool = True
 
 
 # The one source of what each loss kind is; its first kind is the default loss.
@@ -450,8 +449,8 @@ LOSS_TABLE = {
                           mode="cosine"),
     "ccl": LossKind(lambda b, p, tau, t: ccl(b, **_kw(p, "negative_weight", "margin")),
                     ("negative_weight", "margin"), mode="cosine"),
-    "mse": LossKind(lambda b, p, tau, t: mse_pointwise(b, **_kw(p, "lambda_neg")), ("lambda_neg",),
-                    sampled=False),
+    "mse": LossKind(lambda b, p, tau, t: mse_pointwise(b, **_kw(p, "lambda_neg")),
+                    ("lambda_neg",)),
     "debiased_infonce": LossKind(
         lambda b, p, tau, t: debiased_infonce(b, replace(debias_params(p), temperature=t), tau),
         ("lambda_n", "clamp_floor", *_PRIOR_KEYS),

@@ -1,10 +1,10 @@
 """Matrix-factorization backbone: embeddings, scoring, Adam training.
 
-The trainer is loss-agnostic: it takes each kind's default scoring mode and
-sampler from ``losses.LOSS_TABLE`` and turns per-score partials, taken at the
-model's temperature, into embedding gradients via the chain rule (including
-the cosine-normalization Jacobian), adds an L2 term over the rows touched by
-the batch, and applies lazily-updated Adam steps.  Learning rate follows a
+The trainer is loss-agnostic: it takes each kind's default scoring mode from
+``losses.LOSS_TABLE`` and turns per-score partials, taken at the model's
+temperature, into embedding gradients via the chain rule (including the
+cosine-normalization Jacobian), adds an L2 term over the rows touched by the
+batch, and applies lazily-updated Adam steps.  Learning rate follows a
 reduce-on-plateau schedule keyed on validation Recall@K, K = ``eval_k``.
 
 A batch of B rows of K items, touching n_u unique users and n_i unique items,
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data import CSRRows, InteractionDataset, _atomic_write, make_validation_split
+from .data import InteractionDataset, _atomic_write, make_validation_split
 from .losses import (DEBIASED_KINDS, LOSS_KINDS, LOSS_TABLE, ScoreBundle, check_loss_params,
                      debias_params, evaluate_loss, positive_prior_all)
 from .sampling import BatchSampler, SamplerConfig, substream
@@ -184,7 +184,7 @@ def batch_objective(
     model: ScoringModel,
     users: np.ndarray,
     pos_items: np.ndarray,
-    neg_items: np.ndarray | None,
+    neg_items: np.ndarray,
     extra_items: np.ndarray | None,
     kind: str,
     loss_params: dict | None = None,
@@ -202,23 +202,25 @@ def batch_objective(
     GATHER_BUDGET bytes of gathered item rows at a time, so it never holds a
     (B, K, d) block, and back-propagated through sparse products.  Both paths
     share the loss call, the cosine projection, the norm floor and the L2
-    term.  An empty batch, an id outside the model's users or items, or
-    extra_items for a kind outside DEBIASED_KINDS raises ValueError.
+    term.  neg_items is (B, N) with N >= 1, as the trainer's sampler draws;
+    None or zero columns, an empty batch, an id outside the model's users or
+    items, or extra_items for a kind outside DEBIASED_KINDS raises ValueError.
     """
     users = np.asarray(users)
     b = len(users)
     if b == 0:
         raise ValueError("batch_objective got an empty batch (users has length 0)")
+    if neg_items is None or np.size(neg_items) == 0:
+        raise ValueError(f"batch_objective needs neg_items, a (B, N) array with N >= 1, got "
+                         f"{None if neg_items is None else np.shape(neg_items)}")
     if extra_items is not None and kind not in DEBIASED_KINDS:
         raise ValueError(f"batch_objective got extra_items for {kind!r}, which reads none; "
                          f"only {', '.join(DEBIASED_KINDS)} score extra positives")
     # one (B, K) item matrix: column 0 the positive, then negatives, then extra positives
-    items = np.concatenate(
-        [np.reshape(pos_items, (b, 1))] + [a for a in (neg_items, extra_items) if a is not None],
-        axis=1,
-    )
+    parts = [np.reshape(pos_items, (b, 1)), neg_items]
+    items = np.concatenate(parts if extra_items is None else parts + [extra_items], axis=1)
     k = items.shape[1]
-    neg_end = 1 if neg_items is None else 1 + neg_items.shape[1]
+    neg_end = 1 + neg_items.shape[1]
     _check_ids("users", users, model.num_users, "users")
     for name, cols in (("positives", items[:, :1]), ("negatives", items[:, 1:neg_end]),
                        ("extras", items[:, neg_end:])):
@@ -397,10 +399,14 @@ def adam_step(model: ScoringModel, state: OptimizerState, grads: GradBundle, lr:
 
 @dataclass
 class TrainConfig:
+    """One MF run.  Every loss kind trains on N >= 1 negatives per pair drawn by
+    ``sampler``, whose default, one uniform draw, is the CLI's; ``mode`` None
+    takes the kind's scoring mode from ``losses.LOSS_TABLE``."""
+
     embedding_dim: int = 64
     loss: str = LOSS_KINDS[0]
     loss_params: dict = field(default_factory=dict)
-    sampler: SamplerConfig | None = None
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     batch_size: int = 512
     initial_lr: float = 1e-4
     plateau_factor: float = 0.5
@@ -427,12 +433,12 @@ class TrainConfig:
             raise ValueError("min_lr must be below initial_lr")
         if self.l2_weight < 0:
             raise ValueError("l2_weight must be non-negative")
-        if self.sampler is None and LOSS_TABLE[self.loss].sampled:
-            self.sampler = SamplerConfig(kind="uniform_all_items")
+        if not isinstance(self.sampler, SamplerConfig):
+            raise ValueError(f"sampler must be a SamplerConfig, got {self.sampler!r}")
         if self.loss in DEBIASED_KINDS:
-            if self.sampler is None or self.sampler.m_positives < 1:
+            if self.sampler.m_positives < 1:
                 raise ValueError(f"{self.loss} needs a sampler with m_positives >= 1")
-        elif self.sampler is not None and self.sampler.m_positives > 0:
+        elif self.sampler.m_positives > 0:
             raise ValueError(f"{self.loss} reads no extra positives; set sampler.m_positives to "
                              f"0 (got {self.sampler.m_positives}) or use one of "
                              f"{', '.join(DEBIASED_KINDS)}")
@@ -460,7 +466,7 @@ def train_epoch(
     if len(pairs) == 0:
         raise ValueError("dataset has no train interactions")
     order = rng.permutation(len(pairs))
-    sampler = BatchSampler(ds, cfg.sampler, rng) if cfg.sampler is not None else None
+    sampler = BatchSampler(ds, cfg.sampler, rng)
     if tau_all is None:
         tau_all = _tau_vector(ds, cfg)
     lr = cfg.initial_lr if lr is None else lr
@@ -469,12 +475,8 @@ def train_epoch(
     for start in range(0, len(pairs), cfg.batch_size):
         chunk = pairs[order[start:start + cfg.batch_size]]
         users, pos = chunk[:, 0], chunk[:, 1]
-        negs = sampler.negatives(users) if sampler is not None else None
-        extras = (
-            sampler.extra_positives(users)
-            if sampler is not None and cfg.sampler.m_positives > 0
-            else None
-        )
+        negs = sampler.negatives(users)
+        extras = sampler.extra_positives(users) if cfg.sampler.m_positives > 0 else None
         tau = tau_all[users] if tau_all is not None else None
         grads = batch_objective(
             model, users, pos, negs, extras,
@@ -552,20 +554,14 @@ class TrainingHistory:
                 fh.write(f"{r.epoch},{r.loss:.10g},{r.val_recall:.10g},{r.val_ndcg:.10g},{r.lr:.10g}\n")
 
 
-def fit(
-    ds: InteractionDataset,
-    cfg: TrainConfig,
-    val_positives: CSRRows | list[np.ndarray] | None = None,
-) -> tuple[ScoringModel, TrainingHistory]:
+def fit(ds: InteractionDataset, cfg: TrainConfig) -> tuple[ScoringModel, TrainingHistory]:
     """Train with plateau scheduling; returns the best-validation snapshot.
 
-    When ``val_positives`` is None a fraction of each user's train items is
-    held out for validation and the model is trained on the remainder.
+    A ``cfg.val_fraction`` share of each user's train items, drawn from
+    ``cfg.seed``, is held out for validation and the model is trained on the
+    remainder.
     """
-    if val_positives is None:
-        train_ds, val_positives = make_validation_split(ds, cfg.val_fraction, cfg.seed)
-    else:
-        train_ds = ds
+    train_ds, val_positives = make_validation_split(ds, cfg.val_fraction, cfg.seed)
     model = init_model(
         train_ds.num_users, train_ds.num_items, cfg.embedding_dim,
         seed=cfg.seed, init_std=cfg.init_std,

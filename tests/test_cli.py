@@ -505,7 +505,6 @@ class TestSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.delenv("RECLOSS_THREADS", raising=False)
         assert main(["sweep", *SYNTH, *FAST, "--axis", "train.initial_lr",
                      "--values", "0.05,0.1", "--set", "threads=5",
                      "--output", str(tmp_path / "p")]) == 0
@@ -624,6 +623,7 @@ class TestSettingErrors:
         (["train", "--set", "train.batch_size=0"], "batch_size must be >= 1"),
         (["sweep", "--axis", "train.batch_size", "--values", "0"], "batch_size must be >= 1"),
         (["solve", "--model", "ials", "--lambda", "-1"], "linear.lambda"),
+        (["solve", "--model", "ials-debiased", "--alpha0", "1.5"], "linear.alpha0"),
     ])
     def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
                                                           capsys):

@@ -1,4 +1,4 @@
-"""Config resolution: precedence, strict keys, presets, env thread cap."""
+"""Config resolution: precedence, strict keys, presets, the thread count."""
 
 import json
 import re
@@ -9,7 +9,6 @@ from recloss.cli import _flag_overrides, build_parser
 from recloss.config import (
     DEFAULTS,
     PRESETS,
-    THREADS_ENV_VAR,
     ConfigError,
     apply_override,
     deep_merge,
@@ -102,6 +101,13 @@ class TestRunBuilders:
         assert (cfg.seed, cfg.eval_k) == (doc["seed"], doc["eval"]["k"])
         assert all(getattr(cfg, key) == value for key, value in doc["train"].items())
 
+    @pytest.mark.parametrize("kind", ["bpr", "softmax", "infonce", "infonce_plus", "dcl",
+                                      "mine", "mine_plus", "ccl", "mse"])
+    def test_library_default_sampler_is_the_clis(self, kind):
+        # a kind that reads no extra positives trains on the same sampler however it is built
+        cli = train_config(resolve_config(overrides=[f"loss.kind={kind}"]))
+        assert TrainConfig(loss=kind).sampler == cli.sampler == SamplerConfig()
+
     def test_ials_config_builds_for_the_defaults(self):
         assert ials_config(resolve_config()) == IALSConfig(
             d=64, alpha0=0.1, lam=100.0, nu=1.0, c_u=1.0, num_sweeps=10, seed=0)
@@ -125,6 +131,15 @@ class TestRunBuilders:
         assert all(key in message for key in keys)
         # no IALSConfig field name is left bare
         assert not re.search(r"(?<![.\w])(lam|num_sweeps|d|alpha0|c_u)\b", message)
+
+    def test_ials_debiased_needs_alpha0_below_one(self):
+        # plain iALS takes any alpha0 >= 0; the debiased solves weight observed terms by 1 - alpha0
+        plain = resolve_config(overrides=["linear.model=ials", "linear.alpha0=1.5"])
+        assert ials_config(plain).alpha0 == 1.5
+        debiased = resolve_config(overrides=["linear.model=ials-debiased", "linear.alpha0=1.0"])
+        message = r"^ials-debiased requires linear\.alpha0 < 1, got 1\.0$"
+        with pytest.raises(ConfigError, match=message):
+            ials_config(debiased)
 
 
 class TestValueTypes:
@@ -407,38 +422,22 @@ class TestPresets:
             resolve_config(preset=name)
 
 
-class TestThreadCap:
-    def test_env_caps_threads(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        cfg = resolve_config(overrides=["threads=8"])
-        assert cfg["threads"] == 2
-
-    def test_env_does_not_raise_threads(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "8")
-        cfg = resolve_config(overrides=["threads=2"])
-        assert cfg["threads"] == 2
-
+class TestThreads:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_refused(self, threads):
         with pytest.raises(ConfigError, match=f"'threads' must be >= 1, got {threads}"):
             resolve_config(overrides=[f"threads={threads}"])
 
+    @pytest.mark.parametrize("env", ["2", "0", "lots"])
+    def test_environment_does_not_change_threads(self, monkeypatch, env):
+        # the same overrides resolve to the same config whatever the environment holds
+        monkeypatch.setenv("RECLOSS_THREADS", env)
+        assert resolve_config(overrides=["threads=8"])["threads"] == 8
+        assert resolve_config()["threads"] == DEFAULTS["threads"]
+
     def test_sweep_workers_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'sweep.workers'"):
             resolve_config(overrides=["sweep.workers=2"])
-
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_env_below_one_refused(self, monkeypatch, cap):
-        monkeypatch.setenv(THREADS_ENV_VAR, cap)
-        with pytest.raises(ConfigError, match=f"^{THREADS_ENV_VAR} must be >= 1, got {cap}$"):
-            resolve_config(overrides=["threads=4"])
-        with pytest.raises(ConfigError, match=f"^{THREADS_ENV_VAR} must be >= 1, got {cap}$"):
-            resolve_config()
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "lots")
-        with pytest.raises(ConfigError, match="integer"):
-            resolve_config()
 
 
 class TestWriteResolved:

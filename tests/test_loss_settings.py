@@ -53,7 +53,7 @@ def evaluate(kind, params):
 
 
 def train_config(kind, params):
-    sampler = SamplerConfig(m_positives=1) if kind in DEBIASED_KINDS else None
+    sampler = SamplerConfig(m_positives=1 if kind in DEBIASED_KINDS else 0)
     return TrainConfig(embedding_dim=2, loss=kind, loss_params=params, sampler=sampler)
 
 

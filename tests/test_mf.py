@@ -298,8 +298,8 @@ ORACLE_CASES = [
     # kind, params, mode, n_neg, m_pos, shared negatives
     ("bpr", {}, "dot", 4, 0, False),
     ("infonce", {}, "dot", 5, 0, True),
-    ("mse", {"lambda_neg": 0.5}, "dot", 0, 0, False),
-    ("mse", {"lambda_neg": 0.5}, "cosine", 0, 0, False),
+    ("mse", {"lambda_neg": 0.5}, "dot", 4, 0, False),
+    ("mse", {"lambda_neg": 0.5}, "cosine", 5, 0, False),
     ("mine_plus", {"lambda": 1.1}, "cosine", 6, 0, False),
     ("mine_plus", {"lambda": 1.2}, "cosine", 6, 0, True),
     ("ccl", {"negative_weight": 0.8, "margin": 0.1}, "cosine", 5, 0, False),
@@ -899,25 +899,36 @@ class TestTrainEpoch:
         assert np.array_equal(model.user_embeddings, before.user_embeddings)
         assert np.array_equal(model.item_embeddings, before.item_embeddings)
 
-    def test_mse_runs_without_sampler(self):
+    def test_mse_trains_on_the_clis_default_sampler(self):
+        from recloss.config import resolve_config, train_config
+
+        cfg = TrainConfig(embedding_dim=4, loss="mse", batch_size=8, initial_lr=1e-2)
+        cli = train_config(resolve_config(overrides=["loss.kind=mse"]))
+        assert cfg.sampler == cli.sampler == SamplerConfig()
         ds = make_random_dataset(6, 9, density=0.3, seed=2)
-        cfg = TrainConfig(embedding_dim=4, loss="mse", sampler=None,
-                          batch_size=8, initial_lr=1e-2)
-        assert cfg.sampler is None
         model = init_model(6, 9, 4)
         loss = train_epoch(model, OptimizerState.for_model(model), ds, cfg, np.random.default_rng(0))
         assert math.isfinite(loss)
+        # the trainer never passes batch_objective fewer than one negative per pair
+        with pytest.raises(ValueError, match=r"^sampler must be a SamplerConfig, got None$"):
+            TrainConfig(loss="mse", sampler=None)
+        users = np.arange(3)
+        for negs, got in ((None, "None"), (np.zeros((3, 0), dtype=int), r"\(3, 0\)")):
+            with pytest.raises(ValueError, match=rf"^batch_objective needs neg_items, .* got {got}$"):
+                batch_objective(model, users, users, negs, None, "mse")
 
-    def test_single_cell_converges_to_one(self):
+    def test_single_cell_converges_to_its_optimum(self):
+        # the one negative lands on the positive's cell, so (1 - y)^2 + lambda_neg * y^2
+        # is least at y = 1 / (1 + lambda_neg)
         ds = build_dataset([[0]], [[]], 1)
-        cfg = TrainConfig(embedding_dim=4, loss="mse", sampler=None,
+        cfg = TrainConfig(embedding_dim=4, loss="mse", loss_params={"lambda_neg": 0.25},
                           batch_size=1, initial_lr=0.1)
         model = init_model(1, 1, 4, seed=0)
         state = OptimizerState.for_model(model)
         rng = np.random.default_rng(0)
         for _ in range(200):
             train_epoch(model, state, ds, cfg, rng)
-        assert model.score_block(np.array([0]))[0, 0] == pytest.approx(1.0, abs=1e-2)
+        assert model.score_block(np.array([0]))[0, 0] == pytest.approx(1 / 1.25, abs=1e-2)
 
     def test_l2_shrinks_embedding_norms(self):
         ds = make_random_dataset(15, 20, density=0.25, seed=3)
@@ -1040,26 +1051,25 @@ class TestTrainConfig:
                           loss_params=params, sampler=SamplerConfig(n_negatives=4, m_positives=2))
         assert cfg.loss_params is params and params == {"lambda_n": 2.0}
 
-    # each kind's default scoring mode, and whether it gets the default sampler
-    # when none is set (the debiased kinds need one with m_positives >= 1 either way)
+    # each kind's default scoring mode; every kind but the debiased ones, which
+    # need m_positives >= 1, trains on the default sampler when none is given
     DEFAULT_RULES = {
-        "bpr": ("dot", True), "softmax": ("dot", True), "infonce": ("dot", True),
-        "infonce_plus": ("dot", True), "dcl": ("dot", True), "mine": ("dot", True),
-        "mine_plus": ("cosine", True), "ccl": ("cosine", True), "mse": ("dot", False),
-        "debiased_infonce": ("dot", True), "debiased_ccl": ("cosine", True),
-        "debiased_mse": ("dot", True),
+        "bpr": "dot", "softmax": "dot", "infonce": "dot", "infonce_plus": "dot", "dcl": "dot",
+        "mine": "dot", "mine_plus": "cosine", "ccl": "cosine", "mse": "dot",
+        "debiased_infonce": "dot", "debiased_ccl": "cosine", "debiased_mse": "dot",
     }
 
     def test_default_mode_and_sampler_of_every_kind(self):
         from recloss import DEBIASED_KINDS, LOSS_KINDS
 
         assert set(self.DEFAULT_RULES) == set(LOSS_KINDS)
-        for kind, (mode, sampled) in self.DEFAULT_RULES.items():
-            sampler = SamplerConfig(m_positives=2) if kind in DEBIASED_KINDS else None
-            cfg = TrainConfig(embedding_dim=4, loss=kind, sampler=sampler)
+        for kind, mode in self.DEFAULT_RULES.items():
+            if kind in DEBIASED_KINDS:
+                cfg = TrainConfig(embedding_dim=4, loss=kind, sampler=SamplerConfig(m_positives=2))
+            else:
+                cfg = TrainConfig(embedding_dim=4, loss=kind)
+                assert cfg.sampler == SamplerConfig(), kind
             assert cfg.mode == mode, kind
-            if kind not in DEBIASED_KINDS:
-                assert cfg.sampler == (SamplerConfig() if sampled else None), kind
 
     def test_every_field_has_a_default(self):
         cfg = TrainConfig()
@@ -1104,25 +1114,24 @@ class TestFit:
         reduced, val = make_validation_split(ds, cfg.val_fraction, cfg.seed)
         best = history.best_epoch()
         res = evaluate(model, reduced, val, k=cfg.eval_k)
+        assert len(history.records) == cfg.max_epochs and model.num_users == ds.num_users
         assert res.recall == pytest.approx(best.val_recall, abs=1e-12)
         assert best.val_recall == max(r.val_recall for r in history.records)
+
+    @pytest.mark.parametrize("val_fraction, seed", [(0.2, 11), (0.4, 5)])
+    def test_validation_split_follows_config(self, val_fraction, seed):
+        # fit takes no validation lists; it holds out cfg.val_fraction drawn from cfg.seed
+        ds = self.small_ds()
+        cfg = self.cfg(max_epochs=2, val_fraction=val_fraction, seed=seed)
+        model, history = fit(ds, cfg)
+        reduced, val = make_validation_split(ds, val_fraction, seed)
+        res = evaluate(model, reduced, val, k=cfg.eval_k)
+        assert res.recall == pytest.approx(history.best_epoch().val_recall, abs=1e-12)
+        with pytest.raises(TypeError, match="val_positives"):
+            fit(ds, cfg, val_positives=val)
 
     def test_lr_non_increasing(self):
         ds = self.small_ds()
         _, history = fit(ds, self.cfg(max_epochs=10, plateau_patience=1))
         lrs = [r.lr for r in history.records]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_explicit_validation_lists(self):
-        ds = self.small_ds()
-        val = [np.array([0]) if len(t) else np.empty(0, dtype=np.int64)
-               for t in ds.train_positives]
-        # user 0's list may contain 0 already; build a clean holdout instead
-        val = []
-        for items in ds.train_positives:
-            val.append(items[:1])
-        stripped = [items[1:] for items in ds.train_positives]
-        train_ds = build_dataset(stripped, list(ds.test_positives), ds.num_items)
-        model, history = fit(train_ds, self.cfg(max_epochs=3), val_positives=val)
-        assert len(history.records) == 3
-        assert model.num_users == ds.num_users
