@@ -16,7 +16,7 @@ import os
 
 from .data import _atomic_write
 from .linear import LINEAR_MODELS, IALSConfig, ease_debiased_fit
-from .losses import check_loss_params, type_fits
+from .losses import check_loss_params, misfit, type_fits
 from .mf import TrainConfig
 from .sampling import SamplerConfig
 from .synthetic import DEFAULT_SYNTHETIC_KIND, SYNTHETIC_KINDS
@@ -151,7 +151,7 @@ def _check_keys(cfg: dict, template: dict, path: str = "") -> None:
             if here != "loss.params":  # checked against the loss kind
                 _check_keys(value, default, here + ".")
         elif not type_fits(value, default):
-            raise ConfigError(f"config key {here!r} must be {type(default).__name__}, got {value!r}")
+            raise ConfigError(misfit(here, value, default))
 
 
 def _check_synthetic(synth) -> None:

@@ -9,9 +9,9 @@ then one C pass (``np.fromstring``) reads every token.  There is no fallback.
 
 In memory each partition is one pair of CSR arrays (:class:`CSRRows`):
 user u's items are ``indices[indptr[u]:indptr[u + 1]]``, sorted and
-duplicate-free.  Every consumer reads those two arrays; the linear models
-take them as a scipy CSR matrix (``train_csr``), the one call that imports
-scipy.sparse here.
+duplicate-free.  Every consumer reads those two arrays; EASE takes them as
+a scipy CSR matrix (``train_csr``), the one call that imports scipy.sparse
+here.
 """
 
 from __future__ import annotations

@@ -7,17 +7,17 @@ a rescaled original solution with mapped hyperparameters — one comparison
 runs the two closed forms side by side, the other pits the closed form
 against scipy.optimize's L-BFGS-B, imported only inside that oracle.
 
-iALS reads one binary scipy CSR (its transpose is the item side).  One row
-solver serves both half-sweeps and both sides of Theorem 1: it rotates the
-fixed factors into the eigenbasis of the shared Gram once, then solves the
-rows of each length together, a row of L <= d entries through an L x L
-system.  The objective sums its observed terms over the CSR entries in
-fixed-size chunks.
+iALS reads a dataset's own train rows (data.CSRRows), or a matrix turned into
+such rows once per call; their transpose is the item side.  One row solver
+serves both half-sweeps and both sides of Theorem 1: it rotates the fixed
+factors into the eigenbasis of the shared Gram once, then solves each length's
+rows together, a row of L <= d entries through an L x L system.  The objective
+sums its observed terms over the entries in fixed-size chunks.
 EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
 the item Gram otherwise (_ease_plan), by LAPACK potrf + potri imported in
 _inverse_gram; it returns only the weights W.  scipy.sparse, too, is imported
-only where a CSR is built: in _interactions and _ease_solve (and in the
-dataset's train_csr).
+only where a scipy matrix is read or built: in _interactions for a matrix
+input, and in _ease_solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import CSRRows, InteractionDataset
 from .mf import GATHER_BUDGET
 from .sampling import substream
 
@@ -51,21 +51,25 @@ _CHUNK_FLOATS = GATHER_BUDGET // 8
 _GRAM_ROWS = 64
 
 
-def _interactions(source) -> sp.csr_matrix:
-    """Binary user x item CSR of a dataset's train pairs, or a copy of a 2-d
-    matrix's nonzeros with duplicates summed and stored zeros dropped, where
-    a negative or non-finite entry is an error."""
+def _interactions(source) -> InteractionDataset:
+    """The dataset whose train rows iALS reads: a dataset itself, or one with no
+    test pairs whose train rows are a 2-d matrix's nonzeros, duplicates summed
+    (nonzero() skips stored zeros), where a negative or non-finite entry is an error."""
     if isinstance(source, InteractionDataset):
-        return source.train_csr()
+        return source
     if np.ndim(source) != 2:
         raise ValueError("interaction matrix must be 2-d")
     import scipy.sparse as sp
     X = sp.csr_matrix(source, dtype=float, copy=True)
     X.sum_duplicates()
     _refuse_entries(X, np.isfinite(X.data) & (X.data >= 0), "finite and non-negative")
-    X.eliminate_zeros()
-    X.data[:] = 1.0
-    return X
+    return InteractionDataset.from_pairs(*X.shape, X.nonzero(), ((), ()))
+
+
+def _transpose(ds: InteractionDataset) -> CSRRows:
+    """The item side of a dataset's train rows: item i's row lists its users."""
+    return CSRRows.from_pairs(ds.train_positives.indices, ds.train_positives.row_ids(),
+                              ds.num_items, ds.num_users)
 
 
 def _refuse_entries(X: sp.csr_matrix, ok: np.ndarray, rule: str) -> None:
@@ -77,11 +81,10 @@ def _refuse_entries(X: sp.csr_matrix, ok: np.ndarray, rule: str) -> None:
                          f"{X.data[bad[0]]}; entries must be {rule}")
 
 
-def _ridge_weights(X: sp.csr_matrix, lam: float, alpha0: float, nu: float):
+def _ridge_weights(ds: InteractionDataset, lam: float, alpha0: float, nu: float):
     """lam (|S| + alpha0 * other side's size)^nu per user and per item."""
-    num_users, num_items = X.shape
-    per_user = np.diff(X.indptr) + alpha0 * num_items
-    per_item = np.bincount(X.indices, minlength=num_items) + alpha0 * num_users
+    per_user = ds.train_positives.lengths + alpha0 * ds.num_items
+    per_item = ds.item_popularity + alpha0 * ds.num_users
     return lam * per_user**nu, lam * per_item**nu
 
 
@@ -99,9 +102,9 @@ class IALSConfig:
     def __post_init__(self):
         if self.d < 1 or self.num_sweeps < 1:
             raise ValueError("d and num_sweeps must be >= 1")
-        if self.alpha0 < 0 or self.lam <= 0:
+        if not (self.alpha0 >= 0 and self.lam > 0):
             raise ValueError("alpha0 must be non-negative and lam positive")
-        if np.any(np.asarray(self.c_u) <= 0):
+        if not np.all(np.asarray(self.c_u) > 0):
             raise ValueError("c_u must be positive")
 
 
@@ -118,38 +121,38 @@ class IALSState:
 def ials_objective(W, H, source, cfg: IALSConfig, debiased: bool = False) -> float:
     """The alternating-least-squares objective (debiased variant reweights
     observed terms by c_u and subtracts c_u * alpha0 * yhat^2 on them)."""
-    X = _interactions(source)
-    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), X.shape[:1])
+    ds = _interactions(source)
+    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (ds.num_users,))
     # alpha0 * ||W H^T||_F^2 without materializing the full prediction grid
     total = cfg.alpha0 * float(np.sum((W @ (H.T @ H)) * W))
-    users = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    users = ds.train_positives.row_ids()
     step = max(1, _CHUNK_FLOATS // W.shape[1])
-    for lo in range(0, X.nnz, step):
-        u, i = users[lo:lo + step], X.indices[lo:lo + step]
+    for lo in range(0, len(users), step):
+        u, i = users[lo:lo + step], ds.train_positives.indices[lo:lo + step]
         yhat = np.einsum("ij,ij->i", W[u], H[i])
         terms = (yhat - 1.0) ** 2
         if debiased:
             terms -= cfg.alpha0 * yhat**2
             terms *= c[u]
         total += float(np.sum(terms))
-    lam_u, lam_i = _ridge_weights(X, cfg.lam, cfg.alpha0, cfg.nu)
+    lam_u, lam_i = _ridge_weights(ds, cfg.lam, cfg.alpha0, cfg.nu)
     return total + float(lam_u @ np.sum(W**2, axis=1)) + float(lam_i @ np.sum(H**2, axis=1))
 
 
-def _require_definite(A: np.ndarray, rows: np.ndarray, kind: str) -> None:
-    """Raise LinAlgError naming the first of rows whose system in A is not
-    positive definite (Cholesky fails); A stacks one d x d system per row."""
-    for row, system in zip(rows.tolist(), A):
+def _require_definite(A: np.ndarray, rows: np.ndarray, lams, count: int, kind: str) -> None:
+    """Raise LinAlgError naming the first of rows whose Cholesky fails, its ridge
+    weight in lams and its count of interactions; A stacks one d x d system per row."""
+    for row, system, lam in zip(rows.tolist(), A, lams.tolist()):
         try:
             np.linalg.cholesky(system)
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(
-                f"ridge system of {kind} {row} is not positive definite; "
-                "its lambda must be positive and its inputs finite"
+                f"ridge system of {kind} {row} is not positive definite: its ridge weight is "
+                f"{lam:g} over {count} interactions; with none, it is positive only for alpha0 > 0"
             ) from None
 
 
-def _solve_rows(R: sp.csr_matrix, fixed: np.ndarray, gram: np.ndarray, lams, kind: str,
+def _solve_rows(R: CSRRows, fixed: np.ndarray, gram: np.ndarray, lams, kind: str,
                 a_scale=1.0, b_scale=1.0, conf: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """For each row r of R, with S its stored columns and M = fixed, solve
@@ -167,13 +170,13 @@ def _solve_rows(R: sp.csr_matrix, fixed: np.ndarray, gram: np.ndarray, lams, kin
     otherwise the d x d normal equations are solved.  Only a row with some
     k <= 0 can be indefinite; its system is checked by Cholesky first.
     """
-    n, d = R.shape[0], fixed.shape[1]
+    n, d = len(R), fixed.shape[1]
     if not np.all(np.isfinite(gram)):
         raise FloatingPointError(f"iALS {kind} solves got non-finite fixed factors")
     evals, Q = np.linalg.eigh(gram)
     rotated = fixed @ Q
     lams, a_scale, b_scale = (np.broadcast_to(v, (n,)) for v in (lams, a_scale, b_scale))
-    counts = np.diff(R.indptr)
+    counts = R.lengths
     order = np.argsort(counts, kind="stable")
     bounds = [*np.flatnonzero(np.diff(counts[order], prepend=-1)).tolist(), n]
     solved = np.zeros((n, d))
@@ -204,7 +207,7 @@ def _solve_rows(R: sp.csr_matrix, fixed: np.ndarray, gram: np.ndarray, lams, kin
                     A = Vt @ V
                     A.reshape(len(rows), -1)[:, :: d + 1] += k
                     if not definite:
-                        _require_definite(A, rows, kind)
+                        _require_definite(A, rows, lams[rows], L, kind)
                     solved[rows] = np.linalg.solve(A, Vt @ w[..., None])[..., 0]
         x = solved @ Q.T
         x_gram = x.T @ x
@@ -226,23 +229,23 @@ def ials_fit(source, cfg: IALSConfig, debiased: bool = False) -> IALSState:
     """
     if debiased and cfg.alpha0 >= 1:
         raise ValueError("debiased mode requires alpha0 < 1")
-    X = _interactions(source)
-    by_item = X.T.tocsr()
-    num_users, num_items = X.shape
-    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (num_users,))
+    # a matrix is converted and checked once, and each objective reads the result
+    ds = _interactions(source)
+    by_user, by_item = ds.train_positives, _transpose(ds)
+    c = np.broadcast_to(np.asarray(cfg.c_u, dtype=float), (ds.num_users,))
     rng = substream(cfg.seed, "init")
-    W = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(num_users, cfg.d))
-    H = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(num_items, cfg.d))
-    lam_u, lam_i = _ridge_weights(X, cfg.lam, cfg.alpha0, cfg.nu)
+    W = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(ds.num_users, cfg.d))
+    H = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.d), size=(ds.num_items, cfg.d))
+    lam_u, lam_i = _ridge_weights(ds, cfg.lam, cfg.alpha0, cfg.nu)
     user_a, user_b = (c * (1.0 - cfg.alpha0), c) if debiased else (1.0, 1.0)
     item_a, item_conf = (1.0 - cfg.alpha0, c) if debiased else (1.0, None)
 
-    trace = [ials_objective(W, H, X, cfg, debiased)]
+    trace = [ials_objective(W, H, ds, cfg, debiased)]
     gram = H.T @ H
     for _ in range(cfg.num_sweeps):
-        W, gram = _solve_rows(X, H, cfg.alpha0 * gram, lam_u, "user", user_a, user_b)
+        W, gram = _solve_rows(by_user, H, cfg.alpha0 * gram, lam_u, "user", user_a, user_b)
         H, gram = _solve_rows(by_item, W, cfg.alpha0 * gram, lam_i, "item", item_a, 1.0, item_conf)
-        trace.append(ials_objective(W, H, X, cfg, debiased))
+        trace.append(ials_objective(W, H, ds, cfg, debiased))
     return IALSState(W, H, trace)
 
 
@@ -373,9 +376,6 @@ def check_theorem1(
     alpha0: float,
     c_u: float,
     lam: float = 0.01,
-    nu: float = 1.0,
-    lambda_users: np.ndarray | None = None,
-    lambda_items: np.ndarray | None = None,
     seed: int = 0,
 ) -> float:
     """Debiased iALS closed form vs rescaled original closed form, per row.
@@ -383,29 +383,24 @@ def check_theorem1(
     With constant c_u, the debiased user solve
       (c_u(1-a0) H_S H_S^T + a0 H H^T + lam_u I)^{-1} H_S sqrt(c_u) 1
     must equal 1/(sqrt(c_u)(1-a0)) times the original solve run with
-    a0' = a0/((1-a0)c_u) and lam_u' = lam_u/((1-a0)c_u).  Returns the max
-    relative deviation over all user and item rows, both sides computed by
-    independent factorizations.
+    a0' = a0/((1-a0)c_u) and lam_u' = lam_u/((1-a0)c_u), at ials_fit's ridge weights
+    with nu = 1, as `recloss verify` checks.  Returns the max relative deviation
+    over all user and item rows, both sides computed by independent factorizations.
     """
-    if not 0 < alpha0 < 1:
-        raise ValueError("theorem premise needs 0 < alpha0 < 1")
-    if c_u <= 0:
-        raise ValueError("theorem premise needs constant c_u > 0")
-    R = _interactions(X)
+    if not (0 < alpha0 < 1 and c_u > 0):
+        raise ValueError(f"theorem premise needs 0 < alpha0 < 1 and constant c_u > 0, "
+                         f"got alpha0 = {alpha0} and c_u = {c_u}")
+    ds = _interactions(X)
     rng = substream(seed, "init")
-    H = rng.normal(0.0, 1.0 / np.sqrt(d), size=(R.shape[1], d))
-    W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(R.shape[0], d))
-    default_u, default_i = _ridge_weights(R, lam, alpha0, nu)
-    lam_u = default_u if lambda_users is None else np.asarray(lambda_users, dtype=float)
-    lam_i = default_i if lambda_items is None else np.asarray(lambda_items, dtype=float)
-    for name, lams, rows in (("lambda_users", lam_u, R.shape[0]), ("lambda_items", lam_i, R.shape[1])):
-        if lams.shape != (rows,):
-            raise ValueError(f"{name} has length {lams.size}; expected {rows}")
+    H = rng.normal(0.0, 1.0 / np.sqrt(d), size=(ds.num_items, d))
+    W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(ds.num_users, d))
+    lam_u, lam_i = _ridge_weights(ds, lam, alpha0, 1.0)
 
     scale = 1.0 / ((1.0 - alpha0) * c_u)
     factor = 1.0 / (np.sqrt(c_u) * (1.0 - alpha0))
     worst = 0.0
-    for kind, rows, fixed, lams in (("user", R, H, lam_u), ("item", R.T.tocsr(), W, lam_i)):
+    for kind, rows, fixed, lams in (("user", ds.train_positives, H, lam_u),
+                                    ("item", _transpose(ds), W, lam_i)):
         gram = fixed.T @ fixed
         debiased, _ = _solve_rows(rows, fixed, alpha0 * gram, lams, kind, c_u * (1.0 - alpha0), np.sqrt(c_u))
         original, _ = _solve_rows(rows, fixed, (alpha0 * scale) * gram, lams * scale, kind)
@@ -442,21 +437,18 @@ def _debiased_ease_oracle(X: np.ndarray, lam: float, alpha: float) -> np.ndarray
     return unpack(res.x)
 
 
-def check_theorem2(X: np.ndarray, lam: float, alpha: float,
-                   run_oracle: bool = True) -> tuple[float, float]:
+def check_theorem2(X: np.ndarray, lam: float, alpha: float) -> tuple[float, float]:
     """Debiased EASE vs (a) rescaled original EASE and (b) an optimizer oracle.
 
     (a) compares ease_debiased_fit(X, lam, alpha).W with
     ease_fit(X, lam/(1-alpha)).W / (1-alpha) entrywise; (b) compares against
-    the L-BFGS minimizer of the debiased objective (skippable for speed).
-    Returns (scale_deviation, oracle_deviation).
+    the L-BFGS minimizer of the debiased objective, which always runs, as in
+    `recloss verify`, so X may have at most 8 items.  Returns
+    (scale_deviation, oracle_deviation).
     """
+    if X.shape[1] > 8:
+        raise ValueError("optimizer oracle is limited to at most 8 items")
     debiased = ease_debiased_fit(X, lam, alpha).W
     rescaled = ease_fit(X, lam / (1.0 - alpha)).W / (1.0 - alpha)
-    scale_dev = _rel_deviation(debiased, rescaled)
-    oracle_dev = 0.0
-    if run_oracle:
-        if X.shape[1] > 8:
-            raise ValueError("optimizer oracle is limited to at most 8 items")
-        oracle_dev = _rel_deviation(debiased, _debiased_ease_oracle(X, lam, alpha))
-    return scale_dev, oracle_dev
+    return (_rel_deviation(debiased, rescaled),
+            _rel_deviation(debiased, _debiased_ease_oracle(X, lam, alpha)))

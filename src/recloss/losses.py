@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -485,22 +486,29 @@ PARAM_DEFAULTS = _param_defaults()
 
 
 def type_fits(value, default) -> bool:
-    """A value fits the type of its key's default: an int passes for a
-    float, a bool only for a bool, and a None default takes anything."""
+    """A value fits the type of its key's default: a finite int or float fits a
+    float, only a bool fits a bool, and anything fits a None default."""
     if default is None:
         return True
     if isinstance(value, bool) or isinstance(default, bool):
         return type(value) is type(default)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, type(default))
+
+
+def misfit(key: str, value, default) -> str:
+    """The refusal of a config key's value that does not fit its default."""
+    rule = ("finite" if type(value) in (int, float) and isinstance(default, float)
+            else type(default).__name__)
+    return f"config key {key!r} must be {rule}, got {value!r}"
 
 
 def check_loss_params(kind: str, params: dict) -> None:
     """Refuse, by name, an unknown loss kind, a loss.params key it does not
-    take, a value that does not fit the type of the key's default, a float
-    that is not finite, or a value outside the range that the kind's kernel
-    or DebiasParams accepts.  Empty params are the kernel's own defaults, so
+    take, a value that does not fit the type of the key's default (type_fits),
+    or a value outside the range that the kind's kernel or DebiasParams
+    accepts.  Empty params are the kernel's own defaults, so
     they are not probed, and checking the default config calls no kernel."""
     if kind not in LOSS_TABLE:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
@@ -512,12 +520,8 @@ def check_loss_params(kind: str, params: dict) -> None:
                 f"loss parameter {key!r} is not valid for kind {kind!r} "
                 f"(allowed: {sorted(allowed) or 'none'}){hint}"
             )
-        default = PARAM_DEFAULTS[key]
-        if not type_fits(value, default):
-            raise ValueError(f"config key 'loss.params.{key}' must be {type(default).__name__}, "
-                             f"got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"config key 'loss.params.{key}' must be finite, got {value!r}")
+        if not type_fits(value, PARAM_DEFAULTS[key]):
+            raise ValueError(misfit(f"loss.params.{key}", value, PARAM_DEFAULTS[key]))
     if not params:
         return
     # the kernels own the ranges: one call on a one-score bundle at tau+ = 0.5 applies them

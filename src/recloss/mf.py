@@ -71,7 +71,7 @@ class ScoringModel:
     def __post_init__(self):
         if self.mode not in ("dot", "cosine"):
             raise ValueError("mode must be 'dot' or 'cosine'")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         self.user_embeddings = np.ascontiguousarray(self.user_embeddings, dtype=float)
         self.item_embeddings = np.ascontiguousarray(self.item_embeddings, dtype=float)
@@ -129,7 +129,7 @@ def init_model(
     """Gaussian(0, init_std^2) embeddings, deterministic per seed."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if init_std <= 0:
+    if not init_std > 0:
         raise ValueError("init_std must be positive")
     rng = substream(seed, "init")
     return ScoringModel(
@@ -427,11 +427,12 @@ class TrainConfig:
         for name in ("embedding_dim", "batch_size", "max_epochs", "eval_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ValueError("plateau_factor must lie in (0, 1)")
-        if self.min_lr >= self.initial_lr:
+        for name in ("plateau_factor", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if not self.min_lr < self.initial_lr:
             raise ValueError("min_lr must be below initial_lr")
-        if self.l2_weight < 0:
+        if not self.l2_weight >= 0:
             raise ValueError("l2_weight must be non-negative")
         if not isinstance(self.sampler, SamplerConfig):
             raise ValueError(f"sampler must be a SamplerConfig, got {self.sampler!r}")
@@ -444,6 +445,8 @@ class TrainConfig:
                              f"{', '.join(DEBIASED_KINDS)}")
         if self.mode is None:
             self.mode = LOSS_TABLE[self.loss].mode
+        # an empty model applies init_model's and ScoringModel's own rules
+        init_model(0, 0, self.embedding_dim, self.seed, self.init_std, self.mode, self.temperature)
 
 
 def _tau_vector(ds: InteractionDataset, cfg: TrainConfig) -> np.ndarray | None:

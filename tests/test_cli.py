@@ -624,6 +624,11 @@ class TestSettingErrors:
         (["sweep", "--axis", "train.batch_size", "--values", "0"], "batch_size must be >= 1"),
         (["solve", "--model", "ials", "--lambda", "-1"], "linear.lambda"),
         (["solve", "--model", "ials-debiased", "--alpha0", "1.5"], "linear.alpha0"),
+        (["train", "--set", "train.temperature=0"], "temperature must be positive"),
+        (["train", "--set", "train.mode=foo"], "mode must be 'dot' or 'cosine'"),
+        (["train", "--set", "train.init_std=0"], "init_std must be positive"),
+        (["train", "--set", "train.val_fraction=1.5"], "val_fraction must lie in (0, 1)"),
+        (["train", "--set", "train.l2_weight=NaN"], "'train.l2_weight' must be finite"),
     ])
     def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
                                                           capsys):

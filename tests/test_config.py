@@ -159,6 +159,20 @@ class TestValueTypes:
         with pytest.raises(ConfigError, match=f"'{key}' must be"):
             resolve_config(overrides=["data.synthetic.kind=planted", override])
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize("key", [
+        *(f"{table}.{key}" for table, keys in DEFAULT_DOCUMENT.items() if isinstance(keys, dict)
+          for key, default in keys.items() if isinstance(default, float)),
+        "data.synthetic.density",
+    ])
+    def test_non_finite_float_refused(self, key, value):
+        # JSON reads NaN, Infinity and 1e400 as non-finite floats, and an int literal
+        # beyond the float range as an int; test_loss_settings covers loss.params
+        sets = ["data.synthetic.kind=random", "data.synthetic.num_users=4",
+                "data.synthetic.num_items=5", f"{key}={value}"]
+        with pytest.raises(ConfigError, match=rf"^config key '{re.escape(key)}' must be finite, got"):
+            resolve_config(overrides=sets)
+
     def test_int_accepted_for_float(self):
         cfg = resolve_config(overrides=["train.initial_lr=1", "linear.c_u=2"])
         assert cfg["train"]["initial_lr"] == 1 and cfg["linear"]["c_u"] == 2

@@ -117,7 +117,7 @@ NUMPY_PATHS = PRELUDE + textwrap.dedent("""
 """)
 
 # each call site, run in a fresh process: the code that calls it, and the
-# modules it must load
+# modules it must load; a site that names none must load no scipy module
 CALL_SITES = {
     "sparse batch_objective": ("""
         # 8 users x 24 items touched, twice the 4 B K = 96 the dense block allows
@@ -136,7 +136,27 @@ CALL_SITES = {
         ds = recloss.make_random_dataset(6, 8, density=0.4)
         state = recloss.ials_fit(ds, recloss.IALSConfig(d=2, alpha0=0.1, lam=0.1, num_sweeps=2))
         assert np.isfinite(state.W).all() and np.isfinite(state.H).all()
-    """, ("scipy.sparse",)),
+    """, ()),
+    "ials_objective": ("""
+        ds = recloss.make_random_dataset(6, 8, density=0.4)
+        cfg = recloss.IALSConfig(d=2, alpha0=0.1, lam=0.1)
+        for debiased in (False, True):
+            value = recloss.ials_objective(rng.normal(size=(6, 2)), rng.normal(size=(8, 2)), ds,
+                                           cfg, debiased)
+            assert np.isfinite(value)
+    """, ()),
+    "iALS solve": ("""
+        import tempfile
+        with tempfile.TemporaryDirectory() as out:
+            for model in ("ials", "ials-debiased"):
+                rc = recloss.cli.main(["solve", "--model", model, "--lambda", "0.1", "--d", "4",
+                                       "--sweeps", "2", "--set", "data.synthetic.kind=random",
+                                       "--set", "data.synthetic.num_users=40",
+                                       "--set", "data.synthetic.num_items=60",
+                                       "--set", "data.synthetic.density=0.1",
+                                       "--output", f"{out}/{model}"])
+                assert rc == 0
+    """, ()),
     "ease_fit": ("""
         X = (rng.random((6, 8)) < 0.4).astype(float)
         W = recloss.ease_fit(X, 0.5).W
@@ -151,7 +171,7 @@ CALL_SITES = {
     """, ("scipy.special",)),
     "check_theorem2": ("""
         X = (rng.random((6, 8)) < 0.4).astype(float)
-        scale_dev, oracle_dev = recloss.check_theorem2(X, lam=0.5, alpha=0.4, run_oracle=True)
+        scale_dev, oracle_dev = recloss.check_theorem2(X, lam=0.5, alpha=0.4)
         assert scale_dev < 1e-10 and oracle_dev < 1e-4, (scale_dev, oracle_dev)
     """, ("scipy.optimize", "scipy.sparse", "scipy.linalg")),
 }
@@ -179,5 +199,6 @@ def test_dense_path_and_stats_load_no_scipy(tmp_path):
 def test_each_call_site_loads_what_it_calls(site):
     code, loads = CALL_SITES[site]
     assert set(loads) <= set(DEFERRED)
+    loaded = (f"set({loads!r}) <= set(scipy_loaded())" if loads else "scipy_loaded() == []")
     run_python(PRELUDE + "assert scipy_loaded() == [], scipy_loaded()\n" + textwrap.dedent(code)
-               + f"assert set({loads!r}) <= set(scipy_loaded()), scipy_loaded()\n")
+               + f"assert {loaded}, scipy_loaded()\n")
