@@ -106,6 +106,8 @@ class IALSConfig:
             raise ValueError("alpha0 must be non-negative and lam positive")
         if not np.all(np.asarray(self.c_u) > 0):
             raise ValueError("c_u must be positive")
+        if not (np.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and non-negative, got {self.nu}")
 
 
 @dataclass

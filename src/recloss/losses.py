@@ -12,7 +12,7 @@ temperature the model scores with.
 Exponentials are shifted by the row max or routed through softplus so large
 scores do not overflow; the softmax family takes one such exp pass, whose
 output becomes its partials.  Hinge and clamp subgradients are taken as 0 at
-the kink.  ``bpr`` imports scipy.special's expit only when it is called.
+the kink.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def bpr(b: ScoreBundle) -> LossEvaluation:
 
     value = sum_j log(1 + exp(y_uj - y_ui)), via the stable softplus.
     """
-    from scipy.special import expit
     gaps = b.unlabeled_scores - b.pos_score[..., None]
-    sig = expit(gaps)
+    with np.errstate(over="ignore"):  # exp(-gap) is inf only where the logistic is 0
+        sig = 1.0 / (1.0 + np.exp(-gaps))
     return LossEvaluation(
         value=np.logaddexp(0.0, gaps).sum(axis=-1),
         d_pos=-sig.sum(axis=-1),

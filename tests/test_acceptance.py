@@ -7,6 +7,7 @@ full-size public datasets and several CPU-hours, so it only runs when
 ``RECLOSS_FULL_DATA`` points at a directory holding them.
 """
 
+import json
 import math
 import os
 import time
@@ -37,7 +38,7 @@ from recloss import (
     verify_theorem1,
     verify_theorem2,
 )
-from recloss.config import resolve_config
+from recloss.config import PRESETS, resolve_config, train_config
 from recloss.losses import debiased_infonce
 from recloss.mf import TrainConfig
 from recloss.sampling import SamplerConfig
@@ -48,6 +49,35 @@ from conftest import (FD_PARAMS, FD_TAU, PopularityScorer, fd_max_rel_err, rank_
 def report(cid: str, ok: bool, detail: str) -> None:
     print(f"{cid} {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"{cid}: {detail}"
+
+
+def c10_arms(root: Path, extra: tuple[str, ...] = ()) -> dict:
+    """C10's three fits on the text-layout sets under ``root``, each arm as its
+    resolved config and its recall/NDCG@20: MINE+ at the mine+/gowalla preset,
+    and Debiased CCL at the debiased-ccl/amazon-books preset against a CCL
+    with that preset's settings and no extra positives.  ``extra`` overrides
+    are applied to every arm last."""
+    books = PRESETS["debiased-ccl/amazon-books"]
+    params = books["loss"]["params"]
+    # the biased arm is built from the preset's table rather than on top of the
+    # preset, since an override cannot drop lambda_n from loss.params
+    biased = [f"dataset_name={books['dataset_name']}",
+              *(f"{table}.{key}={json.dumps(value)}"
+                for table in ("train", "sampler") for key, value in books[table].items()),
+              "loss.kind=ccl", f"loss.params.margin={params['margin']}",
+              f"loss.params.negative_weight={params['lambda_n']}", "sampler.m_positives=0"]
+    arms = {"gowalla": ("mine+/gowalla", "gowalla", []),
+            "debiased": ("debiased-ccl/amazon-books", "amazon-books", []),
+            "biased": (None, "amazon-books", biased)}
+    results = {}
+    for name, (preset, subdir, overrides) in arms.items():
+        data = [f"data.train={root / subdir / 'train.txt'}",
+                f"data.test={root / subdir / 'test.txt'}"]
+        cfg = resolve_config(preset=preset, overrides=[*data, *overrides, *extra])
+        ds = load_dataset(cfg["data"]["train"], cfg["data"]["test"])
+        model, _ = fit(ds, train_config(cfg))
+        results[name] = cfg, evaluate(model, ds, k=20)
+    return results
 
 
 def random_binary(rng, users, items, p=0.4):
@@ -301,40 +331,49 @@ class TestAcceptance:
                "directory holding gowalla/ and amazon-books/ to enable",
     )
     def test_c10_full_dataset_targets(self):
-        from recloss.config import train_config
-
-        root = Path(os.environ["RECLOSS_FULL_DATA"])
-
-        def run(preset, subdir, loss_override=None):
-            overrides = [
-                f"data.train={root / subdir / 'train.txt'}",
-                f"data.test={root / subdir / 'test.txt'}",
-            ]
-            cfg = resolve_config(preset=preset, overrides=overrides)
-            if loss_override:
-                cfg["loss"] = loss_override
-            ds = load_dataset(cfg["data"]["train"], cfg["data"]["test"])
-            model, _ = fit(ds, train_config(cfg))
-            return evaluate(model, ds, k=20)
-
-        gowalla = run("mine+/gowalla", "gowalla")
+        arms = c10_arms(Path(os.environ["RECLOSS_FULL_DATA"]))
+        gowalla, debiased, biased = (arms[name][1] for name in ("gowalla", "debiased", "biased"))
         ok_gowalla = (abs(gowalla.recall * 100 - 18.53) <= 0.5
                       and abs(gowalla.ndcg * 100 - 15.70) <= 0.5)
 
-        debiased = run("debiased-ccl/amazon-books", "amazon-books")
-        books_cfg = resolve_config(preset="debiased-ccl/amazon-books")
-        biased = run(
-            "debiased-ccl/amazon-books", "amazon-books",
-            loss_override={
-                "kind": "ccl",
-                "params": {
-                    "margin": books_cfg["loss"]["params"]["margin"],
-                    "negative_weight": books_cfg["loss"]["params"]["lambda_n"],
-                },
-            },
-        )
         ok_books = debiased.recall > biased.recall and debiased.ndcg > biased.ndcg
         report("C10", ok_gowalla and ok_books,
                f"gowalla recall {gowalla.recall * 100:.2f} (target 18.53±0.5) "
                f"ndcg {gowalla.ndcg * 100:.2f} (target 15.70±0.5); amazon-books "
                f"debiased>biased: {ok_books}")
+
+    def test_c10_arms_run_as_the_tables_say(self, tmp_path):
+        # C10's code path in seconds: one epoch per arm on two small planted
+        # sets in the text layout; the targets need the full datasets
+        for subdir, seed in (("gowalla", 1), ("amazon-books", 2)):
+            ds = make_planted_blocks(num_users=100, num_items=150, num_blocks=5, seed=seed).dataset
+            (tmp_path / subdir).mkdir()
+            for name, rows in (("train", ds.train_positives), ("test", ds.test_positives)):
+                lines = [" ".join(map(str, [u, *rows[u]])) for u in range(ds.num_users)]
+                (tmp_path / subdir / f"{name}.txt").write_text("\n".join(lines) + "\n")
+        arms = c10_arms(tmp_path, ("train.max_epochs=1",))
+
+        for cfg, rep in arms.values():
+            assert rep.users_evaluated > 0 and 0 < rep.recall <= 1 and 0 < rep.ndcg <= 1
+        for name, preset in (("gowalla", "mine+/gowalla"),
+                             ("debiased", "debiased-ccl/amazon-books")):
+            cfg = arms[name][0]
+            for table, values in PRESETS[preset].items():
+                if table == "loss":
+                    assert cfg["loss"] == values
+                elif isinstance(values, dict):
+                    assert {key: cfg[table][key] for key in values} == values
+                else:
+                    assert cfg[table] == values
+        # the biased arm is a CCL with the debiased arm's margin and negative
+        # weight, no extra positives, and every other setting the same
+        debiased, biased = arms["debiased"][0], arms["biased"][0]
+        params = debiased["loss"]["params"]
+        assert biased["loss"] == {"kind": "ccl", "params": {
+            "margin": params["margin"], "negative_weight": params["lambda_n"]}}
+        assert biased["sampler"]["m_positives"] == 0 < debiased["sampler"]["m_positives"]
+
+        def rest(cfg):
+            return {**cfg, "loss": None, "sampler": {**cfg["sampler"], "m_positives": None}}
+
+        assert rest(biased) == rest(debiased)

@@ -15,6 +15,7 @@ from recloss.cli import BLAS_ENV_VARS, EVAL_HEADER, main
 from recloss.data import InteractionDataset, load_dataset
 from recloss.linear import EASEScorer, IALSConfig, ease_debiased_fit, ease_fit, ials_fit
 from recloss.metrics import evaluate
+from recloss.mf import ScoringModel
 from recloss.synthetic import synthetic_dataset
 
 TRAIN_TEXT = "0 1 2 3\n1 0 2\n2 3 4\n3 0 4\n"
@@ -40,8 +41,8 @@ FAST = [
 
 
 
-def random_data(users, items):
-    return ["--set", "data.synthetic.kind=random", "--set", "data.synthetic.density=0.3",
+def random_data(users, items, density=0.3):
+    return ["--set", "data.synthetic.kind=random", "--set", f"data.synthetic.density={density}",
             "--set", f"data.synthetic.num_users={users}",
             "--set", f"data.synthetic.num_items={items}"]
 
@@ -231,6 +232,39 @@ class TestEval:
         assert main(["eval", *random_data(20, 50), "--checkpoint", checkpoint]) == 1
         assert "holds 20 users x 30 items but the dataset has 20 users x 50 items" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, data, blocks", [
+        (["--preset", "mine+/gowalla"], random_data(40, 60, 0.1), 1),
+        # debiased_infonce on cosine scores, whose clamp sits at train.temperature
+        (["--set", "loss.kind=debiased_infonce", "--set", "train.mode=cosine",
+          "--set", "train.temperature=0.4", "--set", "sampler.m_positives=2"],
+         random_data(40, 60, 0.1), 1),
+        # 400 users on 12,000 items rank in three 16 MiB score blocks
+        (["--preset", "mine+/gowalla", "--set", "sampler.n_negatives=20"],
+         random_data(400, 12_000, 0.002), 3),
+    ], ids=["mine+/gowalla", "debiased_infonce-cosine", "three-score-blocks"])
+    def test_one_epoch_checkpoint_reads_back(self, flags, data, blocks, tmp_path, capsys,
+                                             monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", *flags, "--set", "train.max_epochs=1", *data,
+                     "--output", str(out)]) == 0
+        train_row = read_eval(out / "eval.csv")
+        capsys.readouterr()
+
+        scored = []  # the users of each block the eval pass scores
+        score_block = ScoringModel.score_block
+
+        def counted(model, users):
+            scored.append(len(users))
+            return score_block(model, users)
+
+        monkeypatch.setattr(ScoringModel, "score_block", counted)
+        assert main(["eval", *data, "--checkpoint", str(out / "checkpoint.bin")]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == EVAL_HEADER
+        eval_row = lines[1].split(",")
+        assert eval_row[3] == train_row[3] and eval_row[6] == train_row[6]
+        assert len(scored) == blocks and sum(scored) == int(eval_row[6])
 
     def test_missing_checkpoint(self, data_dir, tmp_path, capsys):
         rc = main(["eval", "--data-dir", str(data_dir),
@@ -629,6 +663,7 @@ class TestSettingErrors:
         (["train", "--set", "train.init_std=0"], "init_std must be positive"),
         (["train", "--set", "train.val_fraction=1.5"], "val_fraction must lie in (0, 1)"),
         (["train", "--set", "train.l2_weight=NaN"], "'train.l2_weight' must be finite"),
+        (["solve", "--model", "ials", "--set", "linear.nu=-1"], "linear.nu"),
     ])
     def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
                                                           capsys):
@@ -643,6 +678,8 @@ class TestSettingErrors:
         assert err.startswith(line) and named in err
         assert "missing" not in err and "Traceback" not in err
         assert not (out / "eval.csv").exists()
+        # only a sweep, which records the point in sweep.csv, leaves an output directory
+        assert out.exists() == (command[0] == "sweep")
 
     def test_extra_positives_for_a_plain_kind(self, tmp_path, capsys):
         rc = main(["train", *random_data(40, 60), "--set", "sampler.m_positives=2",

@@ -122,6 +122,7 @@ class TestRunBuilders:
         ("linear.sweeps=0", ["linear.sweeps", "linear.d"]),
         ("linear.d=0", ["linear.d", "linear.sweeps"]),
         ("linear.c_u=0", ["linear.c_u"]),
+        ("linear.nu=-1", ["linear.nu"]),
     ])
     def test_ials_config_refusals_name_the_keys(self, override, keys):
         cfg = resolve_config(overrides=[override])  # linear.* ranges are left to the run
@@ -130,7 +131,7 @@ class TestRunBuilders:
         message = str(info.value)
         assert all(key in message for key in keys)
         # no IALSConfig field name is left bare
-        assert not re.search(r"(?<![.\w])(lam|num_sweeps|d|alpha0|c_u)\b", message)
+        assert not re.search(r"(?<![.\w])(lam|num_sweeps|d|alpha0|c_u|nu)\b", message)
 
     def test_ials_debiased_needs_alpha0_below_one(self):
         # plain iALS takes any alpha0 >= 0; the debiased solves weight observed terms by 1 - alpha0

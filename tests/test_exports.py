@@ -4,6 +4,7 @@ in its own ``__all__``, and the package exports their union."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -67,7 +68,7 @@ def test_module_exports_only_what_it_defines(name):
 
 
 # SciPy modules that load at their one call site, not when the package is imported
-DEFERRED = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse")
+DEFERRED = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 PRELUDE = textwrap.dedent("""
     import sys
@@ -96,7 +97,6 @@ NUMPY_PATHS = PRELUDE + textwrap.dedent("""
     assert scipy_loaded() == [], ("import recloss, recloss.cli", scipy_loaded())
     # only a sweep over more than one worker starts a process pool
     assert "multiprocessing" not in sys.modules
-    # the default loss kind is bpr, whose kernel imports scipy.special
     assert config.resolve_config()["loss"]["kind"] == "bpr"
     assert scipy_loaded() == [], ("config.resolve_config()", scipy_loaded())
     ds = recloss.load_dataset(f"{data_dir}/train.txt", f"{data_dir}/test.txt")
@@ -145,6 +145,12 @@ CALL_SITES = {
                                            cfg, debiased)
             assert np.isfinite(value)
     """, ()),
+    "stats on synthetic data": ("""
+        assert recloss.cli.main(["stats", "--set", "data.synthetic.kind=random",
+                                 "--set", "data.synthetic.num_users=40",
+                                 "--set", "data.synthetic.num_items=60",
+                                 "--set", "data.synthetic.density=0.1"]) == 0
+    """, ()),
     "iALS solve": ("""
         import tempfile
         with tempfile.TemporaryDirectory() as out:
@@ -168,7 +174,7 @@ CALL_SITES = {
         gaps = b.unlabeled_scores - b.pos_score[:, None]
         assert np.allclose(ev.value, np.log1p(np.exp(gaps)).sum(axis=1), rtol=1e-14, atol=0)
         assert np.allclose(ev.d_unlabeled, 1 / (1 + np.exp(-gaps)), rtol=1e-14, atol=0)
-    """, ("scipy.special",)),
+    """, ()),
     "check_theorem2": ("""
         X = (rng.random((6, 8)) < 0.4).astype(float)
         scale_dev, oracle_dev = recloss.check_theorem2(X, lam=0.5, alpha=0.4)
@@ -178,7 +184,8 @@ CALL_SITES = {
 
 
 def run_python(code: str, *args: str) -> None:
-    """Run code in a fresh interpreter that imports recloss from this checkout."""
+    """Run code in a fresh interpreter that imports recloss from where this one
+    did: the checkout, or an installed copy when the tests run against one."""
     src = str(Path(recloss.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
@@ -202,3 +209,11 @@ def test_each_call_site_loads_what_it_calls(site):
     loaded = (f"set({loads!r}) <= set(scipy_loaded())" if loads else "scipy_loaded() == []")
     run_python(PRELUDE + "assert scipy_loaded() == [], scipy_loaded()\n" + textwrap.dedent(code)
                + f"assert {loaded}, scipy_loaded()\n")
+
+
+def test_readme_example_runs():
+    # the README's one python block imports from the package's export list
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    run_python(blocks[0])

@@ -265,8 +265,12 @@ class TestIALSConfig:
             IALSConfig(d=2, alpha0=0.1, lam=1.0, c_u=0.0)
         with pytest.raises(ValueError):
             IALSConfig(d=2, alpha0=0.1, lam=1.0, num_sweeps=0)
+        # a negative nu gives a row with no interactions at alpha0 = 0 an infinite ridge weight
+        for nu in (-0.5, float("inf")):
+            with pytest.raises(ValueError, match="^nu must be finite and non-negative"):
+                IALSConfig(d=2, alpha0=0.0, lam=1.0, nu=nu)
 
-    @pytest.mark.parametrize("field", ["alpha0", "lam", "c_u"])
+    @pytest.mark.parametrize("field", ["alpha0", "lam", "c_u", "nu"])
     def test_nan_is_refused(self, field):
         with pytest.raises(ValueError, match=field):
             IALSConfig(**{"d": 2, "alpha0": 0.1, "lam": 1.0, field: float("nan")})

@@ -640,6 +640,79 @@ class TestDebiasedMSE:
             debiased_mse(random_bundle(rng), 0.3)
 
 
+class TestDebiasingIdentity:
+    """One user's whole catalog of n items as the N = n unlabeled scores, all
+    of the user's p true positives as the M = p extras, and tau+ = p / n, with
+    the clamp and the floor off: each debiased kernel then equals its biased
+    kernel over the positive and the n - p true negatives alone, so the
+    estimator removes the false-negative mass exactly.  An item's partial is
+    its unlabeled and extra partials summed (0 for every true positive), plus
+    d_pos for the pair's own positive."""
+
+    @staticmethod
+    def instances(rng, count=200, temperature=0.5):
+        for _ in range(count):
+            n = int(rng.integers(3, 60))
+            positives = np.sort(rng.choice(n, int(rng.integers(1, n)), replace=False))
+            scores = rng.uniform(-1.0, 1.0, n) / temperature  # cosine scores
+            yield scores, positives, int(rng.choice(positives))
+
+    @staticmethod
+    def debiased_partials(ev, positives, i):
+        grads = ev.d_unlabeled.copy()
+        grads[positives] += ev.d_extra_pos
+        grads[i] += ev.d_pos
+        return grads
+
+    @staticmethod
+    def biased_partials(ev, n, negatives, i, pos_scale=1.0, neg_scale=1.0):
+        grads = np.zeros(n)
+        grads[negatives] = neg_scale * ev.d_unlabeled
+        grads[i] = pos_scale * ev.d_pos
+        return grads
+
+    def test_debiased_infonce_is_infonce_over_the_true_negatives(self, rng):
+        # g = (mean_j e^y_j - tau+ mean_k e^y_k) / tau- is the true negatives'
+        # mean e^y, and lambda_n = n - p turns it into their sum
+        for scores, positives, i in self.instances(rng):
+            n, p = len(scores), len(positives)
+            negatives = np.setdiff1d(np.arange(n), positives)
+            got = debiased_infonce(ScoreBundle(scores[i], scores, scores[positives]),
+                                   DebiasParams(lambda_n=n - p, clamp_floor_enabled=False),
+                                   tau_plus=p / n)
+            want = infonce(ScoreBundle(scores[i], scores[negatives]))
+            np.testing.assert_allclose(got.value, want.value, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(self.debiased_partials(got, positives, i),
+                                       self.biased_partials(want, n, negatives, i),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("debiased, biased, psi", [
+        (lambda b, tau, w, m: debiased_ccl(b, tau, lambda_n=w, margin=m),
+         lambda b, w, m: ccl(b, negative_weight=w, margin=m), lambda y: 1.0 - y),
+        (lambda b, tau, w, m: debiased_mse(b, tau, lambda_=w),
+         lambda b, w, m: mse_pointwise(b, lambda_neg=w), lambda y: (1.0 - y) ** 2),
+    ], ids=["debiased_ccl", "debiased_mse"])
+    def test_pointwise_is_tau_weighted_over_the_true_negatives(self, debiased, biased, psi,
+                                                               rng):
+        # value = tau+ psi(y_ui) + tau- (the biased negative term over the true negatives)
+        for scores, positives, i in self.instances(rng):
+            n, p = len(scores), len(positives)
+            negatives = np.setdiff1d(np.arange(n), positives)
+            weight, margin = rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)
+            tau_plus = p / n
+            got = debiased(ScoreBundle(scores[i], scores, scores[positives]), tau_plus,
+                           weight, margin)
+            want = biased(ScoreBundle(scores[i], scores[negatives]), weight, margin)
+            negative_term = want.value - psi(scores[i])
+            np.testing.assert_allclose(got.value,
+                                       tau_plus * psi(scores[i]) + (1 - tau_plus) * negative_term,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(self.debiased_partials(got, positives, i),
+                                       self.biased_partials(want, n, negatives, i,
+                                                            tau_plus, 1 - tau_plus),
+                                       rtol=1e-12, atol=1e-12)
+
+
 class TestBoundChain:
     def test_symmetric_point_exact_slacks(self):
         slacks = bound_chain_slacks(bundle(0.3, [0.3, 0.3]))
