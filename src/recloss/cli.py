@@ -112,11 +112,10 @@ def cmd_eval(cfg: dict, args) -> int:
 def cmd_solve(cfg: dict, args) -> int:
     """Fit a closed-form linear model."""
     lin = cfg["linear"]
-    model_kind = lin["model"]
-    ials_cfg = cfgmod.ials_config(cfg) if model_kind.startswith("ials") else None
+    family, debiased, _ = linear.LINEAR_MODELS[lin["model"]]
+    ials_cfg = cfgmod.solve_config(cfg)  # checked before any data is read
     ds = _load_data(cfg)
-    if ials_cfg is not None:
-        debiased = model_kind.endswith("debiased")
+    if family == "ials":
         fit = linear.ials_fit(ds, ials_cfg, debiased=debiased)
         scorer = weights = mf.ScoringModel(fit.W, fit.H, mode="dot")
         trace = fit.objective_trace
@@ -127,22 +126,19 @@ def cmd_solve(cfg: dict, args) -> int:
     else:
         if ds.num_items > lin["item_budget"]:
             _, need = linear._ease_plan(ds.num_users, ds.num_items, ds.train_interactions)
-            raise ConfigError(
-                f"catalog has {ds.num_items} items, above the dense-solve budget of "
-                f"{lin['item_budget']}; an EASE fit would need about {need / 1e9:.2g} GB. "
-                "Raise linear.item_budget only where that much memory is free"
-            )
+            raise ConfigError(f"catalog has {ds.num_items} items, above the dense-solve budget "
+                              f"of {lin['item_budget']}; an EASE fit would need about "
+                              f"{need / 1e9:.2g} GB. Raise linear.item_budget only where that "
+                              "much memory is free")
         X = ds.train_csr()
-        if model_kind == "ease":
-            sol = linear.ease_fit(X, lin["lambda"])
-        else:
-            sol = linear.ease_debiased_fit(X, lin["lambda"], lin["alpha"])
+        sol = (linear.ease_debiased_fit(X, lin["lambda"], lin["alpha"]) if debiased
+               else linear.ease_fit(X, lin["lambda"]))
         scorer, weights = linear.EASEScorer(ds, sol.W), sol.W
     # the output directory is made only once the fit has succeeded
     os.makedirs(args.output, exist_ok=True)
     ckpt.save_checkpoint(os.path.join(args.output, "checkpoint.bin"), weights)
     report = metrics.evaluate(scorer, ds, k=cfg["eval"]["k"])
-    row = _eval_row(cfg, model_kind, "mse-closed-form", report)
+    row = _eval_row(cfg, lin["model"], "mse-closed-form", report)
     _write_artifact(cfg, args.output, "eval.csv", [EVAL_HEADER, row])
     print(row)
     return 0

@@ -15,7 +15,7 @@ import json
 import os
 
 from .data import _atomic_write
-from .linear import LINEAR_MODELS, IALSConfig, ease_debiased_fit
+from .linear import LINEAR_MODELS, IALSConfig, check_ease_settings, ease_debiased_fit
 from .losses import check_loss_params, misfit, type_fits
 from .mf import TrainConfig
 from .sampling import SamplerConfig
@@ -34,7 +34,7 @@ def _keyword_defaults(fn) -> dict:
 
 
 # A default that a dataclass or function signature holds is read from it;
-# the literals below have no other home.  train_config and ials_config invert this.
+# the literals below have no other home.  train_config and solve_config invert this.
 _TRAIN = _keyword_defaults(TrainConfig)
 _IALS = _keyword_defaults(IALSConfig)
 
@@ -71,18 +71,29 @@ def train_config(cfg: dict) -> TrainConfig:
                        seed=cfg["seed"], eval_k=cfg["eval"]["k"])
 
 
-def ials_config(cfg: dict) -> IALSConfig:
-    """The IALSConfig of the linear table and seed; a refusal names the linear.* keys.
-    linear.model = "ials-debiased" also needs alpha0 < 1, as linear.ials_fit does."""
-    # each IALSConfig field with the linear key that sets it; two are renamed
-    keys = {{"lambda": "lam", "sweeps": "num_sweeps"}.get(key, key): key for key in cfg["linear"]}
-    fields = {name: cfg["linear"][key] for name, key in keys.items() if name in _IALS}
+def solve_config(cfg: dict) -> IALSConfig | None:
+    """The run of `recloss solve`, checked before any data is read: the IALSConfig of iALS
+    (alpha0 < 1 for ials-debiased, as linear.ials_fit needs), or None for EASE.  A linear
+    key its model does not read (linear.LINEAR_MODELS) keeps its default; refusals name it."""
+    lin, model = cfg["linear"], cfg["linear"]["model"]
+    family, debiased, keys = LINEAR_MODELS[model]
+    for key, value in lin.items():
+        if key not in (*keys, "model") and value != DEFAULTS["linear"][key]:
+            readers = " or ".join(m for m, (_, _, read) in LINEAR_MODELS.items() if key in read)
+            raise ConfigError(f"{model} does not read linear.{key}, set to {value}; keep its "
+                              f"default {DEFAULTS['linear'][key]} or fit {readers}")
+    # each IALSConfig field or EASE fit keyword with the linear key that sets it; two are renamed
+    names = {{"lambda": "lam", "sweeps": "num_sweeps"}.get(key, key): key for key in keys}
+    fields = {name: lin[key] for name, key in names.items()}
     try:
-        if cfg["linear"]["model"] == "ials-debiased" and fields["alpha0"] >= 1:
-            raise ValueError(f"ials-debiased requires alpha0 < 1, got {fields['alpha0']}")
+        if family == "ease":
+            check_ease_settings(fields["lam"], lin["alpha"])
+            return None
+        if debiased and fields["alpha0"] >= 1:
+            raise ValueError(f"{model} requires alpha0 < 1, got {fields['alpha0']}")
         return IALSConfig(**fields, seed=cfg["seed"])
     except ValueError as exc:
-        words = [f"linear.{keys[w]}" if w in fields else w for w in str(exc).split(" ")]
+        words = [f"linear.{names[w]}" if w in names else w for w in str(exc).split(" ")]
         raise ConfigError(" ".join(words)) from None
 
 
@@ -208,9 +219,9 @@ def validate_config(cfg: dict) -> None:
     if (data["train"] is None) != (data["test"] is None):
         missing = "data.test" if data["test"] is None else "data.train"
         raise ConfigError(f"data.train and data.test are set together; {missing} is missing")
-    model = cfg["linear"]["model"]
-    if model not in LINEAR_MODELS:
-        raise ConfigError(f"unknown linear model {model!r}; expected one of {LINEAR_MODELS}")
+    if cfg["linear"]["model"] not in LINEAR_MODELS:
+        raise ConfigError(f"unknown linear model {cfg['linear']['model']!r}; "
+                          f"expected one of {', '.join(LINEAR_MODELS)}")
     if data["synthetic"] is not None:
         _check_synthetic(data["synthetic"])
     _check_sweep(cfg["sweep"])

@@ -1,6 +1,7 @@
 """Closed-form linear recommenders: iALS and EASE with debiased variants.
 
-Both models minimize weighted squared error over the full user-item grid.
+Both models minimize weighted squared error over the full user-item grid;
+LINEAR_MODELS lists the four fits and the linear.* config keys each reads.
 The debiased variants reweight known positives by c_u (= 1 + alpha); the
 checks at the bottom verify numerically that each debiased solution equals
 a rescaled original solution with mapped hyperparameters — one comparison
@@ -17,7 +18,7 @@ EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
 the item Gram otherwise (_ease_plan), by LAPACK potrf + potri imported in
 _inverse_gram; it returns only the weights W.  scipy.sparse, too, is imported
 only where a scipy matrix is read or built: in _interactions for a matrix
-input, and in _ease_solve.
+input, and in _ease_solve, once check_ease_settings has passed lam and alpha.
 """
 
 from __future__ import annotations
@@ -39,8 +40,13 @@ __all__ = [
     "ease_debiased_fit", "ease_fit", "ials_fit", "ials_objective",
 ]
 
-# the models `recloss solve` fits, as linear.model names them
-LINEAR_MODELS = ("ials", "ials-debiased", "ease", "ease-debiased")
+# each linear.model of `recloss solve`: its family, whether debiased, and the linear.* keys it reads
+LINEAR_MODELS = {
+    "ials": ("ials", False, ("d", "alpha0", "lambda", "nu", "sweeps")),
+    "ials-debiased": ("ials", True, ("d", "alpha0", "lambda", "nu", "sweeps", "c_u")),
+    "ease": ("ease", False, ("lambda", "item_budget")),
+    "ease-debiased": ("ease", True, ("lambda", "item_budget", "alpha")),
+}
 
 # gathered factor entries per chunk of ials_objective (two float64 blocks)
 # and of the iALS row solver (blocks of equal-length rows): the package's one
@@ -100,14 +106,16 @@ class IALSConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.d < 1 or self.num_sweeps < 1:
-            raise ValueError("d and num_sweeps must be >= 1")
-        if not (self.alpha0 >= 0 and self.lam > 0):
-            raise ValueError("alpha0 must be non-negative and lam positive")
-        if not np.all(np.asarray(self.c_u) > 0):
-            raise ValueError("c_u must be positive")
-        if not (np.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError(f"nu must be finite and non-negative, got {self.nu}")
+        # each refusal names one field, which config.solve_config renames to its key
+        c_u = np.asarray(self.c_u)
+        for name, rule, ok in (("d", ">= 1", self.d >= 1),
+                               ("num_sweeps", ">= 1", self.num_sweeps >= 1),
+                               ("alpha0", "finite and non-negative", 0 <= self.alpha0 < np.inf),
+                               ("lam", "positive and finite", 0 < self.lam < np.inf),
+                               ("c_u", "positive and finite", np.all((c_u > 0) & (c_u < np.inf))),
+                               ("nu", "finite and non-negative", 0 <= self.nu < np.inf)):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -285,6 +293,14 @@ def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float) -> np.ndarray
     return P
 
 
+def check_ease_settings(lam: float, alpha: float) -> None:
+    """EASE's rule, which loads no SciPy: lam positive and finite, alpha in [0, 1)."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}; convexity requires c_u < 2 here")
+
+
 def _ease_plan(m: int, n: int, nnz: int) -> tuple[bool, int]:
     """Whether EASE on an m x n X with nnz nonzeros takes the user side, and a
     bound on its peak bytes: the n x n buffer and its bool mask on the item
@@ -308,10 +324,7 @@ def _ease_solve(X, lam: float, alpha: float) -> EASESolution:
     n x n buffer _GRAM_ROWS rows at a time, and W_ij = M_ij /
     ((1 - M_jj)(1-alpha)) overwrites M.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1); convexity requires c_u < 2 here")
+    check_ease_settings(lam, alpha)
     import scipy.sparse as sp
     lam = lam / (1.0 - alpha)
     Xs = sp.csr_matrix(X, dtype=float)

@@ -12,8 +12,11 @@ import recloss.cli
 import recloss.verify
 from recloss.checkpoint import load_checkpoint
 from recloss.cli import BLAS_ENV_VARS, EVAL_HEADER, main
+from recloss.config import DEFAULTS
 from recloss.data import InteractionDataset, load_dataset
-from recloss.linear import EASEScorer, IALSConfig, ease_debiased_fit, ease_fit, ials_fit
+from recloss.linear import (
+    LINEAR_MODELS, EASEScorer, IALSConfig, ease_debiased_fit, ease_fit, ials_fit,
+)
 from recloss.metrics import evaluate
 from recloss.mf import ScoringModel
 from recloss.synthetic import synthetic_dataset
@@ -39,6 +42,14 @@ FAST = [
     "--set", "sampler.n_negatives=4",
 ]
 
+
+# a value off its default for each linear key, in range for every model that reads it
+OFF_DEFAULT = {"d": 3, "alpha0": 0.2, "lambda": 0.5, "nu": 0.5, "sweeps": 2, "c_u": 1.5,
+               "alpha": 0.3, "item_budget": 100}
+# the linear keys each model reads
+IALS_KEYS, EASE_KEYS = {"d", "alpha0", "lambda", "nu", "sweeps"}, {"lambda", "item_budget"}
+READS = {"ials": IALS_KEYS, "ials-debiased": IALS_KEYS | {"c_u"},
+         "ease": EASE_KEYS, "ease-debiased": EASE_KEYS | {"alpha"}}
 
 
 def random_data(users, items, density=0.3):
@@ -320,8 +331,9 @@ class TestSolve:
         # on 40 x 60 random data, lambda = 100 (the default, on EASE's scale)
         # shrinks every factor to 0, where all scores tie
         out = tmp_path / model
+        c_u = ["--c-u", "1.5"] if model == "ials-debiased" else []
         rc = main(["solve", "--model", model, "--lambda", lam, "--d", "4", "--sweeps", "3",
-                   "--c-u", "1.5", "--set", "data.synthetic.kind=random",
+                   *c_u, "--set", "data.synthetic.kind=random",
                    "--set", "data.synthetic.num_users=40", "--set", "data.synthetic.num_items=60",
                    "--set", "data.synthetic.density=0.1", "--output", str(out)])
         assert rc == 0 and (out / "eval.csv").exists()
@@ -340,8 +352,9 @@ class TestSolve:
         monkeypatch.setattr(InteractionDataset, "train_matrix", refuse)
         for model, sol in dense.items():
             out = tmp_path / model
+            alpha = ["--alpha", "0.3"] if model == "ease-debiased" else []
             assert main(["solve", "--data-dir", str(data_dir), "--model", model,
-                         "--lambda", "0.5", "--alpha", "0.3", "--output", str(out)]) == 0
+                         "--lambda", "0.5", *alpha, "--output", str(out)]) == 0
             report = evaluate(EASEScorer(ds, sol.W), ds, k=20)
             row = read_eval(out / "eval.csv")
             assert row[4:] == [f"{report.recall:.6f}", f"{report.ndcg:.6f}",
@@ -352,14 +365,40 @@ class TestSolve:
         # the row comes from the checkpointed dot model; it must equal the
         # ranking of the fit's own W[users] @ H.T
         out = tmp_path / model
+        debiased = model == "ials-debiased"
+        c_u = ["--c-u", "1.5"] if debiased else []
         assert main(["solve", "--model", model, "--lambda", "0.1", "--d", "4", "--sweeps", "3",
-                     "--c-u", "1.5", *random_data(40, 60), "--output", str(out)]) == 0
+                     *c_u, *random_data(40, 60), "--output", str(out)]) == 0
         ds = synthetic_dataset(kind="random", num_users=40, num_items=60, density=0.3, seed=0)
-        fit = ials_fit(ds, IALSConfig(d=4, alpha0=0.1, lam=0.1, c_u=1.5, num_sweeps=3),
-                       debiased=model == "ials-debiased")
+        fit = ials_fit(ds, IALSConfig(d=4, alpha0=0.1, lam=0.1, c_u=1.5 if debiased else 1.0,
+                                      num_sweeps=3), debiased=debiased)
         report = evaluate(fit, ds, k=20)
         assert read_eval(out / "eval.csv")[4:] == [f"{report.recall:.6f}", f"{report.ndcg:.6f}",
                                                    str(report.users_evaluated)]
+
+    @pytest.mark.parametrize("key", OFF_DEFAULT)
+    @pytest.mark.parametrize("model", READS)
+    def test_a_key_its_model_does_not_read_is_refused(self, model, key, tmp_path, capsys):
+        assert set(LINEAR_MODELS[model][2]) == READS[model]
+        out = tmp_path / "out"
+        setting = ["--set", f"linear.{key}={OFF_DEFAULT[key]}"]
+        if key not in READS[model]:
+            # no data directory exists, so naming the key means it was checked first
+            rc = main(["solve", "--model", model, *setting, "--data-dir", str(tmp_path / "absent"),
+                       "--output", str(out)])
+            assert rc == 1 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {model} does not read linear.{key}, set to "
+                                  f"{OFF_DEFAULT[key]}; keep its default")
+            readers = [name for name, keys in READS.items() if key in keys]
+            assert err.endswith(f" or fit {' or '.join(readers)}\n") and "absent" not in err
+            # at its default, the key the model does not read is accepted
+            setting = ["--set", f"linear.{key}={json.dumps(DEFAULTS['linear'][key])}"]
+        # small, quick iALS fits; a key under test is set after them and wins
+        fast = ["--d", "4", "--sweeps", "2", "--lambda", "0.1"] if "d" in READS[model] else []
+        assert main(["solve", "--model", model, *fast, *setting, *random_data(40, 60),
+                     "--output", str(out)]) == 0
+        assert read_eval(out / "eval.csv")[1] == model
 
     def test_item_budget_guard(self, data_dir, tmp_path, capsys):
         rc = main(["solve", "--data-dir", str(data_dir), "--model", "ease",
@@ -664,6 +703,8 @@ class TestSettingErrors:
         (["train", "--set", "train.val_fraction=1.5"], "val_fraction must lie in (0, 1)"),
         (["train", "--set", "train.l2_weight=NaN"], "'train.l2_weight' must be finite"),
         (["solve", "--model", "ials", "--set", "linear.nu=-1"], "linear.nu"),
+        (["solve", "--model", "ease-debiased", "--alpha", "1.5"], "linear.alpha must lie in"),
+        (["solve", "--model", "ease", "--lambda", "0"], "linear.lambda must be positive"),
     ])
     def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
                                                           capsys):
@@ -717,7 +758,7 @@ class TestConfigPlumbing:
 
     def test_flags_take_the_type_of_their_key(self, data_dir, tmp_path):
         out = tmp_path / "ials"
-        assert main(["solve", "--data-dir", str(data_dir), "--model", "ials", "--d", "2",
+        assert main(["solve", "--data-dir", str(data_dir), "--model", "ials-debiased", "--d", "2",
                      "--sweeps", "1", "--lambda", "1", "--c-u", "2", "--output", str(out)]) == 0
         linear = json.loads((out / "config.resolved").read_text())["linear"]
         assert linear["lambda"] == 1.0 and isinstance(linear["lambda"], float)

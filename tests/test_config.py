@@ -12,8 +12,8 @@ from recloss.config import (
     ConfigError,
     apply_override,
     deep_merge,
-    ials_config,
     resolve_config,
+    solve_config,
     train_config,
     validate_config,
     write_resolved,
@@ -90,7 +90,7 @@ class TestDerivedDefaults:
 
 
 class TestRunBuilders:
-    """train_config and ials_config turn a resolved document into run objects."""
+    """train_config and solve_config turn a resolved document into run objects."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_train_config_builds_for_every_preset(self, name):
@@ -109,38 +109,42 @@ class TestRunBuilders:
         assert TrainConfig(loss=kind).sampler == cli.sampler == SamplerConfig()
 
     def test_ials_config_builds_for_the_defaults(self):
-        assert ials_config(resolve_config()) == IALSConfig(
+        assert solve_config(resolve_config()) is None  # the default model is EASE
+        debiased = "linear.model=ials-debiased"
+        assert solve_config(resolve_config(overrides=[debiased])) == IALSConfig(
             d=64, alpha0=0.1, lam=100.0, nu=1.0, c_u=1.0, num_sweeps=10, seed=0)
-        cfg = ials_config(resolve_config(overrides=["linear.lambda=0.1", "linear.sweeps=3",
-                                                     "seed=7"]))
+        cfg = solve_config(resolve_config(overrides=[debiased, "linear.lambda=0.1",
+                                                      "linear.sweeps=3", "seed=7"]))
         assert (cfg.lam, cfg.num_sweeps, cfg.seed) == (0.1, 3, 7)
 
     @pytest.mark.parametrize("override, keys", [
         ("linear.lambda=-1", ["linear.lambda"]),
         ("linear.lambda=0", ["linear.lambda"]),
         ("linear.alpha0=-0.5", ["linear.alpha0"]),
-        ("linear.sweeps=0", ["linear.sweeps", "linear.d"]),
-        ("linear.d=0", ["linear.d", "linear.sweeps"]),
+        ("linear.sweeps=0", ["linear.sweeps"]),
+        ("linear.d=0", ["linear.d"]),
         ("linear.c_u=0", ["linear.c_u"]),
         ("linear.nu=-1", ["linear.nu"]),
     ])
     def test_ials_config_refusals_name_the_keys(self, override, keys):
-        cfg = resolve_config(overrides=[override])  # linear.* ranges are left to the run
+        # linear.* ranges are left to the run
+        cfg = resolve_config(overrides=["linear.model=ials-debiased", override])
         with pytest.raises(ConfigError) as info:
-            ials_config(cfg)
+            solve_config(cfg)
         message = str(info.value)
-        assert all(key in message for key in keys)
+        # the key at fault, and no other
+        assert re.findall(r"linear\.\w+", message) == keys
         # no IALSConfig field name is left bare
         assert not re.search(r"(?<![.\w])(lam|num_sweeps|d|alpha0|c_u|nu)\b", message)
 
     def test_ials_debiased_needs_alpha0_below_one(self):
         # plain iALS takes any alpha0 >= 0; the debiased solves weight observed terms by 1 - alpha0
         plain = resolve_config(overrides=["linear.model=ials", "linear.alpha0=1.5"])
-        assert ials_config(plain).alpha0 == 1.5
+        assert solve_config(plain).alpha0 == 1.5
         debiased = resolve_config(overrides=["linear.model=ials-debiased", "linear.alpha0=1.0"])
         message = r"^ials-debiased requires linear\.alpha0 < 1, got 1\.0$"
         with pytest.raises(ConfigError, match=message):
-            ials_config(debiased)
+            solve_config(debiased)
 
 
 class TestValueTypes:

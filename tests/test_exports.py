@@ -163,6 +163,17 @@ CALL_SITES = {
                                        "--output", f"{out}/{model}"])
                 assert rc == 0
     """, ()),
+    "refused EASE solve": ("""
+        # EASE's lambda and alpha are refused, by name, before any data is read
+        import contextlib
+        import io
+        for flag, value in (("--alpha", "1.5"), ("--lambda", "0")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = recloss.cli.main(["solve", "--model", "ease-debiased", flag, value,
+                                       "--data-dir", "absent", "--output", "out"])
+            assert rc == 1 and err.getvalue().startswith("error: linear." + flag[2:]), err.getvalue()
+    """, ()),
     "ease_fit": ("""
         X = (rng.random((6, 8)) < 0.4).astype(float)
         W = recloss.ease_fit(X, 0.5).W

@@ -271,6 +271,16 @@ class TestIALSConfig:
                 IALSConfig(d=2, alpha0=0.0, lam=1.0, nu=nu)
 
     @pytest.mark.parametrize("field", ["alpha0", "lam", "c_u", "nu"])
+    def test_infinity_is_refused_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+            IALSConfig(**{"d": 2, "alpha0": 0.1, "lam": 1.0, field: float("inf")})
+
+    @pytest.mark.parametrize("field", ["d", "num_sweeps"])
+    def test_a_count_below_one_names_only_its_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            IALSConfig(**{"d": 2, "alpha0": 0.1, "lam": 1.0, field: 0})
+
+    @pytest.mark.parametrize("field", ["alpha0", "lam", "c_u", "nu"])
     def test_nan_is_refused(self, field):
         with pytest.raises(ValueError, match=field):
             IALSConfig(**{"d": 2, "alpha0": 0.1, "lam": 1.0, field: float("nan")})
@@ -698,6 +708,9 @@ class TestEASEDebiased:
             ease_debiased_fit(np.eye(2), 0.1, -0.2)
         with pytest.raises(ValueError, match="lam must be positive"):
             ease_debiased_fit(np.eye(2), 0.0, 0.3)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^lam must be positive and finite"):
+                ease_fit(np.eye(2), lam)
 
 
 class TestTheorem1:

@@ -546,6 +546,43 @@ class TestDenseBlockRule:
         assert not built
 
 
+class TestDebiasingIdentityThroughTheBatch:
+    """test_losses.py's TestDebiasingIdentity through batch_objective: one user,
+    the whole catalog of n items as the N = n negatives, the user's p positives
+    as the M = p extras and tau+ = p / n, with no L2 term, the clamp and the
+    floor off, and debiased_infonce at lambda_n = n - p.  Each positive's
+    unlabeled and extra partials then cancel, so every positive item row but
+    the pair's own positive gets zero gradient, on either side of the rule."""
+
+    PARAMS = {
+        "debiased_infonce": lambda n, p: {"lambda_n": float(n - p), "clamp_floor": False},
+        "debiased_ccl": lambda n, p: {"lambda_n": 0.7, "margin": 0.2, "floor_at_zero": False},
+        "debiased_mse": lambda n, p: {"lambda": 0.7},
+    }
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    @pytest.mark.parametrize("kind", PARAMS)
+    def test_other_positives_get_no_gradient(self, monkeypatch, kind, mode, side):
+        monkeypatch.setattr(mf, "DENSE_BLOCK_FACTOR", SIDES[side])
+        built = _sparse_builds(monkeypatch)
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(3, 60))
+            positives = np.sort(rng.choice(n, int(rng.integers(1, n)), replace=False))
+            i = int(rng.choice(positives))
+            model = ScoringModel(rng.normal(size=(1, 4)), rng.normal(size=(n, 4)), mode=mode,
+                                 temperature=0.5)
+            p = len(positives)
+            grads = batch_objective(model, np.array([0]), np.array([i]), np.arange(n)[None],
+                                    positives[None], kind, self.PARAMS[kind](n, p),
+                                    tau_plus=np.array([p / n]))
+            assert np.array_equal(grads.item_rows, np.arange(n))
+            others = grads.item_grads[np.setdiff1d(positives, [i])]
+            assert np.abs(others).max(initial=0.0) <= 1e-12 * np.abs(grads.item_grads).max()
+        assert bool(built) == (side == "sparse")
+
+
 # the kinds whose kernels score no extra positives
 PLAIN_KINDS = [kind for kind in LOSS_KINDS if kind not in DEBIASED_KINDS]
 
