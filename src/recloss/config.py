@@ -56,7 +56,7 @@ DEFAULTS = {
         "c_u": _IALS["c_u"],
         "alpha": _keyword_defaults(ease_debiased_fit)["alpha"],
         "sweeps": _IALS["num_sweeps"],
-        "item_budget": 15_000,  # ~2.7 GB on the item side; linear._ease_plan bounds the peak
+        "item_budget": 15_000,  # ~1.8 GB on the item side; linear._ease_plan bounds the peak
     },
     "eval": {"k": _TRAIN["eval_k"]},
     "verify": {k: v for k, v in _keyword_defaults(run_verification).items() if k != "seed"},
@@ -87,6 +87,8 @@ def solve_config(cfg: dict) -> IALSConfig | None:
     fields = {name: lin[key] for name, key in names.items()}
     try:
         if family == "ease":
+            if fields["item_budget"] < 1:  # a budget below 1 refuses every catalog
+                raise ValueError(f"item_budget must be >= 1, got {fields['item_budget']}")
             check_ease_settings(fields["lam"], lin["alpha"])
             return None
         if debiased and fields["alpha0"] >= 1:

@@ -16,7 +16,10 @@ rows together, a row of L <= d entries through an L x L system.  The objective
 sums its observed terms over the entries in fixed-size chunks.
 EASE inverts the m x m user Gram when 2m^2 <= n^2 (m users, n items) and
 the item Gram otherwise (_ease_plan), by LAPACK potrf + potri imported in
-_inverse_gram; it returns only the weights W.  scipy.sparse, too, is imported
+_inverse_gram; it returns only the weights W.  Both sides work inside W's
+n x n buffer: the user-side inverse takes its last m^2 floats, with one
+ceil(m^2/n)^2 corner beside it, and finiteness is checked a block of rows at
+a time, so the peak is W plus blocks (_ease_plan).  scipy.sparse, too, is imported
 only where a scipy matrix is read or built: in _interactions for a matrix
 input, and in _ease_solve, once check_ease_settings has passed lam and alpha.
 """
@@ -264,15 +267,15 @@ class EASESolution:
     W: np.ndarray
 
 
-def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float) -> np.ndarray:
+def _inverse_gram(A: sp.csr_matrix, At: sp.csr_matrix, lam: float, P: np.ndarray) -> np.ndarray:
     """(A A^T + lam I)^{-1} for a CSR A with k rows and its CSR transpose At,
-    in one C-ordered k x k buffer: the Gram built from A's nonzeros
+    written into and returned as P, a C-contiguous k x k float64 array that
+    may be a view into a larger buffer: the Gram built from A's nonzeros
     _GRAM_ROWS rows at a time, then inverted in place by Cholesky (potrf +
     potri, about k^3 flops against 2k^3 for LU) and mirrored."""
     from scipy.linalg.lapack import dpotrf, dpotri
     k = A.shape[0]
-    P = np.zeros((k, k))
-    # toarray adds the block into out, so out must start at zero
+    # toarray overwrites its out with the block, so P may hold anything
     for lo in range(0, k, _GRAM_ROWS):
         (A[lo:lo + _GRAM_ROWS] @ At).toarray(out=P[lo:lo + _GRAM_ROWS])
     P.flat[:: k + 1] += lam
@@ -298,16 +301,27 @@ def check_ease_settings(lam: float, alpha: float) -> None:
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}; convexity requires c_u < 2 here")
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}; "
+                         "convexity requires c_u = 1 + alpha, so c_u < 2 here")
+
+
+def _corner_rows(m: int, n: int) -> int:
+    """The user side's c = ceil(m^2 / n): the last c rows of the n x n buffer
+    hold the m x m inverse in their last m^2 floats."""
+    return -(-m * m // n)
 
 
 def _ease_plan(m: int, n: int, nnz: int) -> tuple[bool, int]:
     """Whether EASE on an m x n X with nnz nonzeros takes the user side, and a
-    bound on its peak bytes: the n x n buffer and its bool mask on the item
-    side (12 n^2 in all), or the n x n, the m x m or later the mask, and two
-    _GRAM_ROWS-row blocks of M on the user side; plus 24 bytes per nonzero (X and X^T)."""
+    bound on its peak bytes: the n x n buffer, plus on the user side the c x c
+    corner of M (c = ceil(m^2 / n) <= ceil(n/2)), plus blocks of _GRAM_ROWS
+    rows (a Gram block, the mirror's source and mask, M's fill, the
+    finiteness check) and 24 bytes per nonzero (X and X^T).  The m x m
+    inverse lives inside the n x n buffer and no n x n mask is made."""
     user_side = 0 < 2 * m * m <= n * n
-    dense = 8 * n * n + max(8 * m * m, n * n) + 16 * _GRAM_ROWS * (n + m) if user_side else 12 * n * n
+    dense = 8 * n * n + 16 * _GRAM_ROWS * n
+    if user_side:
+        dense += 8 * _corner_rows(m, n) ** 2 + 16 * _GRAM_ROWS * m
     return user_side, dense + 24 * nnz
 
 
@@ -315,14 +329,17 @@ def _ease_solve(X, lam: float, alpha: float) -> EASESolution:
     """W = (I - P dMat(1/diag(P))) / (1-alpha) with diag(W) = 0, where
     P = (X^T X + lam' I)^{-1}, lam' = lam/(1-alpha), for X m x n, dense or
     scipy.sparse, with finite (weighted or negative) entries; W fills one
-    C-ordered n x n buffer.
+    C-ordered n x n buffer, allocated first.
 
     On the item side (_ease_plan) the buffer holds the inverse of the n x n
     Gram, which W overwrites; the I term only touches the zeroed diagonal.
-    On the user side a second buffer holds the inverse of K = X X^T + lam' I;
-    by Woodbury P = (I - M) / lam' with M = X^T K^{-1} X, which fills the
-    n x n buffer _GRAM_ROWS rows at a time, and W_ij = M_ij /
-    ((1 - M_jj)(1-alpha)) overwrites M.
+    On the user side the buffer's last m^2 floats, within its last c rows,
+    hold the inverse of K = X X^T + lam' I; by Woodbury P = (I - M) / lam'
+    with M = X^T K^{-1} X.  M's first n - c rows fill the buffer _GRAM_ROWS
+    rows at a time, its c x c corner waits in a temporary, and once K is
+    spent the bottom-left block is copied from the top-right (M is
+    symmetric) and the corner put in place.  W_ij = M_ij /
+    ((1 - M_jj)(1-alpha)) then overwrites M.
     """
     check_ease_settings(lam, alpha)
     import scipy.sparse as sp
@@ -331,25 +348,36 @@ def _ease_solve(X, lam: float, alpha: float) -> EASESolution:
     _refuse_entries(Xs, np.isfinite(Xs.data), "finite")
     Xt = Xs.T.tocsr()
     m, n = Xs.shape
+    P = np.empty((n, n))
     if not _ease_plan(m, n, Xs.nnz)[0]:
-        P = _inverse_gram(Xt, Xs, lam)
+        _inverse_gram(Xt, Xs, lam, P)
         del Xs, Xt
         P /= np.diag(P).copy()
         P /= alpha - 1.0
     else:
-        K = _inverse_gram(Xs, Xt, lam)
+        c = _corner_rows(m, n)
+        r0 = n - c
+        K = _inverse_gram(Xs, Xt, lam, P.reshape(-1)[n * n - m * m:].reshape(m, m))
         del Xs
-        P = np.empty((n, n))
-        for lo in range(0, n, _GRAM_ROWS):
-            P[lo:lo + _GRAM_ROWS] = (Xt @ (Xt[lo:lo + _GRAM_ROWS] @ K).T).T
-        del Xt, K
+        for lo in range(0, r0, _GRAM_ROWS):
+            hi = min(lo + _GRAM_ROWS, r0)
+            P[lo:hi] = (Xt @ (Xt[lo:hi] @ K).T).T
+        Xc, corner = Xt[r0:], np.empty((c, c))
+        del Xt
+        for lo in range(0, c, _GRAM_ROWS):
+            corner[lo:lo + _GRAM_ROWS] = (Xc @ (Xc[lo:lo + _GRAM_ROWS] @ K).T).T
+        # K is spent: its rows take M's bottom-left block and the corner
+        P[r0:, :r0] = P[:r0, r0:].T
+        P[r0:, r0:] = corner
         pivots = 1.0 - np.diag(P)  # lam P_jj, positive for a definite Gram + lam I
         if not np.all(np.isfinite(pivots) & (pivots > 0)):
             raise FloatingPointError("EASE Gram + lam I is not numerically positive definite "
                                      f"(least 1 - M_jj {pivots.min()}); raise lam")
         P /= pivots * (1.0 - alpha)
-    if not np.all(np.isfinite(P)):
-        raise FloatingPointError("EASE solve produced non-finite weights (ill-conditioned Gram)")
+    # one block of rows at a time, so no n x n mask is made
+    for lo in range(0, n, _GRAM_ROWS):
+        if not np.isfinite(P[lo:lo + _GRAM_ROWS]).all():
+            raise FloatingPointError("EASE solve produced non-finite weights (ill-conditioned Gram)")
     np.fill_diagonal(P, 0.0)
     return EASESolution(W=P)
 

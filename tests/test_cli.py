@@ -705,6 +705,7 @@ class TestSettingErrors:
         (["solve", "--model", "ials", "--set", "linear.nu=-1"], "linear.nu"),
         (["solve", "--model", "ease-debiased", "--alpha", "1.5"], "linear.alpha must lie in"),
         (["solve", "--model", "ease", "--lambda", "0"], "linear.lambda must be positive"),
+        (["solve", "--model", "ease", "--item-budget", "-5"], "linear.item_budget must be >= 1"),
     ])
     def test_run_settings_are_refused_before_data_is_read(self, command, named, tmp_path,
                                                           capsys):

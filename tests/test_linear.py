@@ -681,6 +681,63 @@ class TestEASE:
         assert user_side == (shape[0] < 1000)
         assert ease_fit_peak(X) <= peak_bytes
 
+    @pytest.mark.parametrize("shape, p, share", [((707, 1000), 0.05, 1.55),
+                                                 ((10, 2000), 0.05, 1.08),
+                                                 ((3000, 2000), 0.002, 1.10)])
+    def test_peak_in_units_of_the_output(self, shape, p, share, rng):
+        # the user side's edge, a narrow user side and a sparse item side: the
+        # m x m inverse lives in W's buffer and finiteness is checked a block
+        # of rows at a time, so little beyond W's 8 n^2 bytes is left
+        X = sp.csr_matrix(random_binary(rng, shape, p))
+        assert ease_fit_peak(X) <= share * 8 * shape[1] ** 2
+
+    @pytest.mark.parametrize("k, offset", [(1, 0), (40, 7), (150, 1000)])
+    def test_inverse_gram_into_an_offset_view(self, k, offset, rng, monkeypatch):
+        # as the user side calls it: the last k^2 floats of a larger buffer,
+        # here filled with NaN, and blocks that do not divide k
+        monkeypatch.setattr(linear, "_GRAM_ROWS", 16)
+        A = sp.csr_matrix(random_binary(rng, (k, 2 * k + 3)) * rng.uniform(-1.0, 3.0, (k, 2 * k + 3)))
+        At = A.T.tocsr()
+        alone = linear._inverse_gram(A, At, 0.7, np.empty((k, k)))
+        buffer = rng.normal(size=offset + k * k)
+        buffer[offset:] = np.nan
+        view = buffer[offset:].reshape(k, k)
+        before = buffer[:offset].copy()
+        got = linear._inverse_gram(A, At, 0.7, view)
+        assert got is view
+        np.testing.assert_array_equal(view, alone)
+        np.testing.assert_array_equal(buffer[:offset], before)
+        P = np.linalg.inv((A @ At).toarray() + 0.7 * np.eye(k))
+        assert rel_dev(alone, P) <= 1e-12
+
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_a_non_finite_weight_in_any_block_is_refused(self, row, rng, monkeypatch):
+        # finiteness is checked 3 rows at a time here; the NaN sits in the
+        # first, a middle or the last (short) block of the item side's W
+        monkeypatch.setattr(linear, "_GRAM_ROWS", 3)
+        inverse_gram = linear._inverse_gram
+
+        def with_a_nan(*args):
+            P = inverse_gram(*args)
+            P[row, 1] = np.nan
+            return P
+
+        monkeypatch.setattr(linear, "_inverse_gram", with_a_nan)
+        with pytest.raises(FloatingPointError, match="non-finite weights"):
+            ease_fit(random_binary(rng, (30, 10), 0.5), 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 4), (3, 9), (4, 8), (5, 12), (7, 70)])
+    def test_user_side_corner_shapes_match_lu_inverse_oracle(self, shape, rng, monkeypatch):
+        # c = ceil(m^2 / n) rows hold the m x m inverse: m^2 a multiple of n
+        # or not, one corner row or several, corner rows fewer than a block
+        monkeypatch.setattr(linear, "_GRAM_ROWS", 2)
+        m, n = shape
+        assert linear._ease_plan(m, n, 0)[0]
+        X = random_binary(rng, shape, 0.5) * rng.uniform(0.5, 3.0, size=shape)
+        for alpha in (0.0, 0.35):
+            W, _ = reference_ease_fit(X, 0.6, alpha)
+            assert rel_dev(ease_debiased_fit(sp.csr_matrix(X), 0.6, alpha).W, W) <= 1e-12
+
 
 class TestEASEDebiased:
     def test_alpha_zero_equals_plain(self, rng):
